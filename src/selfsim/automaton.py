@@ -233,6 +233,18 @@ def _edge_matrix(state: AtomState, allowed, members):
     return tuple(rows)
 
 
+def walk_addresses(edges, depth: int, start: int = 0):
+    """All paths of depth steps from start over per-state edge lists.
+
+    Paths are state-id tuples in depth-first order: prefixes in order,
+    each extended by its edges in list order.
+    """
+    paths = [(start,)]
+    for _ in range(depth):
+        paths = [p + (e.child,) for p in paths for e in edges[p[-1]]]
+    return paths
+
+
 class Automaton:
     """BFS closure of the child relation from the root state."""
 
@@ -271,19 +283,7 @@ class Automaton:
 
     def addresses(self, depth: int, start: int = 0):
         """All admissible addresses of the given depth from start."""
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == depth + 1:
-                out.append(tuple(prefix))
-                return
-            for e in self.edges[prefix[-1]]:
-                prefix.append(e.child)
-                rec(prefix)
-                prefix.pop()
-
-        rec([start])
-        return out
+        return walk_addresses(self.edges, depth, start)
 
     # -- exports ------------------------------------------------------------
     def to_dot(self) -> str:
@@ -392,35 +392,10 @@ def witness(auto: Automaton, sid: int, depth: int = 10):
             break
     if not certified:
         return None
-    abs_frame = _absolute_frame(auto, sid)
+    abs_frame = _path_maps(auto, _bfs_tree(auto, 0), 0, sid)
     x_abs = abs_frame.apply(x_local) if abs_frame is not None else x_local
     return Witness(point=x_abs if isinstance(x_abs, tuple) else (x_abs,),
                    separation_certified=True)
-
-
-def _absolute_frame(auto: Automaton, sid: int):
-    """Compose step maps along the BFS-first path from the root."""
-    if sid == 0:
-        return None
-    prev = {0: None}
-    order = [0]
-    for cur in order:
-        for e in auto.edges[cur]:
-            if e.child not in prev:
-                prev[e.child] = cur
-                order.append(e.child)
-        if sid in prev:
-            break
-    path = []
-    cur = sid
-    while cur != 0:
-        path.append(cur)
-        cur = prev[cur]
-    path.reverse()
-    frame = auto.states[path[0]].rmap
-    for p in path[1:]:
-        frame = frame.compose(auto.states[p].rmap)
-    return frame
 
 
 def _periodic_continuation(auto: Automaton, sid: int):

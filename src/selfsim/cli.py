@@ -38,8 +38,6 @@ def _common(sub):
     sub.add_argument("--max-states", type=int, default=None)
     sub.add_argument("--pressure-n", type=int, default=None)
     sub.add_argument("--rng-seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; computation is deterministic")
 
 
 def _load_config(args) -> IfsConfig:

@@ -30,6 +30,7 @@ DEFAULT_BUDGETS = {
     "tuple_budget": 200000,
     "pressure_n": 14,
     "kron_dim_budget": 200000,
+    # the four keys below are accepted and hashed into config_hash but read by nothing
     "null_eps": 1e-12,
     "iteration_tol": 1e-10,
     "max_iterations": 10000,

@@ -58,9 +58,17 @@ def poly_derivative(coeffs: Sequence[Fraction]):
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
+def _sympy_poly(coeffs: Sequence[Fraction]) -> sympy.Poly:
+    return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
+                                 for c in map(_rat, reversed(coeffs))], sympy.Symbol("x"))
+
+
+def _from_sympy(q) -> Fraction:
+    return Fraction(int(q.p), int(q.q))
+
+
 def _is_irreducible(coeffs: Sequence[Fraction]) -> bool:
-    x = sympy.Symbol("x")
-    poly = sympy.Poly(sum(sympy.Rational(c) * x**i for i, c in enumerate(coeffs)), x)
+    poly = _sympy_poly(coeffs)
     if poly.degree() == 1:
         return True
     _, factors = poly.factor_list()
@@ -189,57 +197,20 @@ def _numeric_shrink(coeffs, box: RectInterval) -> RectInterval:
 
 
 def isolate_all_roots(coeffs, bits: int = 80) -> list[RootBox]:
-    """Certified enclosures of all roots of a squarefree rational polynomial.
+    """Rational isolating boxes of width <= 2^-bits for every root.
 
-    Numeric roots seed small boxes which are then certified one by one
-    with interval Newton; the boxes are verified pairwise disjoint, so
-    counting guarantees completeness.
+    Exact isolation by sympy: the boxes are disjoint and complete by
+    construction.  A repeated root is refused.
     """
-    import numpy as np
-
-    deg = len(coeffs) - 1
-    target = Fraction(1, 1 << bits)
-    roots = np.roots([float(c) for c in reversed(coeffs)])
-    boxes: list[RootBox] = []
-    for z in sorted(roots, key=lambda r: (round(r.real, 12), round(r.imag, 12))):
-        if abs(z.imag) < 1e-9:
-            # try as a real root: bracket around the numeric value
-            x = _rat(z.real)
-            for pad_exp in range(6, 60, 6):
-                pad = Fraction(1, 10**pad_exp)
-                lo, hi = x - pad, x + pad
-                try:
-                    lo2, hi2 = _bisect_real_root(coeffs, lo, hi, target)
-                    boxes.append(RootBox(RatInterval(lo2, hi2)))
-                    break
-                except FieldError:
-                    continue
-            else:
-                # fall through to the complex certifier with a flat box
-                z = complex(z.real, 0.0)
-                boxes.append(_certify_near(coeffs, z, target))
-        else:
-            boxes.append(_certify_near(coeffs, z, target))
-    if len(boxes) != deg:
-        raise FieldError("failed to isolate all roots")
-    for i in range(deg):
-        for j in range(i + 1, deg):
-            if boxes[i].as_rect().intersect(boxes[j].as_rect()) is not None:
-                raise FieldError("root enclosures overlap; polynomial may not be squarefree")
-    return boxes
-
-
-def _certify_near(coeffs, z: complex, target: Fraction) -> RootBox:
-    for pad_exp in (6, 4, 3, 2):
-        pad = Fraction(1, 10**pad_exp)
-        box = RectInterval(RatInterval(_rat(z.real) - pad, _rat(z.real) + pad),
-                           RatInterval(_rat(z.imag) - pad, _rat(z.imag) + pad))
-        try:
-            box, _ = _refine_complex_root(coeffs, box, target, certified=False)
-            return RootBox(box.re, box.im)
-        except FieldError:
-            continue
-    raise FieldError(f"could not certify a root near {z}")
+    real, cplx = _sympy_poly(coeffs).intervals(all=True, eps=sympy.Rational(1, 1 << bits))
+    if any(mult != 1 for _, mult in real + cplx):
+        raise FieldError("polynomial is not squarefree")
+    boxes = [RootBox(RatInterval(_from_sympy(lo), _from_sympy(hi))) for (lo, hi), _ in real]
+    for (lo, hi), _ in cplx:
+        (re_lo, im_lo), (re_hi, im_hi) = lo.as_real_imag(), hi.as_real_imag()
+        boxes.append(RootBox(RatInterval(_from_sympy(re_lo), _from_sympy(re_hi)),
+                             RatInterval(_from_sympy(im_lo), _from_sympy(im_hi))))
+    return sorted(boxes, key=lambda b: (b.real.lo, b.imag.lo if b.imag else 0))
 
 
 # ----------------------------------------------------------------------

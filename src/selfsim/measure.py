@@ -4,11 +4,12 @@ Each state carries a vector v with one entry per covering cylinder, the
 mass of the atom pulled back through that cylinder.  The vectors solve
 the linear self-consistency system given by the edge matrices (a parent
 atom decomposes into its children), together with mass 1 at the root.
-Null components are first guessed by a float iteration and then removed;
-the remaining system is solved exactly over the rationals, ordered by
-strongly connected components, and verified entry by entry.  The float
-pass is only a filter: every reported mass is an exact rational that
-satisfies the full system.
+Which components carry mass follows from the component graph alone: its
+strongly connected classes are solved exactly over the rationals in one
+pass, successors first, and a class without inflow keeps mass only when
+its block has spectral radius exactly 1 (Frobenius-Victory); all other
+null components get exact zeros.  No float enters the solve, and the
+result is verified entry by entry against the full system.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import Automaton, NotAdmissible
+from .automaton import Automaton, NotAdmissible, walk_addresses
 
 
 class MeasureError(RuntimeError):
@@ -100,11 +101,12 @@ def _tarjan_scc(n, succ):
 
 
 def _nullspace_dim1(rows, n):
-    """One positive nullspace vector of a sparse rational matrix, or None.
+    """The nullspace vector of a sparse rational matrix, or None.
 
     rows: list of dicts {col: Fraction}.  Sparse elimination with
-    Markowitz-style pivoting to limit fill-in.  Returns None when the
-    nullspace is trivial; raises when its dimension exceeds one.
+    Markowitz-style pivoting to limit fill-in.  Returns None unless the
+    nullspace is one-dimensional; the vector is signed so that it has no
+    negative entry when that is possible.
     """
     rows = [dict(r) for r in rows]
     col_rows: dict = {}
@@ -160,10 +162,8 @@ def _nullspace_dim1(rows, n):
         raise MeasureError("inconsistent sparse linear system in the mass solve")
     pivot_cols = {c for c, _ in pivot_order}
     free = [c for c in range(n) if c not in pivot_cols]
-    if not free:
+    if len(free) != 1:
         return None
-    if len(free) > 1:
-        raise MeasureError("mass system nullspace has dimension > 1")
     vec = [Fraction(0)] * n
     vec[free[0]] = Fraction(1)
     for pc, prow in reversed(pivot_order):
@@ -219,6 +219,12 @@ class MeasureModel:
     def mass(self, address) -> Fraction:
         """Exact mass of the atom addressed by a root-based state path."""
         address = list(address)
+        u = self.u_vector(address)
+        return sum((a * b for a, b in zip(u, self.v_star(address[-1]))), Fraction(0))
+
+    def u_vector(self, address):
+        """The exact row vector of word-weight sums along an address."""
+        address = list(address)
         if not address or address[0] != 0:
             raise NotAdmissible("address must start at the root state 0")
         if address[0] not in self.kept_set:
@@ -230,34 +236,10 @@ class MeasureModel:
             vec = [sum((vec[i] * t[i][j] for i in range(len(vec))), Fraction(0))
                    for j in range(len(t[0]) if t else 0)]
             cur = nxt
-        return sum((a * b for a, b in zip(vec, self.v_star(cur))), Fraction(0))
-
-    def u_vector(self, address):
-        """The exact row vector of word-weight sums along an address."""
-        address = list(address)
-        vec = [Fraction(1)] * self.star_dim(0)
-        cur = 0
-        for nxt in address[1:]:
-            t = self.transition_matrix(cur, nxt)
-            vec = [sum((vec[i] * t[i][j] for i in range(len(vec))), Fraction(0))
-                   for j in range(len(t[0]) if t else 0)]
-            cur = nxt
         return tuple(vec)
 
     def addresses(self, depth: int):
-        out = []
-
-        def rec(prefix):
-            if len(prefix) == depth + 1:
-                out.append(tuple(prefix))
-                return
-            for e in self.edges[prefix[-1]]:
-                prefix.append(e.child)
-                rec(prefix)
-                prefix.pop()
-
-        rec([0])
-        return out
+        return walk_addresses(self.edges, depth)
 
     def total_mass(self, depth: int) -> Fraction:
         """Sum of mass over all depth-n admissible addresses, exactly.
@@ -324,153 +306,92 @@ def _mat_mul_frac(a, b):
                        for j in range(cols)) for i in range(rows))
 
 
-def compute_mass_vectors(auto: Automaton, *, null_eps: float = 1e-12,
-                         tol: float = 1e-10, max_iter: int = 10000,
-                         stable_window: int = 60) -> MeasureModel:
+def compute_mass_vectors(auto: Automaton) -> MeasureModel:
     """Solve the mass self-consistency system exactly.
 
-    Float iteration of the covering sums flags the components that decay
-    to zero; the exact rational solve on the remaining support (terminal
-    class first, then back-substitution in reverse SCC order, then root
-    normalization) is the authority and is verified entry by entry.
+    The classes are solved in one pass (`_solve_components`), normalized
+    to mass 1 at the root, and the full system is verified entry by entry.
     """
     comps, comp_index, rows = _component_edges(auto)
-    n = len(comps)
-    frows = [[(j, float(t)) for j, t in r] for r in rows]
-
-    x = [1.0] * n
-    null_mask = [False] * n
-    stable = 0
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        x = [sum(t * x[j] for j, t in fr) for fr in frows]
-        new_mask = [xi < null_eps for xi in x]
-        if new_mask == null_mask:
-            stable += 1
-            if stable >= stable_window:
-                break
-        else:
-            null_mask = new_mask
-            stable = 0
-    else:
-        raise MeasureError(
-            f"mass iteration did not stabilize within {max_iter} iterations; "
-            f"residual null-set churn at {sum(null_mask)} components")
-
-    null = {i for i in range(n) if null_mask[i]}
-    for attempt in range(n + 2):
-        # forced: a component with any positive edge into the support
-        # cannot be null
-        changed = True
-        while changed:
-            changed = False
-            for i in list(null):
-                if any(j not in null for j, _t in rows[i]):
-                    null.discard(i)
-                    changed = True
-        try:
-            v = _exact_solve(comps, rows, null, n)
-            break
-        except _Reclassify as rc:
-            null |= rc.to_null
-    else:
-        raise MeasureError("mass solve failed to reach a consistent support")
-
+    v = _solve_components(comps, rows)
     root_val = v[comp_index[(0, 0)]]
     if root_val <= 0:
         raise MeasureError("root received non-positive mass")
     v = [x / root_val for x in v]
 
     # exact verification of the full system
-    for i in range(n):
+    for i in range(len(comps)):
         rhs = sum((t * v[j] for j, t in rows[i]), Fraction(0))
         if rhs != v[i]:
             raise MeasureError(f"mass self-consistency violated at component {comps[i]}")
 
     return _assemble(auto, comps, comp_index, v, diagnostics={
-        "iterations": iters, "null_components": sum(1 for y in v if y == 0)})
+        "null_components": sum(1 for y in v if y == 0)})
 
 
-class _Reclassify(Exception):
-    def __init__(self, to_null):
-        self.to_null = to_null
+def _solve_components(comps, rows):
+    """A nonnegative solution of v = F v, up to scale, decided exactly.
 
-
-def _exact_solve(comps, rows, null, n):
-    support = [i for i in range(n) if i not in null]
-    pos = {c: k for k, c in enumerate(support)}
-    succ = [[pos[j] for j, _t in rows[c] if j in pos] for c in support]
-    comp_of, ncomp = _tarjan_scc(len(support), succ)
+    The strongly connected classes of the component graph are walked in
+    reverse topological order, so every edge leaving a class C points at
+    solved values.  With nonzero inflow, (I - F_C) x = inflow has a unique
+    positive solution or the system is refused.  Without inflow, C carries
+    mass iff I - F_C has a positive null vector, i.e. the spectral radius
+    of F_C is exactly 1, and only one such class can be scaled by the root
+    normalization; every other class gets exact zeros (Frobenius-Victory).
+    """
+    comp_of, ncomp = _tarjan_scc(len(comps), [[j for j, _t in r] for r in rows])
     groups = [[] for _ in range(ncomp)]
-    for k, c in enumerate(comp_of):
-        groups[c].append(k)
+    for c, cid in enumerate(comp_of):
+        groups[cid].append(c)
 
-    v = [Fraction(0)] * n
-    solved = [False] * len(support)
-    terminal_done = False
-    for cid in range(ncomp):  # reverse topological: successors first
-        group = groups[cid]
-        gidx = {k: i for i, k in enumerate(group)}
+    v = [Fraction(0)] * len(comps)
+    carrier = None
+    for group in groups:  # reverse topological: successors first
+        gidx = {c: i for i, c in enumerate(group)}
         g = len(group)
-        # sparse rows of (I - F) restricted to the group, inflow in column g
+        # sparse rows of (I - F_C), inflow from solved successors in column g
         srows = []
-        is_terminal = True
-        for gi, k in enumerate(group):
-            c = support[k]
+        has_inflow = False
+        for gi, c in enumerate(group):
             row = {gi: Fraction(1)}
             inflow = Fraction(0)
             for j, t in rows[c]:
-                kj = pos.get(j)
-                if kj is None:
-                    continue  # null target contributes nothing
-                gj = gidx.get(kj)
-                if gj is not None:
+                gj = gidx.get(j)
+                if gj is None:
+                    inflow += t * v[j]
+                else:
                     row[gj] = row.get(gj, Fraction(0)) - t
                     if row[gj] == 0:
                         del row[gj]
-                else:
-                    if not solved[kj]:
-                        raise MeasureError("SCC order violated")
-                    inflow += t * v[support[kj]]
-                    is_terminal = False
             if inflow:
                 row[g] = -inflow
+                has_inflow = True
             srows.append(row)
-        if is_terminal:
-            vec = _nullspace_dim1(srows, g)
-            if vec is None:
-                # no mass can live here after all
-                raise _Reclassify({support[k] for k in group})
-            if terminal_done and any(x > 0 for x in vec):
-                states = sorted({comps[support[k]][0] for k in group})
-                raise MeasureError(
-                    "mass system underdetermined: a second mass-carrying "
-                    f"terminal class exists (states {states}); the "
-                    "self-consistency equations plus the root normalization "
-                    "cannot fix the relative scale of independent classes")
-            if any(x <= 0 for x in vec):
-                raise MeasureError("terminal class eigenvector not positive")
-            sol = vec
-            terminal_done = True
-        else:
+        if has_inflow:
             # augmented nullspace: (x, 1) spans it iff (I-F)x = inflow uniquely
             vec = _nullspace_dim1(srows, g + 1)
-            if vec is None:
-                sol = [Fraction(0)] * g
-            else:
-                if vec[g] == 0:
-                    raise MeasureError("singular transient block in the mass solve")
-                sol = [x / vec[g] for x in vec[:g]]
-            if any(x < 0 for x in sol):
-                raise MeasureError("negative mass in back-substitution")
-            zero = {support[group[i]] for i, x in enumerate(sol) if x == 0}
-            if zero:
-                raise _Reclassify(zero)
-        for i, k in enumerate(group):
-            v[support[k]] = sol[i]
-            solved[k] = True
-    if not terminal_done:
-        raise MeasureError("no terminal class found")
+            if vec is None or vec[g] == 0:
+                raise MeasureError("singular transient block in the mass solve")
+            sol = [x / vec[g] for x in vec[:g]]
+            if any(x <= 0 for x in sol):
+                raise MeasureError("non-positive mass in back-substitution")
+        else:
+            sol = _nullspace_dim1(srows, g)
+            if sol is None or any(x <= 0 for x in sol):
+                continue  # spectral radius of F_C is not 1: exact zeros
+            if carrier is not None:
+                states = sorted({comps[c][0] for c in group})
+                raise MeasureError(
+                    "mass system underdetermined: a second mass-carrying "
+                    f"class without inflow exists (states {states}); the "
+                    "self-consistency equations plus the root normalization "
+                    "cannot fix the relative scale of independent classes")
+            carrier = group
+        for c, x in zip(group, sol):
+            v[c] = x
+    if carrier is None:
+        raise MeasureError("no mass-carrying class found")
     return v
 
 

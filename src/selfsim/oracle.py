@@ -199,17 +199,6 @@ class IntervalUnion:
         return False
 
 
-class PredicateRegion:
-    """Wrap a vectorized float predicate; no exact decisions."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def classify_floats(self, xs):
-        inside = np.asarray(self.fn(xs), dtype=bool)
-        return inside, np.zeros(len(inside), dtype=bool)
-
-
 def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
                   samples: int | None = None, seed: int = 0) -> MassEstimate:
     """Reference mass of a region: exact discrete sum or Monte-Carlo.

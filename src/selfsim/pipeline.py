@@ -38,10 +38,7 @@ class Pipeline:
 
     @cached_property
     def measure(self) -> MeasureModel:
-        b = self.config.budgets
-        return compute_mass_vectors(self.automaton, null_eps=b["null_eps"],
-                                    tol=b["iteration_tol"],
-                                    max_iter=b["max_iterations"])
+        return compute_mass_vectors(self.automaton)
 
     @cached_property
     def global_system(self) -> GlobalSystem:

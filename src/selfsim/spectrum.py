@@ -225,16 +225,6 @@ class PressureEngine:
             self._delta = min_positive_entry_sum_powers(self.ess, self._r)
         return self._r, self._delta
 
-    def _edge_matrices_float(self):
-        sys = self.ess.system
-        t = len(self.ess.ids)
-        mats = []
-        for i in range(t):
-            blocks = [(k, np.array([[float(x) for x in row] for row in tm]))
-                      for k, tm in sys.blocks_into[i]]
-            mats.append(blocks)
-        return mats
-
     # -- scalar route -----------------------------------------------------------
     def pressure_scalar(self, q: float) -> PressureEstimate:
         if not self._scalar:
@@ -344,11 +334,6 @@ class PressureEngine:
         if coarsened:
             snapshots[0] = {"coarsened": True}
         return snapshots
-
-    def word_moment_log(self, q: float, n: int) -> float:
-        """a_n(q) = log sum over admissible words of ||M-product||^q."""
-        snap = self._word_norms(n)[n]
-        return _log_moment(snap, q)
 
     def pressure_finite_n(self, q: float, n: int | None = None) -> PressureEstimate:
         if n is None:

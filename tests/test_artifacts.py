@@ -1,0 +1,52 @@
+"""`selfsim build` artifacts are byte-identical to the recorded goldens.
+
+Each simplification of the pipeline must leave these files unchanged;
+the gasket is left out because its build takes about 18 s.
+"""
+
+import hashlib
+
+import pytest
+
+from selfsim import cli
+
+GOLDEN = {
+    "cantor-1-3": {
+        "automaton.dot": "936d300efd7b7aa0d9320bed7a9d9ad93ae59e42dcc4b7b80205810fa999ed0f",
+        "automaton.json": "4a94c3190d50e53840e160919ea93fb680cb7b7e5a117ce2d9aa40cba879dbd1",
+        "measure.json": "4df5999b26553287f5f4efa6d5ff3b4345f1b6f88c86227788a189706886071c",
+        "neighbors.dot": "fa1d7ee9f3cd44a380b7b1a2190ec5e159e0babece05ba842945b610fefcaa6d",
+    },
+    "lebesgue-1-2": {
+        "automaton.dot": "4a7aedfa04dd5b6c5e2b77379d3b1436a09af830cabbcaacd9bcbf00efa387b1",
+        "automaton.json": "f3e2ff501aff5cc5d1c4c6947b182bc39248412603b3d24db816d9bf84e5d5ba",
+        "measure.json": "cc5ca29558fd1cf280f14fd1a9b0014e0c9d18333ac7251caf12244cff429bdf",
+        "neighbors.dot": "abaea3bccc9c55e3704c6fe5917b7e413a00dc435b78adff99e14c1a9e85184e",
+    },
+    "golden-bernoulli": {
+        "automaton.dot": "0bfeda48c98969250389638c73d5fa00b47ee862825fa5e10a8eb7a2cdb5b265",
+        "automaton.json": "d6c25d3fe6b64608abaee04b1ffe8182f3527000cbfe7270eb4cb9101fb82a9a",
+        "measure.json": "24a2ab7efa79a180776dc67ed63d362f2d944f9dc3ac84970f4e96acf365bf4b",
+        "neighbors.dot": "d784b4bb7ede4258997ef0ecf99f1d7b3c1dd8962d858acc05cc3b8e6078625c",
+    },
+    "complex-pisot-demo": {
+        "automaton.dot": "877c305aa3288e57302a356120c2aa4bf37c29399d47e5a740be4bfb509308a9",
+        "automaton.json": "a82e0ad9a2bc6b60b12d80cb0838ca8c668b390805571f432b379ea2a2cdf10e",
+        "measure.json": "f6851f8c061aec619a6c0e4eaae6262d1510e97c994acd5c9c884c80a87befa6",
+        "neighbors.dot": "231c08eb19a4fd6b0560022c09aeebad71a5fdb93fc4e0d33a71af3b531ef47c",
+    },
+    "commensurable-osc": {
+        "automaton.dot": "b819ca5b379150821f7e3a2f0295a583e6735856f02f5c073c83bde5af25118f",
+        "automaton.json": "1925c9a8c89187a7cb64539ad55358f30c19ca73b952228cd10a3acc38f3bcbd",
+        "measure.json": "2f3484bb130b0e62ffab7acea2772ada806e307c68ac85dbab8a4cae537da051",
+        "neighbors.dot": "113e61ddc7132da8b186b17be0ae0479b6d6ca242ffee5e2cbe3af2d60121c1d",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_build_artifacts_match_golden(name, tmp_path, capsys):
+    assert cli.main(["build", "--config", f"bundled:{name}", "--out", str(tmp_path)]) == 0
+    got = {p.name[len(name) + 1:]: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob(f"{name}-*")}
+    assert got == GOLDEN[name]

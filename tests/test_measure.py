@@ -7,7 +7,8 @@ from selfsim.automaton import NotAdmissible
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
-from selfsim.measure import GlobalSystem, compute_mass_vectors
+from selfsim.measure import (GlobalSystem, MeasureError, _solve_components,
+                             compute_mass_vectors)
 from selfsim.neighbors import NeighborDecider
 from selfsim.oracle import word_sum_entry
 
@@ -152,3 +153,31 @@ def test_overlap_words_exist(golden):
                 if x > 0 and x not in (F(1, 8),):
                     found = True
     assert found
+
+
+def _solve_rows(rows):
+    """The one-pass solve on hand-written rows; component k is state k."""
+    return _solve_components([(k, 0) for k in range(len(rows))], rows)
+
+
+@pytest.mark.parametrize("cycle", [
+    [[(3, F(1, 2))], [(2, F(1))]],
+    # total weight 1 - 2^-60, which is 1.0 as a float
+    [[(3, 1 - F(1, 2**60))], [(2, F(1))]],
+    # eigenvalue 1 with the mixed-sign null vector (1, -1), spectral radius 3
+    [[(2, F(2)), (3, F(1))], [(2, F(1)), (3, F(2))]],
+], ids=["half", "one-minus-2^-60", "radius-3"])
+def test_zero_inflow_class_off_radius_one_is_exactly_null(cycle):
+    # 0 feeds the carrier loop at 1 and the class {2, 3}; 4 feeds only {2, 3}
+    rows = [[(1, F(1, 2)), (2, F(1, 2))], [(1, F(1))], *cycle, [(2, F(1, 3))]]
+    v = _solve_rows(rows)
+    assert v[2] == v[3] == v[4] == 0
+    assert v[1] > 0 and v[0] == v[1] / 2
+
+
+def test_two_incomparable_unit_classes_underdetermined():
+    rows = [[(1, F(1, 2)), (2, F(1, 2))],
+            [(1, F(1))],
+            [(2, F(1))]]
+    with pytest.raises(MeasureError, match="underdetermined"):
+        _solve_rows(rows)
