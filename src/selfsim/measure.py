@@ -158,8 +158,6 @@ def _nullspace_dim1(rows, n):
                         col_rows[c].discard(i)
         pivot_order.append((pc, prow))
 
-    if any(rows[i] for i in alive):
-        raise MeasureError("inconsistent sparse linear system in the mass solve")
     pivot_cols = {c for c, _ in pivot_order}
     free = [c for c in range(n) if c not in pivot_cols]
     if len(free) != 1:

@@ -4,14 +4,20 @@ tau(q) = P(q) / log rho, where rho is the per-level contraction and
 P(q) the exponential growth rate of the q-th moment sums of matrix
 products over admissible words of the essential class.  Three routes:
 
-* scalar: every essential state has a one-entry mass vector, so word
-  norms multiply and P(q) is the log spectral radius of the elementwise
-  q-th power of the transfer matrix, for any q > 0;
 * integer q: the entry-sum norm satisfies ||A||^q = ||A kron^q||, so
-  P(q) is the log spectral radius of the sum of Kronecker powers;
+  P(q) is the log spectral radius of sum_i M_i^(kron q), which equals
+  that of the lifted operator (blocks T(k,i)^(kron q) on the edges
+  k -> i, dimension sum_i d_i^q, see `lifted_operator`);
+* scalar: all blocks are 1x1, so the lifted operator is the transfer
+  matrix with entries raised to the q-th power, for any real q > 0;
 * finite n: exact dynamic programming over words, giving rigorous
   upper/lower bounds a_n/n and a_n/n - C/n plus a difference-quotient
   point estimate.
+
+`kron_dim_budget` bounds L^q, the dimension of the unlifted Kronecker
+sum, not the lifted dimension: the integer route is taken at the same q
+as with the L^q operator, so every finite-n value recorded beyond the
+budget stays a finite-n value.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -37,30 +44,10 @@ class EssentialClass:
     """A terminal, internally communicating set of mass-positive states."""
 
     def __init__(self, model: MeasureModel, ids, diagnostics):
-        self.model = model
         self.ids = list(ids)
-        self.idset = set(ids)
         self.diagnostics = diagnostics
         self.system = GlobalSystem(model, alphabet=self.ids)
         self.size = self.system.size  # L
-
-    def transfer_dense(self):
-        """H = sum_i M_i as a dense Fraction matrix."""
-        n = self.system.size
-        rows = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(len(self.ids)):
-            for k, t in self.system.blocks_into[i]:
-                ro, co = self.system.offsets[k], self.system.offsets[i]
-                for a in range(len(t)):
-                    for b in range(len(t[0])):
-                        rows[ro + a][co + b] += t[a][b]
-        return rows
-
-    def mass_eigenvector(self):
-        out = []
-        for sid in self.ids:
-            out.extend(self.model.v_star(sid))
-        return out
 
 
 def essential_class(model: MeasureModel) -> EssentialClass:
@@ -113,11 +100,41 @@ def _verify_communication(model, ids):
         raise SpectrumError("essential class members do not all communicate")
 
 
+def lifted_operator(system, q):
+    """Sparse operator with block (k, i) = T(k, i)^(kron q) on each edge k -> i.
+
+    Block k has size d_k^q, and q = 1 gives H = sum_i M_i.  Its spectral
+    radius is that of sum_i M_i^(kron q) = H^(kron q) P, since rho(XP) =
+    rho(PXP) for the projection P onto the block-diagonal tensors, and
+    PXP restricted to them is this operator.  With all blocks 1x1 the
+    entries are raised to the q-th power, for any real q > 0; otherwise q
+    must be a positive integer.  Reads only `dims` and `blocks_into`.
+    """
+    from scipy import sparse
+
+    scalar = all(d == 1 for d in system.dims)
+    if not scalar and q != int(q):
+        raise SpectrumError("lifted operator needs integer q unless all blocks are 1x1")
+    q = q if scalar else int(q)
+    offsets = np.cumsum([0] + [int(d ** q) for d in system.dims])
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for i, into in enumerate(system.blocks_into):
+        for k, t in into:
+            m = np.array(t, dtype=float)
+            block = m ** q if scalar else reduce(np.kron, [m] * q)
+            r, c = np.nonzero(block)
+            rows.append(r + offsets[k])
+            cols.append(c + offsets[i])
+            vals.append(block[r, c])
+    n = int(offsets[-1])
+    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                             shape=(n, n))
+
+
 def irreducibility_check(ess: EssentialClass):
     """Minimal r with sum_{i<=r} H^i entrywise positive; raises on failure."""
-    h = ess.transfer_dense()
-    n = len(h)
-    b = np.array([[1 if x > 0 else 0 for x in row] for row in h], dtype=bool)
+    b = lifted_operator(ess.system, 1).toarray() > 0
+    n = len(b)
     acc = b.copy()
     power = b.copy()
     r = 1
@@ -135,7 +152,7 @@ def irreducibility_check(ess: EssentialClass):
 
 def min_positive_entry_sum_powers(ess: EssentialClass, r: int) -> float:
     """delta: the smallest positive entry of sum_{i<=r} H^i (float)."""
-    h = np.array([[float(x) for x in row] for row in ess.transfer_dense()])
+    h = lifted_operator(ess.system, 1).toarray()
     acc = h.copy()
     power = h.copy()
     for _ in range(r - 1):
@@ -155,6 +172,11 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
     For x > 0, min_i (Ax)_i/x_i <= rho(A) <= max_i (Ax)_i/x_i; power
     iteration shrinks the gap when the matrix is primitive.  Bounds stay
     valid either way; the width is reported, not hidden.
+
+    The ratios run over the support S of x, which is sound for reducible
+    A with dead coordinates: from x = 1 the supports nest, so A maps x
+    into S, and every coordinate on a cycle stays in S.  Demanding x > 0
+    everywhere would give hi = inf on any lift with a dead coordinate.
     """
     x = np.ones(dim)
     lo_best, hi_best = 0.0, math.inf
@@ -225,63 +247,42 @@ class PressureEngine:
             self._delta = min_positive_entry_sum_powers(self.ess, self._r)
         return self._r, self._delta
 
-    # -- scalar route -----------------------------------------------------------
+    # -- certified routes ------------------------------------------------------
+    def _certified(self, q, method: str, n: int) -> PressureEstimate:
+        op = lifted_operator(self.ess.system, q).T.tocsr()
+        lo, hi = spectral_radius_bounds(lambda x: op @ x, op.shape[0])
+        if lo <= 0:
+            raise SpectrumError(f"{method} route found a zero spectral radius")
+        return PressureEstimate(q, math.log(lo), math.log(hi),
+                                (math.log(lo) + math.log(hi)) / 2, method, n)
+
     def pressure_scalar(self, q: float) -> PressureEstimate:
         if not self._scalar:
             raise SpectrumError("scalar route requires one-dimensional blocks")
-        sys = self.ess.system
-        t = len(self.ess.ids)
-        b = np.zeros((t, t))
-        for i in range(t):
-            for k, tm in sys.blocks_into[i]:
-                b[k, i] += float(tm[0][0]) ** q
-        lo, hi = spectral_radius_bounds(lambda x: b.T @ x, t)
-        if lo <= 0:
-            raise SpectrumError("scalar route found a zero spectral radius")
-        return PressureEstimate(q, math.log(lo), math.log(hi),
-                                (math.log(lo) + math.log(hi)) / 2, "scalar", t)
+        return self._certified(q, "scalar", len(self.ess.ids))
 
-    # -- integer route --------------------------------------------------------
     def pressure_integer_q(self, q: int) -> PressureEstimate:
-        """Exact-norm route via Kronecker powers; falls back on budget."""
+        """Exact-norm route via the lifted operator; falls back on budget."""
         if q < 1 or q != int(q):
             raise SpectrumError("integer route needs a positive integer q")
         q = int(q)
         if q == 1:
             return self._pressure_one()
-        ldim = self.ess.size
-        if ldim ** q > self.kron_dim_budget:
+        # L^q, not the lifted dimension: see the module docstring
+        if self.ess.size ** q > self.kron_dim_budget:
             return self.pressure_finite_n(q, self.default_n)
-        from scipy import sparse
-
-        total = None
-        t = len(self.ess.ids)
-        sys = self.ess.system
-        for i in range(t):
-            dense = np.zeros((ldim, ldim))
-            for k, tm in sys.blocks_into[i]:
-                ro, co = sys.offsets[k], sys.offsets[i]
-                for a in range(len(tm)):
-                    for bcol in range(len(tm[0])):
-                        dense[ro + a, co + bcol] += float(tm[a][bcol])
-            m = sparse.csr_matrix(dense)
-            kr = m
-            for _ in range(q - 1):
-                kr = sparse.kron(kr, m, format="csr")
-            total = kr if total is None else total + kr
-        lo, hi = spectral_radius_bounds(lambda x: total.T @ x, ldim ** q)
-        if lo <= 0:
-            raise SpectrumError("Kronecker route found a zero spectral radius")
-        return PressureEstimate(q, math.log(lo), math.log(hi),
-                                (math.log(lo) + math.log(hi)) / 2, "kronecker", q)
+        return self._certified(q, "kronecker", q)
 
     def _pressure_one(self) -> PressureEstimate:
         # H w = w exactly for the concatenated mass vector, so P(1) = 0
-        h = self.ess.transfer_dense()
-        w = self.ess.mass_eigenvector()
-        for i, row in enumerate(h):
-            if sum((a * b for a, b in zip(row, w)), Fraction(0)) != w[i]:
-                raise SpectrumError("mass vector is not an exact eigenvector of H")
+        w = [self.model.v_star(sid) for sid in self.ess.ids]
+        hw = [[Fraction(0)] * len(v) for v in w]
+        for i, into in enumerate(self.ess.system.blocks_into):
+            for k, t in into:
+                for a, row in enumerate(t):
+                    hw[k][a] += sum((x * y for x, y in zip(row, w[i])), Fraction(0))
+        if any(tuple(h) != v for h, v in zip(hw, w)):
+            raise SpectrumError("mass vector is not an exact eigenvector of H")
         return PressureEstimate(1.0, 0.0, 0.0, 0.0, "eigenvector-exact", 0)
 
     # -- finite-n route -----------------------------------------------------------
@@ -352,23 +353,20 @@ class PressureEngine:
         return PressureEstimate(q, lower, upper, point, "finite-n", n)
 
     # -- tau ---------------------------------------------------------------------
-    def pressure(self, q: float, n: int | None = None,
-                 prefer: str | None = None) -> PressureEstimate:
+    def pressure(self, q: float) -> PressureEstimate:
         if q <= 0:
             raise SpectrumError("pressure is computed for q > 0 only")
-        if prefer == "finite-n":
-            return self.pressure_finite_n(q, n)
-        if float(q).is_integer() and prefer != "scalar":
+        if float(q).is_integer():
             est = self.pressure_integer_q(int(q))
             if est.method != "finite-n":
                 return est
         if self._scalar:
             return self.pressure_scalar(q)
-        return self.pressure_finite_n(q, n)
+        return self.pressure_finite_n(q)
 
-    def tau(self, q: float, n: int | None = None, prefer: str | None = None):
+    def tau(self, q: float):
         """tau(q) and rigorous bounds; log rho is negative, so bounds swap."""
-        est = self.pressure(q, n=n, prefer=prefer)
+        est = self.pressure(q)
         lr = self.log_rho
         vals = sorted((est.lower / lr, est.upper / lr))
         return est.point / lr, vals[0], vals[1], est

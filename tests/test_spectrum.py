@@ -1,11 +1,26 @@
 import math
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import sparse
 
+from selfsim.measure import GlobalSystem
 from selfsim.spectrum import (PressureEngine, SpectrumError, essential_class,
-                              irreducibility_check, spectral_radius_bounds)
+                              irreducibility_check, lifted_operator,
+                              spectral_radius_bounds)
+
+
+def _block_system(dims, edges):
+    """A stand-in for GlobalSystem: edges maps (k, i) to the block T(k, i)."""
+    blocks_into = [[] for _ in dims]
+    for (k, i), t in edges.items():
+        blocks_into[i].append((k, t))
+    offsets = [sum(dims[:k]) for k in range(len(dims))]
+    return SimpleNamespace(dims=list(dims), blocks_into=blocks_into,
+                           offsets=offsets, size=sum(dims))
 
 
 def test_essential_class_cantor(cantor):
@@ -38,9 +53,7 @@ def test_irreducibility_cycle_structure():
 
     class FakeEss:
         ids = [0, 1]
-
-        def transfer_dense(self):
-            return [[F(0), F(1)], [F(1), F(0)]]
+        system = _block_system([1, 1], {(0, 1): ((F(1),),), (1, 0): ((F(1),),)})
 
     assert irreducibility_check(FakeEss()) == 2
 
@@ -48,9 +61,7 @@ def test_irreducibility_cycle_structure():
 def test_irreducibility_failure_reported():
     class FakeEss:
         ids = [0, 1]
-
-        def transfer_dense(self):
-            return [[F(1), F(0)], [F(0), F(1)]]
+        system = _block_system([1, 1], {(0, 0): ((F(1),),), (1, 1): ((F(1),),)})
 
     with pytest.raises(SpectrumError):
         irreducibility_check(FakeEss())
@@ -67,6 +78,89 @@ def test_spectral_radius_certificates():
     m = np.array([[0.5, 0.25], [0.25, 0.5]])
     lo, hi = spectral_radius_bounds(lambda x: m @ x, 2)
     assert lo <= 0.75 <= hi and hi - lo < 1e-12
+
+
+def test_spectral_radius_certificates_reducible():
+    # 0,1: dominant class (rho 2); 2: weaker class fed by 0; 3: transient
+    # row reading 0, 2 and 4; 4: dead coordinate.  The transpose swaps the
+    # roles: 3 is dead, 4 transient and 2 no longer sees the dominant class.
+    a = np.array([[0.0, 2.0, 0.0, 0.0, 0.0],
+                  [1.0, 1.0, 0.0, 0.0, 0.0],
+                  [0.25, 0.0, 0.5, 0.0, 0.0],
+                  [1.0, 0.0, 1.0, 0.0, 1.0],
+                  [0.0, 0.0, 0.0, 0.0, 0.0]])
+    for m in (a, a.T):
+        rho = max(abs(np.linalg.eigvals(m)))
+        assert abs(rho - 2.0) < 1e-12
+        lo, hi = spectral_radius_bounds(lambda x: m @ x, 5)
+        assert lo <= 2.0 <= hi
+        assert hi - lo < 1e-12
+
+
+def _kronecker_sum(system, q):
+    """Reference: the unlifted sum_i M_i^(kron q), of dimension L^q."""
+    total = None
+    for i in range(len(system.dims)):
+        m = sparse.csr_matrix(np.array(GlobalSystem.matrix_dense(system, i), dtype=float))
+        kr = m
+        for _ in range(q - 1):
+            kr = sparse.kron(kr, m, format="csr")
+        total = kr if total is None else total + kr
+    return total
+
+
+def _certified_rho(op, **kwargs):
+    return spectral_radius_bounds(lambda x: op.T @ x, op.shape[0], **kwargs)
+
+
+@pytest.mark.parametrize("name, qs", [
+    ("golden-bernoulli", (2, 3, 4, 5)),
+    ("complex-pisot-demo", (2, 3)),
+    ("commensurable-osc", (2, 3, 4)),
+    ("golden-gasket-conjugated", (2,)),
+])
+def test_lifted_operator_matches_kronecker_sum(pipelines, name, qs):
+    system = pipelines(name).engine.ess.system
+    for q in qs:
+        lifted = lifted_operator(system, q)
+        assert lifted.shape[0] == sum(d ** q for d in system.dims)
+        lo_l, hi_l = _certified_rho(lifted)
+        lo_k, hi_k = _certified_rho(_kronecker_sum(system, q))
+        assert 0 < lo_l <= hi_l and 0 < lo_k <= hi_k
+        assert max(lo_l, lo_k) <= min(hi_l, hi_k) * (1 + 1e-12)
+        assert abs(hi_l - hi_k) <= 1e-10 * hi_k
+
+
+_positive = st.builds(F, st.integers(1, 4), st.integers(1, 4))
+_entries = st.one_of(st.just(F(0)), _positive, _positive)
+
+
+@st.composite
+def block_systems(draw):
+    """Sparse nonnegative rational block systems, reducible ones included."""
+    t = draw(st.integers(2, 4))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=t, max_size=t))
+    edges = {}
+    for k in range(t):
+        for i in range(t):
+            if draw(st.booleans()):
+                edges[k, i] = tuple(tuple(draw(_entries) for _ in range(dims[i]))
+                                    for _ in range(dims[k]))
+    q = draw(st.sampled_from([2, 3] if sum(dims) ** 3 <= 512 else [2]))
+    return _block_system(dims, edges), q
+
+
+@settings(max_examples=60, deadline=None)
+@given(block_systems())
+def test_lifted_operator_fuzz_against_eigvals(spec):
+    system, q = spec
+    rho = max(abs(np.linalg.eigvals(_kronecker_sum(system, q).toarray())))
+    lifted = lifted_operator(system, q)
+    rho_lifted = max(abs(np.linalg.eigvals(lifted.toarray())))
+    tol = 1e-6 * max(1.0, rho)
+    assert abs(rho_lifted - rho) <= tol
+    lo, hi = _certified_rho(lifted, max_iter=2000)
+    assert lo - tol <= rho <= hi + tol
 
 
 def test_cantor_closed_form(cantor):
