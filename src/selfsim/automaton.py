@@ -96,7 +96,7 @@ class _ChildRec:
         self.forbidden = False
 
 
-def _child_records(state: AtomState, ifs: IFS):
+def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
     """All next-level cylinder maps below the state's U, with bookkeeping.
 
     Order keys follow the concatenation rule: the canonical word of a
@@ -108,7 +108,7 @@ def _child_records(state: AtomState, ifs: IFS):
     vset = set(state.vpos)
     for j, (psi, tag) in enumerate(zip(state.umaps, state.utags)):
         for br in ifs.bridges(tag):
-            h = psi.compose(br.map)
+            h = decider.compose(psi, br.map)
             key = h.key()
             rec = recs.get(key)
             if rec is None:
@@ -136,7 +136,7 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
     test), then reads off the child's touching set and the transition
     matrix from the recorded (parent, bridge) pairs.
     """
-    recs = _child_records(state, ifs)
+    recs = _child_records(state, ifs, decider)
     allowed = [r for r in recs if r.has_v and not r.forbidden]
     vlist = list(state.vpos)
     cover_sets = []
@@ -159,7 +159,7 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
                 nlist.append(rec)
         h1 = mmaps[0]
         h1_inv = h1.inverse()
-        umaps = tuple(h1_inv.compose(r.map) for r in nlist)
+        umaps = tuple(decider.compose(h1_inv, r.map) for r in nlist)
         utags = tuple(r.tag for r in nlist)
         member_keys = {allowed[i].map.key() for i in members}
         vpos = tuple(i for i, r in enumerate(nlist) if r.map.key() in member_keys)

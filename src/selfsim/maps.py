@@ -212,7 +212,9 @@ class Similitude:
         return self._key
 
     def __eq__(self, other):
-        return isinstance(other, Similitude) and self._key == other._key
+        # like FieldElement equality: maps over distinct fields never match
+        return (isinstance(other, Similitude) and self.field is other.field
+                and self._key == other._key)
 
     def __hash__(self):
         if self._hash is None:

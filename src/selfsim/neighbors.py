@@ -225,6 +225,7 @@ class NeighborDecider:
         self._pair_memo: dict = {}
         self._tuple_memo: dict = {}
         self._raw_memo: dict = {}
+        self._compose_memo: dict = {}
 
     @property
     def graph(self) -> NeighborGraph:
@@ -238,6 +239,22 @@ class NeighborDecider:
 
     def gamma_maps(self):
         return self.graph.gamma_maps()
+
+    def compose(self, f: Similitude, g: Similitude) -> Similitude:
+        """f.compose(g), memoized per (f, g).
+
+        Under the finite type condition the relative maps and the bridge
+        maps form a finite set, so the same compositions recur.  Keyed
+        by the pair of maps, whose equality includes the field.
+        """
+        key = (f, g)
+        h = self._compose_memo.get(key)
+        if h is None:
+            h = f.compose(g)
+            if len(self._compose_memo) >= 200_000:
+                self._compose_memo.clear()
+            self._compose_memo[key] = h
+        return h
 
     # -- pair decisions -----------------------------------------------------
     def _level_and_tag(self, smap: Similitude):
@@ -263,7 +280,7 @@ class NeighborDecider:
         if s1 is s2 or s1 == s2:
             out = True
         else:
-            out = self.pair_alive(s1.inverse().compose(s2), (t1, t2))
+            out = self.pair_alive(self.compose(s1.inverse(), s2), (t1, t2))
         self._pair_memo[key] = out
         self._pair_memo[(s2, t2, s1, t1)] = out
         return out
@@ -276,7 +293,7 @@ class NeighborDecider:
             raise MapError("intersects requires maps from a common stopping level")
         if f == g:
             return True
-        return self.pair_alive(f.inverse().compose(g), (af, ag))
+        return self.pair_alive(self.compose(f.inverse(), g), (af, ag))
 
     # -- tuple decisions -------------------------------------------------------
     def tuple_intersects(self, maps, tags=None) -> bool:
@@ -327,7 +344,7 @@ class NeighborDecider:
         best_raw = None
         for pivot, _ in items:
             inv = pivot.inverse()
-            rel = sorted(((inv.compose(s), t) for s, t in items),
+            rel = sorted(((self.compose(inv, s), t) for s, t in items),
                          key=lambda p: (p[0].key(), p[1]))
             raw = tuple((s.key(), t) for s, t in rel)
             if best_raw is None or raw < best_raw:
@@ -402,6 +419,6 @@ class NeighborDecider:
         import itertools
         for combo in itertools.product(*bridge_lists):
             base_inv = combo[0].map.inverse()
-            nxt = [(base_inv.compose(s.compose(b.map)), b.new_tag)
+            nxt = [(self.compose(base_inv, self.compose(s, b.map)), b.new_tag)
                    for (s, _), b in zip(state, combo)]
             out.append(self._canonical(nxt))

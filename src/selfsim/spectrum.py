@@ -108,20 +108,30 @@ def lifted_operator(system, q):
     rho(PXP) for the projection P onto the block-diagonal tensors, and
     PXP restricted to them is this operator.  With all blocks 1x1 the
     entries are raised to the q-th power, for any real q > 0; otherwise q
-    must be a positive integer.  Reads only `dims` and `blocks_into`.
+    must be a positive integer.  Reads only `dims` and `blocks_into`,
+    whose blocks may be Fractions or float arrays (see `FloatBlocks`).
     """
     from scipy import sparse
 
     scalar = all(d == 1 for d in system.dims)
     if not scalar and q != int(q):
         raise SpectrumError("lifted operator needs integer q unless all blocks are 1x1")
-    q = q if scalar else int(q)
-    offsets = np.cumsum([0] + [int(d ** q) for d in system.dims])
+    if scalar:
+        # one vectorized power over all 1x1 blocks, in edge order
+        edges = [(k, i, t[0][0]) for i, into in enumerate(system.blocks_into)
+                 for k, t in into]
+        rows = np.array([k for k, _, _ in edges], dtype=int)
+        cols = np.array([i for _, i, _ in edges], dtype=int)
+        vals = np.array([x for _, _, x in edges], dtype=float) ** q
+        keep = vals != 0
+        n = len(system.dims)
+        return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
+    q = int(q)
+    offsets = np.cumsum([0] + [d ** q for d in system.dims])
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for i, into in enumerate(system.blocks_into):
         for k, t in into:
-            m = np.array(t, dtype=float)
-            block = m ** q if scalar else reduce(np.kron, [m] * q)
+            block = reduce(np.kron, [np.asarray(t, dtype=float)] * q)
             r, c = np.nonzero(block)
             rows.append(r + offsets[k])
             cols.append(c + offsets[i])
@@ -129,6 +139,20 @@ def lifted_operator(system, q):
     n = int(offsets[-1])
     return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(n, n))
+
+
+class FloatBlocks:
+    """`dims` and `blocks_into` of a block system with each block as floats.
+
+    Converted once, so repeated `lifted_operator` calls on one system
+    (one per q) skip the Fraction-to-float conversion and build the same
+    operator as from the exact blocks.
+    """
+
+    def __init__(self, system):
+        self.dims = list(system.dims)
+        self.blocks_into = [[(k, np.array(t, dtype=float)) for k, t in into]
+                            for into in system.blocks_into]
 
 
 def irreducibility_check(ess: EssentialClass):
@@ -177,9 +201,17 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
     A with dead coordinates: from x = 1 the supports nest, so A maps x
     into S, and every coordinate on a cycle stays in S.  Demanding x > 0
     everywhere would give hi = inf on any lift with a dead coordinate.
+
+    A periodic operator never reaches tol: once neither bound has
+    improved for `stall` iterations the best bounds so far are returned.
+    The window outlasts the ~540 steps in which a coordinate of a class
+    with a quarter of the dominant radius underflows to 0 and leaves S,
+    which is how such a class stops pinning the lower bound.
     """
+    stall = 1000
     x = np.ones(dim)
     lo_best, hi_best = 0.0, math.inf
+    since_gain = 0
     for _ in range(max_iter):
         y = matvec(x)
         ny = float(np.linalg.norm(y, 1))
@@ -188,9 +220,10 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
         mask = x > 0
         ratios = y[mask] / x[mask]
         lo, hi = float(ratios.min()), float(ratios.max())
+        since_gain = 0 if lo > lo_best or hi < hi_best else since_gain + 1
         lo_best = max(lo_best, lo)
         hi_best = min(hi_best, hi)
-        if hi_best - lo_best <= tol * max(1.0, hi_best):
+        if hi_best - lo_best <= tol * max(1.0, hi_best) or since_gain >= stall:
             break
         x = y / ny
     return lo_best, hi_best
@@ -236,6 +269,7 @@ class PressureEngine:
         self.default_n = default_n
         self.log_rho = model.automaton.ifs.log_stopping_ratio()
         self._scalar = all(d == 1 for d in self.ess.system.dims)
+        self._float_blocks = FloatBlocks(self.ess.system)
         self._r = None
         self._delta = None
         self._word_dp: dict[int, list] = {}
@@ -249,7 +283,7 @@ class PressureEngine:
 
     # -- certified routes ------------------------------------------------------
     def _certified(self, q, method: str, n: int) -> PressureEstimate:
-        op = lifted_operator(self.ess.system, q).T.tocsr()
+        op = lifted_operator(self._float_blocks, q).T.tocsr()
         lo, hi = spectral_radius_bounds(lambda x: op @ x, op.shape[0])
         if lo <= 0:
             raise SpectrumError(f"{method} route found a zero spectral radius")

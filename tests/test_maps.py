@@ -57,6 +57,21 @@ def test_equality_and_apply():
     assert S1 == S1 and S1 != S2
 
 
+def test_equality_requires_same_field():
+    from selfsim.config import load_bundled
+    from selfsim.pipeline import Pipeline
+
+    a, b = (Pipeline(load_bundled("golden-bernoulli")).ifs for _ in range(2))
+    assert a.field is not b.field
+    # within one field: equal coefficients give equal maps
+    assert a.maps[1] == a.map_of_word((1,)) and a.maps[1] is not a.map_of_word((1,))
+    # across two fields built from the same polynomial they differ
+    for f, g in zip(a.maps, b.maps):
+        assert f.key() == g.key()
+        assert f != g
+    assert a.map_of_word((0, 1)) != b.map_of_word((0, 1))
+
+
 def test_fixed_points():
     assert S1.fixed_point() == (K.zero,)
     assert S2.fixed_point() == (K.one,)

@@ -163,3 +163,38 @@ def test_dot_export(golden_ifs):
     d = NeighborDecider(golden_ifs)
     dot = d.graph.to_dot()
     assert dot.startswith("digraph") and "->" in dot
+
+
+SMALL = ["cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
+         "complex-pisot-demo", "commensurable-osc"]
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_compose_memo_is_exact(pipelines, name):
+    p = pipelines(name)
+    p.automaton
+    memo = p.decider._compose_memo
+    assert memo
+    for (f, g), h in memo.items():
+        assert h.key() == f.compose(g).key()
+        assert h.field is f.field
+
+
+@pytest.mark.parametrize("name", SMALL)
+def test_second_children_pass_composes_nothing(pipelines, name, monkeypatch):
+    from selfsim import automaton as am
+    p = pipelines(name)
+    auto = p.automaton
+    first = [am.children(st, p.ifs, p.decider) for st in auto.states]
+    calls = []
+    compose = Similitude.compose
+
+    def counted(self, other):
+        calls.append((self, other))
+        return compose(self, other)
+
+    monkeypatch.setattr(Similitude, "compose", counted)
+    second = [am.children(st, p.ifs, p.decider) for st in auto.states]
+    assert calls == []
+    assert [[(c.key(), t) for c, t in kids] for kids in second] == \
+        [[(c.key(), t) for c, t in kids] for kids in first]

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import sparse
 
 from selfsim.measure import GlobalSystem
-from selfsim.spectrum import (PressureEngine, SpectrumError, essential_class,
-                              irreducibility_check, lifted_operator,
-                              spectral_radius_bounds)
+from selfsim.spectrum import (FloatBlocks, PressureEngine, SpectrumError,
+                              essential_class, irreducibility_check,
+                              lifted_operator, spectral_radius_bounds)
 
 
 def _block_system(dims, edges):
@@ -95,6 +95,60 @@ def test_spectral_radius_certificates_reducible():
         lo, hi = spectral_radius_bounds(lambda x: m @ x, 5)
         assert lo <= 2.0 <= hi
         assert hi - lo < 1e-12
+
+
+@pytest.mark.parametrize("m, rho", [
+    (np.array([[0.0, 2.0], [1.0, 0.0]]), math.sqrt(2.0)),
+    (np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 0.5], [2.0, 0.0, 0.0]]), 3.0 ** (1 / 3)),
+])
+def test_spectral_radius_periodic_stops_on_stall(m, rho):
+    # period 2 and 3: the power iterates cycle, so tol is never reached
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return m @ x
+
+    lo, hi = spectral_radius_bounds(matvec, len(m))
+    assert len(calls) <= 1100  # max_iter is 100000
+    assert lo <= rho <= hi
+    assert hi - lo > 0.1
+
+
+def test_certified_routes_converge_before_stall(pipelines):
+    # bundled classes are primitive: they stop on tol, well before the stall
+    for name in ("cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
+                 "complex-pisot-demo", "commensurable-osc"):
+        eng = pipelines(name).engine
+        qs = (0.5, 2.5, 3.0) if eng._scalar else (2, 3)
+        for q in qs:
+            op = lifted_operator(eng.ess.system, q).T.tocsr()
+            calls = []
+
+            def matvec(x):
+                calls.append(1)
+                return op @ x
+
+            lo, hi = spectral_radius_bounds(matvec, op.shape[0])
+            assert len(calls) < 100
+            assert hi - lo <= 1e-13 * max(1.0, hi)
+
+
+def test_float_blocks_give_the_same_operator(pipelines):
+    for name in ("golden-bernoulli", "complex-pisot-demo", "commensurable-osc"):
+        system = pipelines(name).engine.ess.system
+        fb = FloatBlocks(system)
+        scalar = all(d == 1 for d in system.dims)
+        for q in ((1, 0.75, 2.5, 3) if scalar else (1, 2, 3)):
+            a, b = lifted_operator(system, q), lifted_operator(fb, q)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(a, attr), getattr(b, attr))
+            if scalar:
+                dense = np.zeros((len(system.dims),) * 2)
+                for i, into in enumerate(system.blocks_into):
+                    for k, t in into:
+                        dense[k, i] = float(t[0][0]) ** q
+                assert np.array_equal(a.toarray(), dense)
 
 
 def _kronecker_sum(system, q):
