@@ -97,20 +97,25 @@ def test_spectral_radius_certificates_reducible():
         assert hi - lo < 1e-12
 
 
+def _bounds_and_matvecs(op):
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return op @ x
+
+    lo, hi = spectral_radius_bounds(matvec, op.shape[0])
+    return lo, hi, len(calls)
+
+
 @pytest.mark.parametrize("m, rho", [
     (np.array([[0.0, 2.0], [1.0, 0.0]]), math.sqrt(2.0)),
     (np.array([[0.0, 3.0, 0.0], [0.0, 0.0, 0.5], [2.0, 0.0, 0.0]]), 3.0 ** (1 / 3)),
 ])
 def test_spectral_radius_periodic_stops_on_stall(m, rho):
     # period 2 and 3: the power iterates cycle, so tol is never reached
-    calls = []
-
-    def matvec(x):
-        calls.append(1)
-        return m @ x
-
-    lo, hi = spectral_radius_bounds(matvec, len(m))
-    assert len(calls) <= 1100  # max_iter is 100000
+    lo, hi, matvecs = _bounds_and_matvecs(m)
+    assert matvecs <= 1100  # max_iter is 100000
     assert lo <= rho <= hi
     assert hi - lo > 0.1
 
@@ -122,15 +127,8 @@ def test_certified_routes_converge_before_stall(pipelines):
         eng = pipelines(name).engine
         qs = (0.5, 2.5, 3.0) if eng._scalar else (2, 3)
         for q in qs:
-            op = lifted_operator(eng.ess.system, q).T.tocsr()
-            calls = []
-
-            def matvec(x):
-                calls.append(1)
-                return op @ x
-
-            lo, hi = spectral_radius_bounds(matvec, op.shape[0])
-            assert len(calls) < 100
+            lo, hi, matvecs = _bounds_and_matvecs(lifted_operator(eng.ess.system, q).T.tocsr())
+            assert matvecs < 100
             assert hi - lo <= 1e-13 * max(1.0, hi)
 
 
