@@ -108,30 +108,20 @@ def lifted_operator(system, q):
     rho(PXP) for the projection P onto the block-diagonal tensors, and
     PXP restricted to them is this operator.  With all blocks 1x1 the
     entries are raised to the q-th power, for any real q > 0; otherwise q
-    must be a positive integer.  Reads only `dims` and `blocks_into`,
-    whose blocks may be Fractions or float arrays (see `FloatBlocks`).
+    must be a positive integer.  Reads only `dims` and `blocks_into`.
     """
     from scipy import sparse
 
     scalar = all(d == 1 for d in system.dims)
     if not scalar and q != int(q):
         raise SpectrumError("lifted operator needs integer q unless all blocks are 1x1")
-    if scalar:
-        # one vectorized power over all 1x1 blocks, in edge order
-        edges = [(k, i, t[0][0]) for i, into in enumerate(system.blocks_into)
-                 for k, t in into]
-        rows = np.array([k for k, _, _ in edges], dtype=int)
-        cols = np.array([i for _, i, _ in edges], dtype=int)
-        vals = np.array([x for _, _, x in edges], dtype=float) ** q
-        keep = vals != 0
-        n = len(system.dims)
-        return sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n))
-    q = int(q)
-    offsets = np.cumsum([0] + [d ** q for d in system.dims])
+    q = q if scalar else int(q)
+    offsets = np.cumsum([0] + [int(d ** q) for d in system.dims])
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for i, into in enumerate(system.blocks_into):
         for k, t in into:
-            block = reduce(np.kron, [np.asarray(t, dtype=float)] * q)
+            m = np.array(t, dtype=float)
+            block = m ** q if scalar else reduce(np.kron, [m] * q)
             r, c = np.nonzero(block)
             rows.append(r + offsets[k])
             cols.append(c + offsets[i])
@@ -139,20 +129,6 @@ def lifted_operator(system, q):
     n = int(offsets[-1])
     return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                              shape=(n, n))
-
-
-class FloatBlocks:
-    """`dims` and `blocks_into` of a block system with each block as floats.
-
-    Converted once, so repeated `lifted_operator` calls on one system
-    (one per q) skip the Fraction-to-float conversion and build the same
-    operator as from the exact blocks.
-    """
-
-    def __init__(self, system):
-        self.dims = list(system.dims)
-        self.blocks_into = [[(k, np.array(t, dtype=float)) for k, t in into]
-                            for into in system.blocks_into]
 
 
 def irreducibility_check(ess: EssentialClass):
@@ -204,13 +180,17 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
 
     A periodic operator never reaches tol: once neither bound has
     improved for `stall` iterations the best bounds so far are returned.
-    The window outlasts the ~540 steps in which a coordinate of a class
-    with a quarter of the dominant radius underflows to 0 and leaves S,
-    which is how such a class stops pinning the lower bound.
+    A weaker class that does not see the dominant one pins lo at its own
+    ratio until its coordinates underflow to 0 and leave S, so an
+    iteration in which min x reaches a new low counts as progress too:
+    such a class runs until it underflows, a periodic one stops once its
+    transients have died out.  Above about half the dominant ratio the
+    coordinate settles on the smallest subnormal instead of 0, and lo
+    stays at the weaker ratio: valid, but wide.
     """
     stall = 1000
     x = np.ones(dim)
-    lo_best, hi_best = 0.0, math.inf
+    lo_best, hi_best, x_low = 0.0, math.inf, math.inf
     since_gain = 0
     for _ in range(max_iter):
         y = matvec(x)
@@ -220,9 +200,12 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
         mask = x > 0
         ratios = y[mask] / x[mask]
         lo, hi = float(ratios.min()), float(ratios.max())
-        since_gain = 0 if lo > lo_best or hi < hi_best else since_gain + 1
+        low = float(x[mask].min())
+        gain = lo > lo_best or hi < hi_best or low < x_low
+        since_gain = 0 if gain else since_gain + 1
         lo_best = max(lo_best, lo)
         hi_best = min(hi_best, hi)
+        x_low = min(x_low, low)
         if hi_best - lo_best <= tol * max(1.0, hi_best) or since_gain >= stall:
             break
         x = y / ny
@@ -269,7 +252,6 @@ class PressureEngine:
         self.default_n = default_n
         self.log_rho = model.automaton.ifs.log_stopping_ratio()
         self._scalar = all(d == 1 for d in self.ess.system.dims)
-        self._float_blocks = FloatBlocks(self.ess.system)
         self._r = None
         self._delta = None
         self._word_dp: dict[int, list] = {}
@@ -283,7 +265,7 @@ class PressureEngine:
 
     # -- certified routes ------------------------------------------------------
     def _certified(self, q, method: str, n: int) -> PressureEstimate:
-        op = lifted_operator(self._float_blocks, q).T.tocsr()
+        op = lifted_operator(self.ess.system, q).T.tocsr()
         lo, hi = spectral_radius_bounds(lambda x: op @ x, op.shape[0])
         if lo <= 0:
             raise SpectrumError(f"{method} route found a zero spectral radius")
