@@ -46,10 +46,6 @@ class AtomState:
         return tuple(self.umaps[i] for i in self.vpos)
 
     @property
-    def vtags(self):
-        return tuple(self.utags[i] for i in self.vpos)
-
-    @property
     def v_size(self):
         return len(self.vpos)
 
@@ -76,7 +72,7 @@ class AtomState:
 @dataclass
 class Edge:
     child: int
-    tmatrix: tuple  # rows: parent V entries, cols: child V entries, Fractions
+    tmatrix: tuple  # Fractions; rows: parent V entries, cols: child V entries (star in measure)
 
 
 def root_state(ifs: IFS) -> AtomState:
@@ -260,9 +256,6 @@ class Automaton:
     def root(self) -> int:
         return 0
 
-    def state_id(self, state: AtomState) -> int:
-        return self.index[state.key()]
-
     def successors(self, sid: int):
         return self.edges[sid]
 
@@ -392,7 +385,7 @@ def witness(auto: Automaton, sid: int, depth: int = 10):
             break
     if not certified:
         return None
-    abs_frame = _path_maps(auto, _bfs_tree(auto, 0), 0, sid)
+    abs_frame = _frame(auto, _bfs_tree(auto, 0)[sid])
     x_abs = abs_frame.apply(x_local) if abs_frame is not None else x_local
     return Witness(point=x_abs if isinstance(x_abs, tuple) else (x_abs,),
                    separation_certified=True)
@@ -400,73 +393,41 @@ def witness(auto: Automaton, sid: int, depth: int = 10):
 
 def _periodic_continuation(auto: Automaton, sid: int):
     """Step maps for a path sid -> s* and a cycle at s*, shortest-first."""
-    # find the first reachable state lying on a cycle
-    reach = _bfs_tree(auto, sid)
-    for s in reach:
+    for s, path in _bfs_tree(auto, sid).items():
         cyc = _cycle_at(auto, s)
         if cyc is not None:
-            path_maps = _path_maps(auto, reach, sid, s)
-            return path_maps, cyc
+            return _frame(auto, path), cyc
     return None, None
 
 
 def _bfs_tree(auto, start):
-    prev = {start: None}
+    """A shortest state path from start to each reachable state, in BFS order."""
+    paths = {start: [start]}
     order = [start]
     for cur in order:
         for e in auto.edges[cur]:
-            if e.child not in prev:
-                prev[e.child] = cur
+            if e.child not in paths:
+                paths[e.child] = paths[cur] + [e.child]
                 order.append(e.child)
-    return prev
+    return paths
 
 
-def _path_maps(auto, prev, start, target):
-    if target == start:
-        return None
-    path = []
-    cur = target
-    while cur != start:
-        path.append(cur)
-        cur = prev[cur]
-    path.reverse()
-    frame = auto.states[path[0]].rmap
-    for p in path[1:]:
-        frame = frame.compose(auto.states[p].rmap)
+def _frame(auto, path):
+    """The step maps r composed along a state path; None for a single state."""
+    frame = None
+    for sid in path[1:]:
+        r = auto.states[sid].rmap
+        frame = r if frame is None else frame.compose(r)
     return frame
 
 
 def _cycle_at(auto, sid):
     """Composed step map of a shortest cycle through sid, if one exists."""
-    prev = {}
-    frontier = [(sid, None)]
-    seen = set()
-    while frontier:
-        nxt = []
-        for cur, _ in frontier:
-            for e in auto.edges[cur]:
-                if e.child == sid:
-                    # reconstruct: path sid -> cur, then edge cur -> sid
-                    maps = []
-                    c = cur
-                    while c != sid and c in prev:
-                        maps.append(auto.states[c].rmap)
-                        c = prev[c]
-                    if c != sid:
-                        continue
-                    maps.reverse()
-                    frame = None
-                    for m in maps:
-                        frame = m if frame is None else frame.compose(m)
-                    last = auto.states[sid].rmap
-                    frame = last if frame is None else frame.compose(last)
-                    if frame.exponent > 0:
-                        return frame
-                if e.child not in seen and e.child != sid:
-                    seen.add(e.child)
-                    prev[e.child] = cur
-                    nxt.append((e.child, cur))
-        frontier = nxt
+    for cur, path in _bfs_tree(auto, sid).items():
+        if any(e.child == sid for e in auto.edges[cur]):
+            frame = _frame(auto, path + [sid])
+            if frame.exponent > 0:
+                return frame
     return None
 
 

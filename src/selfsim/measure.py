@@ -14,10 +14,9 @@ result is verified entry by entry against the full system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .automaton import Automaton, NotAdmissible, walk_addresses
+from .automaton import Automaton, Edge, NotAdmissible, _frame, walk_addresses
 
 
 class MeasureError(RuntimeError):
@@ -179,12 +178,6 @@ def _nullspace_dim1(rows, n):
 # the solve
 # ----------------------------------------------------------------------
 
-@dataclass
-class RestrictedEdge:
-    child: int
-    tmatrix: tuple  # rows: parent star entries, cols: child star entries
-
-
 class MeasureModel:
     """Mass vectors and the pruned, mass-positive automaton."""
 
@@ -194,7 +187,7 @@ class MeasureModel:
         self.star = star              # per state: tuple of V-indices with positive mass
         self.kept = kept              # sorted state ids with nonzero mass
         self.kept_set = set(kept)
-        self.edges = edges            # per state id: list[RestrictedEdge] (kept only)
+        self.edges = edges            # per state id: list[Edge] over star entries (kept only)
         self.diagnostics = diagnostics
 
     # -- basic accessors ----------------------------------------------------
@@ -283,12 +276,8 @@ class MeasureModel:
 
     def star_maps_absolute(self, address):
         """Absolute covering maps (star entries) at the end of an address."""
-        auto = self.automaton
-        frame = None
-        for sid in address[1:]:
-            r = auto.states[sid].rmap
-            frame = r if frame is None else frame.compose(r)
-        st = auto.states[address[-1]]
+        frame = _frame(self.automaton, address)
+        st = self.automaton.states[address[-1]]
         out = []
         for i in self.star[address[-1]]:
             phi = st.umaps[st.vpos[i]]
@@ -417,7 +406,7 @@ def _assemble(auto: Automaton, comps, comp_index, v, diagnostics) -> MeasureMode
                     raise MeasureError(
                         f"edge {sid}->{e.child}: column {col} of the restricted "
                         "matrix is zero")
-            edges[sid].append(RestrictedEdge(e.child, tm))
+            edges[sid].append(Edge(e.child, tm))
     if 0 not in kept_set:
         raise MeasureError("root state pruned")
     diagnostics["kept_states"] = len(kept)

@@ -1,16 +1,19 @@
 """Certified decision procedures for cylinder intersections.
 
 The candidate closure enumerates relative maps h = S_I^{-1} S_J of
-same-level cylinder pairs, filtered by a certified ball test; greatest-
-fixed-point pruning then keeps exactly the maps with h(K) and K meeting,
-because an intersection point exists iff an infinite refinement chain
-does.  Tuples of cylinders are decided on a product graph with the same
-pruning rule.  Everything is exact: an ambiguous ball test keeps the
+same-level cylinder pairs, filtered by a certified ball test.  Pairs and
+tuples of cylinders share one rule, `greatest_fixed_point`: keep the
+states with an infinite refinement chain, because an intersection point
+exists iff such a chain does.  Pruning the closure with it decides every
+pair; a tuple is explored on the product graph of canonical tuple states
+and decided by the same rule, with its sub-pair states answered by the
+pruned closure.  Everything is exact: an ambiguous ball test keeps the
 candidate, which never changes a verdict, only the amount of work.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 from .field import FieldElement
@@ -95,19 +98,13 @@ class NeighborGraph:
         self.ifs = ifs
         self.ball = ball
         self.nodes: dict = {}  # (map key, tags) -> NeighborNode
-        self.pruned = False
-
-    def node_key(self, smap: Similitude, tags: tuple):
-        return (smap.key(), tags)
-
-    def survivors(self):
-        return [n for n in self.nodes.values() if n.alive]
 
     def gamma_maps(self) -> list:
         """The surviving relative maps (the finite set the FTC asserts)."""
         seen = {}
-        for n in self.survivors():
-            seen.setdefault(n.map.key(), n.map)
+        for n in self.nodes.values():
+            if n.alive:
+                seen.setdefault(n.map.key(), n.map)
         return [seen[k] for k in sorted(seen)]
 
     def to_dot(self) -> str:
@@ -153,7 +150,7 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000, ball: BoundingBall | Non
     queue = []
 
     def add(smap, tags):
-        key = graph.node_key(smap, tags)
+        key = (smap.key(), tags)
         node = graph.nodes.get(key)
         if node is None:
             if not _ball_feasible(ball, ifs, smap):
@@ -189,27 +186,36 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000, ball: BoundingBall | Non
     return graph
 
 
+def greatest_fixed_point(succ: dict, known: dict) -> set:
+    """The largest set of keys of `succ` each with a successor kept or True.
+
+    succ maps each undecided key to its successor keys; a successor that
+    is neither kept nor True in `known` is dead.  The kept keys are those
+    with an infinite refinement chain or a chain into a state known True.
+    """
+    alive = set(succ)
+    changed = True
+    while changed:
+        changed = False
+        for k in list(alive):
+            if not any(s in alive or known.get(s) is True for s in succ[k]):
+                alive.discard(k)
+                changed = True
+    return alive
+
+
 def prune(graph: NeighborGraph) -> NeighborGraph:
-    """Greatest fixed point: keep nodes with a successor among the kept.
+    """Keep the closure nodes with an infinite refinement chain.
 
     Survivors are exactly the maps h with h(K) meeting K: an infinite
     feasible refinement chain forces a common point by compactness, and
     a common point always refines.
     """
-    alive = {k for k, n in graph.nodes.items() if n.succ}
-    changed = True
-    while changed:
-        changed = False
-        for k in list(alive):
-            if not any(s in alive for s in graph.nodes[k].succ):
-                alive.discard(k)
-                changed = True
+    alive = greatest_fixed_point({k: n.succ for k, n in graph.nodes.items()}, {})
     for k, n in graph.nodes.items():
         n.alive = k in alive
-    graph.pruned = True
-    ident = graph.ifs.identity_map()
-    idkey = graph.node_key(ident, (0, 0))
-    if idkey not in graph.nodes or not graph.nodes[idkey].alive:
+    ident = graph.nodes.get((graph.ifs.identity_map().key(), (0, 0)))
+    if ident is None or not ident.alive:
         raise MapError("identity map failed to survive pruning; inconsistent closure")
     return graph
 
@@ -256,23 +262,12 @@ class NeighborDecider:
             self._compose_memo[key] = h
         return h
 
-    # -- pair decisions -----------------------------------------------------
-    def _level_and_tag(self, smap: Similitude):
-        k = self.ifs.k_max
-        return smap.exponent // k, smap.exponent % k
-
-    def pair_alive(self, rel: Similitude, tags: tuple) -> bool:
-        key = (rel, tags)
-        hit = self._pair_memo.get(key)
-        if hit is not None:
-            return hit
-        node = self.graph.nodes.get((rel.key(), tags))
-        out = node is not None and node.alive
-        self._pair_memo[key] = out
-        return out
-
     def pair_of(self, s1: Similitude, t1: int, s2: Similitude, t2: int) -> bool:
-        """Memoized intersection verdict for two tagged same-level maps."""
+        """Memoized intersection verdict for two tagged same-level maps.
+
+        Read off the pruned closure: the node of s1^{-1} s2 with tags
+        (t1, t2) exists and survived.
+        """
         key = (s1, t1, s2, t2)
         hit = self._pair_memo.get(key)
         if hit is not None:
@@ -280,39 +275,32 @@ class NeighborDecider:
         if s1 is s2 or s1 == s2:
             out = True
         else:
-            out = self.pair_alive(self.compose(s1.inverse(), s2), (t1, t2))
+            rel = self.compose(s1.inverse(), s2)
+            node = self.graph.nodes.get((rel.key(), (t1, t2)))
+            out = node is not None and node.alive
         self._pair_memo[key] = out
         self._pair_memo[(s2, t2, s1, t1)] = out
         return out
 
     def intersects(self, f: Similitude, g: Similitude) -> bool:
         """Exact decision of f(K) meeting g(K) for same-level cylinder maps."""
-        nf, af = self._level_and_tag(f)
-        ng, ag = self._level_and_tag(g)
-        if nf != ng:
-            raise MapError("intersects requires maps from a common stopping level")
-        if f == g:
-            return True
-        return self.pair_alive(self.compose(f.inverse(), g), (af, ag))
+        return self.tuple_intersects([f, g])
 
-    # -- tuple decisions -------------------------------------------------------
     def tuple_intersects(self, maps, tags=None) -> bool:
         """Exact decision of a k-fold intersection of same-level cylinders.
 
         maps: list of Similitudes at one stopping level; tags default to
-        exponent mod k_max.  Uses the product graph over relative-map
-        tuples with the same greatest-fixed-point rule as pairs.
+        exponent mod k_max.  Memoized on the sorted distinct input; a
+        failing pair decides it at once, and three or more cylinders go
+        to the product graph as one canonical state.
         """
         maps = list(maps)
         if tags is None:
-            levels = {self._level_and_tag(s)[0] for s in maps}
-            if len(levels) != 1:
+            k = self.ifs.k_max
+            if len({s.exponent // k for s in maps}) != 1:
                 raise MapError("tuple_intersects requires one stopping level")
-            tags = [self._level_and_tag(s)[1] for s in maps]
-        dedup = {}
-        for smap, tag in zip(maps, tags):
-            dedup[(smap, tag)] = True
-        items = sorted(dedup, key=lambda p: (p[0].key(), p[1]))
+            tags = [s.exponent % k for s in maps]
+        items = sorted(dict.fromkeys(zip(maps, tags)), key=lambda p: (p[0].key(), p[1]))
         if len(items) == 1:
             return True
         raw = tuple(items)
@@ -321,25 +309,19 @@ class NeighborDecider:
             return hit
         out = self._pairwise_ok(items)
         if out and len(items) > 2:
-            state = self._canonical(items)
-            key = self._state_key(state)
-            cached = self._tuple_memo.get(key)
-            out = cached if cached is not None else self._decide_tuple(state)
+            out = self._decide_tuple(self._canonical(items))
         self._raw_memo[raw] = out
         if len(self._raw_memo) > 2_000_000:
             self._raw_memo.clear()
         return out
 
-    def _canonical(self, pairs):
-        """Normalize a tuple state: quotient by a common left composition.
+    def _canonical(self, items):
+        """Normalize a tuple state of distinct components.
 
-        Dedupes components, renormalizes by each component in turn and
-        keeps the lexicographically smallest sorted representative.
+        Quotients by a common left composition: renormalizes by each
+        component in turn and keeps the lexicographically smallest sorted
+        representative.
         """
-        dedup = {}
-        for smap, tag in pairs:
-            dedup[(smap.key(), tag)] = (smap, tag)
-        items = list(dedup.values())
         best = None
         best_raw = None
         for pivot, _ in items:
@@ -352,73 +334,43 @@ class NeighborDecider:
                 best = tuple(rel)
         return best
 
-    @staticmethod
-    def _state_key(state):
-        return tuple(state)
-
     def _pairwise_ok(self, state) -> bool:
-        for i in range(len(state)):
-            si, ai = state[i]
-            for j in range(i + 1, len(state)):
-                sj, aj = state[j]
-                if not self.pair_of(si, ai, sj, aj):
-                    return False
-        return True
+        return all(self.pair_of(s1, t1, s2, t2)
+                   for (s1, t1), (s2, t2) in itertools.combinations(state, 2))
 
     def _decide_tuple(self, start) -> bool:
+        """Verdict for a canonical tuple state, memoized in `_tuple_memo`.
+
+        Explores the product graph from start.  States of one or two
+        components, and states with a failing pair, are decided directly;
+        the others are decided together by `greatest_fixed_point`.
+        """
         memo = self._tuple_memo
-        reach: dict = {}
-        order = []
+        succ: dict = {}
         stack = [start]
         while stack:
             state = stack.pop()
-            key = self._state_key(state)
-            if key in reach or key in memo:
+            if state in succ or state in memo:
                 continue
-            if len(reach) > self.tuple_budget:
+            if len(succ) > self.tuple_budget:
                 raise BudgetExceeded("tuple intersection state budget exceeded",
-                                     node_count=len(reach))
-            if len(state) <= 2 or not self._pairwise_ok(state):
-                # resolved directly: pairs by the pair graph, infeasible dead
-                if len(state) == 1:
-                    memo[key] = True
-                elif len(state) == 2:
-                    (m1, a1), (m2, a2) = state
-                    memo[key] = self.pair_of(m1, a1, m2, a2)
-                else:
-                    memo[key] = False
-                continue
-            succs = []
-            bridge_lists = [self.ifs.bridges(t) for _, t in state]
-            self._expand(state, bridge_lists, succs)
-            reach[key] = succs
-            order.append(key)
-            for s in succs:
-                stack.append(s)
-        # greatest fixed point over the unresolved states
-        alive = {k for k in reach}
-        changed = True
-        while changed:
-            changed = False
-            for k in list(alive):
-                ok = False
-                for s in reach[k]:
-                    sk = self._state_key(s)
-                    if sk in alive or memo.get(sk) is True:
-                        ok = True
-                        break
-                if not ok:
-                    alive.discard(k)
-                    changed = True
-        for k in reach:
-            memo[k] = k in alive
-        return memo[self._state_key(start)]
+                                     node_count=len(succ))
+            if len(state) > 2 and self._pairwise_ok(state):
+                succ[state] = self._expand(state)
+                stack.extend(succ[state])
+            else:  # one or two components, or a failing pair
+                memo[state] = len(state) <= 2 and self._pairwise_ok(state)
+        alive = greatest_fixed_point(succ, memo)
+        for state in succ:
+            memo[state] = state in alive
+        return memo[start]
 
-    def _expand(self, state, bridge_lists, out):
-        """All simultaneous one-step refinements of a tuple state."""
-        import itertools
-        for combo in itertools.product(*bridge_lists):
+    def _expand(self, state) -> list:
+        """All simultaneous one-step refinements of a tuple state, canonical."""
+        out = []
+        for combo in itertools.product(*(self.ifs.bridges(t) for _, t in state)):
             base_inv = combo[0].map.inverse()
-            nxt = [(self.compose(base_inv, self.compose(s, b.map)), b.new_tag)
-                   for (s, _), b in zip(state, combo)]
-            out.append(self._canonical(nxt))
+            nxt = dict.fromkeys((self.compose(base_inv, self.compose(s, b.map)), b.new_tag)
+                                for (s, _), b in zip(state, combo))
+            out.append(self._canonical(list(nxt)))
+        return out

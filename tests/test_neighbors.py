@@ -7,7 +7,7 @@ from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, MapError, ScaleBase, Similitude
 from selfsim.neighbors import (BudgetExceeded, NeighborDecider, bounding_ball,
-                               candidate_closure, prune)
+                               candidate_closure, greatest_fixed_point, prune)
 
 
 def ifs_1d(coeffs, box, specs, probs, mode="equicontractive"):
@@ -92,6 +92,24 @@ def test_prune_keeps_successor_closed_set(golden_ifs):
         assert any(s in alive for s in node.succ)
     ident = golden_ifs.identity_map()
     assert graph.nodes[(ident.key(), (0, 0))].alive
+
+
+def test_greatest_fixed_point_cases():
+    known = {"T": True, "F": False}
+    succ = {"a": ["b"], "b": ["a"],            # a cycle
+            "c": ["d"], "d": ["e"], "e": [],   # a chain into a node with no successor
+            "x": ["y"],                        # a chain into an unexplored key
+            "t": ["T"], "u": ["t"],            # only successor decided True
+            "f": ["F"],                        # only successor decided False
+            "m": ["F", "e", "a"]}              # one kept successor among dead ones
+    kept = greatest_fixed_point(succ, known)
+    assert {"a", "b"} <= kept
+    assert not kept & {"c", "d", "e", "x"}
+    assert {"t", "u"} <= kept
+    assert "f" not in kept
+    assert "m" in kept
+    assert kept == {"a", "b", "t", "u", "m"}
+    assert greatest_fixed_point({}, known) == set()
 
 
 def test_budget_exceeded_reports():
@@ -198,3 +216,15 @@ def test_second_children_pass_composes_nothing(pipelines, name, monkeypatch):
     assert calls == []
     assert [[(c.key(), t) for c, t in kids] for kids in second] == \
         [[(c.key(), t) for c, t in kids] for kids in first]
+
+
+@pytest.mark.parametrize("name", SMALL + ["golden-gasket-conjugated"])
+def test_tuple_verdicts_do_not_depend_on_query_order(pipelines, name):
+    p = pipelines(name)
+    p.automaton
+    decided = list(p.decider._raw_memo.items())
+    assert decided
+    fresh = NeighborDecider(p.ifs)
+    for raw, verdict in reversed(decided):
+        maps, tags = zip(*raw)
+        assert fresh.tuple_intersects(maps, tags) == verdict, [str(m) for m in maps]
