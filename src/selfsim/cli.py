@@ -173,6 +173,10 @@ def cmd_spectrum(args) -> int:
           f"(max bound width {curve.diagnostics['max_bound_width']:.3g}, "
           f"concavity defect {curve.diagnostics['smoothness_max_jump']:.3g}; "
           "smoothness diagnostic is non-rigorous)")
+    if curve.diagnostics["dp_coarsened"]:
+        print(f"note: the word DP at n = {max(curve.n)} held too many distinct "
+              "vectors and continued in floats, so the finite-n bounds carry "
+              "float rounding")
     if "finite-n" in curve.method:
         print("note: the tau column follows the subadditive estimate (exactly "
               "concave); tau_lower/tau_upper give the rigorous range, and "

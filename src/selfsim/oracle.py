@@ -70,9 +70,10 @@ class DiscreteMeasure:
     """Level-n discrete approximation: point masses p_I at S_I(x0).
 
     x0 is the fixed point of the first generator.  Points are kept as
-    integer coefficient vectors over a common power-of-M denominator, so
-    words reaching the same point merge exactly and the weight sum stays
-    exactly one at every level.
+    integer coefficient vectors over a common power-of-M denominator and
+    weights as integers over a power of the lcm of the probability
+    denominators, so words reaching the same point merge exactly and the
+    weight sum stays exactly one at every level.
     """
 
     def __init__(self, ifs: IFS, level: int):
@@ -93,44 +94,49 @@ class DiscreteMeasure:
 
         threshold = level * ifs.k_max
         exps = ifs.exponents
-        probs = ifs.probabilities
-        # frontier: (point ints, exponent) -> weight, all at scale den0*m^depth
-        frontier = {(start, 0): Fraction(1)}
+        pden = reduce(_lcm, (p.denominator for p in ifs.probabilities), 1)
+        probs = [p.numerator * (pden // p.denominator) for p in ifs.probabilities]
+        # frontier: (point ints, exponent) -> weight; points at scale
+        # den0*m^depth, weights as ints at scale pden^depth
+        frontier = {(start, 0): 1}
         finished: dict = {}
         depth = 0
         max_len = 0
         if threshold == 0:
-            finished[(start, 0)] = Fraction(1)
+            finished[(start, 0)] = 1
             frontier = {}
         while frontier:
             nxt: dict = {}
             scale = den0 * m**depth
+            steps = [(ai, [b * scale for b in bi], p, e)
+                     for (ai, bi), p, e in zip(int_affines, probs, exps)]
             for (pt, expo), w in frontier.items():
-                n = len(pt)
-                for i, (ai, bi) in enumerate(int_affines):
-                    p2 = tuple(sum(ai[r][c] * pt[c] for c in range(n)) + bi[r] * scale
-                               for r in range(n))
-                    w2 = w * probs[i]
-                    e2 = expo + exps[i]
+                for ai, shift, p, e in steps:
+                    p2 = tuple([sum([a * c for a, c in zip(row, pt)]) + b
+                                for row, b in zip(ai, shift)])
+                    w2 = w * p
+                    e2 = expo + e
                     if e2 >= threshold:
                         max_len = max(max_len, depth + 1)
                         key = (p2, depth + 1)
-                        finished[key] = finished.get(key, Fraction(0)) + w2
+                        finished[key] = finished.get(key, 0) + w2
                     else:
                         key = (p2, e2)
-                        nxt[key] = nxt.get(key, Fraction(0)) + w2
+                        nxt[key] = nxt.get(key, 0) + w2
             frontier = nxt
             depth += 1
         merged: dict = {}
         for (pt, ln), w in finished.items():
             f = m ** (max_len - ln)
             key = tuple(c * f for c in pt)
-            merged[key] = merged.get(key, Fraction(0)) + w
+            merged[key] = merged.get(key, 0) + w * pden ** (max_len - ln)
         self.scale = den0 * m**max_len
+        self._weight_scale = pden**max_len
         self.points = list(merged.keys())
-        self.weights = list(merged.values())
-        if sum(self.weights) != 1:
+        self._int_weights = list(merged.values())
+        if sum(self._int_weights) != self._weight_scale:
             raise OracleError("discrete measure weights do not sum to 1")
+        self.weights = [Fraction(w, self._weight_scale) for w in self._int_weights]
 
     # -- embeddings ---------------------------------------------------------
     def positions(self):
@@ -151,7 +157,7 @@ class DiscreteMeasure:
         return out
 
     def weight_array(self):
-        return np.array([float(w) for w in self.weights])
+        return np.array([w / self._weight_scale for w in self._int_weights])
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,9 @@ products over admissible words of the essential class.  Three routes:
   matrix with entries raised to the q-th power, for any real q > 0;
 * finite n: exact dynamic programming over words, giving rigorous
   upper/lower bounds a_n/n and a_n/n - C/n plus a difference-quotient
-  point estimate.
+  point estimate.  The DP runs on integer vectors at scale D^n, D the
+  lcm of the block denominators, and divides by D^n only when it
+  reduces a vector to its float norm (see `word_norm_levels`).
 
 `kron_dim_budget` bounds L^q, the dimension of the unlifted Kronecker
 sum, not the lifted dimension: the integer route is taken at the same q
@@ -255,6 +257,7 @@ class PressureEngine:
         self._r = None
         self._delta = None
         self._word_dp: dict[int, list] = {}
+        self._dp_coarsened: set[int] = set()
 
     # -- shared structure ----------------------------------------------------
     def irreducibility(self):
@@ -303,53 +306,14 @@ class PressureEngine:
 
     # -- finite-n route -----------------------------------------------------------
     def _word_norms(self, n: int):
-        """Aggregated (norm, count) pairs of all admissible length-n words.
-
-        The DP tracks, per end state, the multiset of exact accumulated
-        row vectors ||r(i1) T(...)...||; sharing collapses words with
-        equal vectors, which keeps the multisets polynomial in practice.
-        Oversized multisets are coarsened to float keys (documented in
-        the diagnostics; irrelevant at the tolerances used downstream).
-        """
+        """Aggregated (norm, count) pairs per word length 1..n, cached per n."""
         hit = self._word_dp.get(n)
         if hit is not None:
             return hit
-        sys = self.ess.system
-        t = len(self.ess.ids)
-        # initial vectors r(i) = sum_k e(eta_k) T(eta_k, eta_i)
-        start = {}
-        for i in range(t):
-            acc = None
-            for k, tm in sys.blocks_into[i]:
-                col = tuple(sum((row[j] for row in tm), Fraction(0))
-                            for j in range(len(tm[0])))
-                acc = col if acc is None else tuple(a + b for a, b in zip(acc, col))
-            if acc is not None:
-                start[(i, acc)] = 1
-        succ = [[] for _ in range(t)]
-        for i in range(t):
-            for k, tm in sys.blocks_into[i]:
-                succ[k].append((i, tm))
-        snapshots = [None, _aggregate(start)]
-        cur = start
-        coarsened = False
-        for step in range(2, n + 1):
-            nxt: dict = {}
-            for (i, vec), cnt in cur.items():
-                for j, tm in succ[i]:
-                    out = tuple(sum((vec[a] * tm[a][b] for a in range(len(vec))),
-                                    Fraction(0)) for b in range(len(tm[0])))
-                    key = (j, out)
-                    nxt[key] = nxt.get(key, 0) + cnt
-            if len(nxt) > 400000 and not coarsened:
-                coarsened = True
-                nxt = {(i, tuple(float(x) for x in vec)): c
-                       for (i, vec), c in nxt.items()}
-            cur = nxt
-            snapshots.append(_aggregate(cur))
-        self._word_dp[n] = snapshots
+        snapshots, coarsened = word_norm_levels(self.ess.system, n)
         if coarsened:
-            snapshots[0] = {"coarsened": True}
+            self._dp_coarsened.add(n)
+        self._word_dp[n] = snapshots
         return snapshots
 
     def pressure_finite_n(self, q: float, n: int | None = None) -> PressureEstimate:
@@ -393,7 +357,9 @@ class PressureEngine:
         The curve value follows the subadditive estimate a_n(q)/n, which
         is a log-sum-exp and hence exactly convex in q, so the sampled
         tau is concave up to float evaluation noise; the sharper point
-        estimates stay available through tau().
+        estimates stay available through tau().  diagnostics["dp_coarsened"]
+        says whether the word DP behind a finite-n curve left exact
+        arithmetic for floats (see `word_norm_levels`).
         """
         method = "scalar" if self._scalar else "finite-n"
         curve = SpectrumCurve([], [], [], [], [], [])
@@ -417,17 +383,92 @@ class PressureEngine:
         curve.diagnostics = {
             "max_bound_width": max(widths) if widths else 0.0,
             "smoothness_max_jump": _max_second_difference(curve.q, curve.tau),
+            "dp_coarsened": method == "finite-n" and any(
+                k in self._dp_coarsened for k in curve.n),
         }
         return curve
 
 
-def _aggregate(dist: dict) -> dict:
-    """Collapse (state, vector) multiplicities to (float norm -> count)."""
+# entries beyond which the word DP trades its exact vectors for floats
+_DP_MAX_EXACT_ENTRIES = 400000
+
+
+def _scaled(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+def word_norm_levels(system, n: int):
+    """Aggregated (norm, count) pairs of all admissible words of length 1..n.
+
+    Returns (snapshots, coarsened): snapshots[k] maps the entry sum of a
+    length-k word's row vector r(i1) T(i1, i2) ... T(i_{k-1}, i_k) to the
+    number of words giving it (snapshots[0] is None).  The DP tracks, per
+    end state, the multiset of exact vectors; sharing collapses words
+    with equal vectors, which keeps the multisets polynomial in practice.
+
+    With D the lcm of all block denominators, every block is scaled to
+    integers once, so the level-k vectors are int tuples at scale D^k:
+    equal vectors stay equal keys, and x / D^k is float(Fraction(x, D^k))
+    bit for bit (both round the same rational correctly).  A level with
+    more than _DP_MAX_EXACT_ENTRIES vectors is coarsened to floats, and
+    the DP continues in floats with float(T) weights; `coarsened` says so.
+    Reads only `blocks_into`.
+    """
+    blocks_into = system.blocks_into
+    t = len(blocks_into)
+    scale = reduce(math.lcm, (x.denominator for into in blocks_into
+                              for _k, tm in into for row in tm for x in row), 1)
+    # initial vectors r(i) = sum_k e(eta_k) T(eta_k, eta_i), at scale D
+    start = {}
+    for i in range(t):
+        acc = None
+        for k, tm in blocks_into[i]:
+            col = tuple(sum(_scaled(row[j], scale) for row in tm) for j in range(len(tm[0])))
+            acc = col if acc is None else tuple(a + b for a, b in zip(acc, col))
+        if acc is not None:
+            start[(i, acc)] = 1
+    # succ[k]: (i, columns of D T(k, i) as (row, weight) lists without zeros)
+    succ = [[] for _ in range(t)]
+    for i in range(t):
+        for k, tm in blocks_into[i]:
+            cols = tuple([(a, _scaled(tm[a][b], scale)) for a in range(len(tm)) if tm[a][b]]
+                         for b in range(len(tm[0])))
+            succ[k].append((i, cols))
+    level_scale = scale
+    snapshots = [None, _aggregate(start, level_scale)]
+    cur = start
+    coarsened = False
+    for _step in range(2, n + 1):
+        nxt: dict = {}
+        for (i, vec), cnt in cur.items():
+            for j, cols in succ[i]:
+                key = (j, tuple([sum([vec[a] * w for a, w in col]) for col in cols]))
+                nxt[key] = nxt.get(key, 0) + cnt
+        level_scale *= scale
+        if len(nxt) > _DP_MAX_EXACT_ENTRIES and not coarsened:
+            coarsened = True
+            floats: dict = {}
+            for (i, vec), c in nxt.items():
+                key = (i, tuple(x / level_scale for x in vec))
+                floats[key] = floats.get(key, 0) + c
+            nxt = floats
+            level_scale = 1
+            # the vectors now hold true values, so the weights become float(T)
+            succ = [[(i, tuple([(a, w / scale) for a, w in col] for col in cols))
+                     for i, cols in out] for out in succ]
+            scale = 1
+        cur = nxt
+        snapshots.append(_aggregate(cur, level_scale))
+    return snapshots, coarsened
+
+
+def _aggregate(dist: dict, scale) -> dict:
+    """Collapse (state, vector at `scale`) multiplicities to (float norm -> count)."""
     out: dict = {}
     for (_i, vec), cnt in dist.items():
         s = 0.0
         for x in vec:
-            s += float(x)
+            s += x / scale
         out[s] = out.get(s, 0) + cnt
     return out
 

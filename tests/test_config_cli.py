@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from selfsim import cli
+from selfsim import cli, spectrum
 from selfsim.config import (ConfigError, IfsConfig, bundled_names, load_bundled)
 
 ALL = ["cantor-1-3", "commensurable-osc", "complex-pisot-demo",
@@ -133,6 +133,17 @@ def test_cli_build_and_spectrum_deterministic(tmp_path, capsys):
     assert outs[0] == outs[1]
     csv_text = (tmp_path / "a" / "commensurable-osc-spectrum.csv").read_text()
     assert csv_text.splitlines()[0] == "q,tau,tau_lower,tau_upper,method,n,config_hash"
+
+
+def test_cli_spectrum_reports_dp_coarsening(tmp_path, capsys, monkeypatch):
+    args = ["spectrum", "--config", "bundled:golden-bernoulli",
+            "--q-grid", "1.5:2.5:0.5", "--out", str(tmp_path)]
+    assert cli.main(args) == 0
+    assert "continued in floats" not in capsys.readouterr().out
+    monkeypatch.setattr(spectrum, "_DP_MAX_EXACT_ENTRIES", 50)
+    assert cli.main(args) == 0
+    out = capsys.readouterr().out
+    assert out.count("continued in floats") == 1 and "n = 16" in out
 
 
 def test_cli_oracle(tmp_path, capsys):

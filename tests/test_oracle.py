@@ -15,6 +15,14 @@ def test_discrete_measure_weights_sum(pipelines):
             assert sum(dm.weights) == 1
 
 
+def test_discrete_measure_weight_array_matches_weights(pipelines):
+    # the float weights divide the integer weights once, as float(Fraction) does
+    for name, level in (("golden-bernoulli", 8), ("commensurable-osc", 5)):
+        dm = DiscreteMeasure(pipelines(name).ifs, level)
+        assert all(isinstance(w, F) for w in dm.weights)
+        assert [x.hex() for x in dm.weight_array()] == [float(w).hex() for w in dm.weights]
+
+
 def test_discrete_measure_merges_overlaps(golden):
     # fewer distinct points than words is the overlap structure at work
     dm = DiscreteMeasure(golden.ifs, 8)

@@ -315,12 +315,123 @@ def test_dragon_tau_planar(dragon):
         assert abs(t - 2 * (q - 1)) < 1e-6
 
 
+def _fraction_word_norms(system, n):
+    """Reference: the word DP in exact Fraction arithmetic, never coarsened."""
+    t = len(system.dims)
+    start = {}
+    for i in range(t):
+        acc = None
+        for k, tm in system.blocks_into[i]:
+            col = tuple(sum((row[j] for row in tm), F(0)) for j in range(len(tm[0])))
+            acc = col if acc is None else tuple(a + b for a, b in zip(acc, col))
+        if acc is not None:
+            start[(i, acc)] = 1
+    succ = [[] for _ in range(t)]
+    for i in range(t):
+        for k, tm in system.blocks_into[i]:
+            succ[k].append((i, tm))
+
+    def aggregate(dist):
+        out = {}
+        for (_i, vec), cnt in dist.items():
+            s = 0.0
+            for x in vec:
+                s += float(x)
+            out[s] = out.get(s, 0) + cnt
+        return out
+
+    snapshots = [None, aggregate(start)]
+    cur = start
+    for _step in range(2, n + 1):
+        nxt = {}
+        for (i, vec), cnt in cur.items():
+            for j, tm in succ[i]:
+                out = tuple(sum((vec[a] * tm[a][b] for a in range(len(vec))), F(0))
+                            for b in range(len(tm[0])))
+                nxt[(j, out)] = nxt.get((j, out), 0) + cnt
+        cur = nxt
+        snapshots.append(aggregate(cur))
+    return snapshots
+
+
+def _assert_same_levels(snaps, ref):
+    assert len(snaps) == len(ref) and snaps[0] is None
+    for got, want in zip(snaps[1:], ref[1:]):
+        # bit for bit, in insertion order
+        assert [(v.hex(), c) for v, c in got.items()] == [(v.hex(), c) for v, c in want.items()]
+
+
+@pytest.mark.parametrize("name, n", [
+    ("cantor-1-3", 14), ("lebesgue-1-2", 14), ("golden-bernoulli", 18),
+    ("golden-gasket-conjugated", 8), ("complex-pisot-demo", 14),
+    ("commensurable-osc", 14),
+])
+def test_word_dp_bit_identical_to_fraction_dp(pipelines, name, n):
+    system = pipelines(name).engine.ess.system
+    snaps, coarsened = spectrum.word_norm_levels(system, n)
+    assert not coarsened
+    _assert_same_levels(snaps, _fraction_word_norms(system, n))
+
+
+_mixed = st.builds(F, st.integers(1, 100), st.sampled_from([3, 4, 6, 9]))
+
+
+@st.composite
+def mixed_denominator_systems(draw):
+    """Small block systems whose entries mix the denominators 3, 4, 6 and 9."""
+    t = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.sampled_from([1, 2]), min_size=t, max_size=t))
+    edges = {}
+    for k in range(t):
+        for i in range(t):
+            if draw(st.booleans()):
+                edges[k, i] = tuple(tuple(draw(st.one_of(st.just(F(0)), _mixed))
+                                          for _ in range(dims[i]))
+                                    for _ in range(dims[k]))
+    # one state keeps a single word per level, so it can run long enough
+    # for the vectors at scale 36^n to pass 2**53
+    return _block_system(dims, edges), draw(st.integers(2, 16 if t == 1 else 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_denominator_systems())
+def test_word_dp_bit_identical_on_mixed_denominators(spec):
+    system, n = spec
+    snaps, coarsened = spectrum.word_norm_levels(system, n)
+    assert not coarsened
+    _assert_same_levels(snaps, _fraction_word_norms(system, n))
+
+
+@given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 30))
+def test_aggregate_rounds_once(x, scale):
+    # one correctly rounded division, as float(Fraction) does, even where
+    # x and scale are past 2**53 and float(x) / float(scale) rounds twice
+    (value, count), = spectrum._aggregate({(0, (x,)): 1}, scale).items()
+    assert value.hex() == float(F(x, scale)).hex() and count == 1
+
+
+def test_word_dp_coarsening(golden, monkeypatch):
+    exact, coarsened = spectrum.word_norm_levels(golden.engine.ess.system, 16)
+    assert not coarsened
+    monkeypatch.setattr(spectrum, "_DP_MAX_EXACT_ENTRIES", 50)
+    eng = PressureEngine(golden.measure, default_n=16)
+    qs = (0.5, 2.0, 3.5)
+    assert eng.lq_curve(qs, n=16).diagnostics["dp_coarsened"]
+    snaps = eng._word_norms(16)
+    for k in range(1, 17):
+        assert sum(snaps[k].values()) == sum(exact[k].values())
+        for q in qs:
+            a, b = spectrum._log_moment(snaps[k], q), spectrum._log_moment(exact[k], q)
+            assert abs(a - b) <= 1e-12 * abs(b)
+
+
 def test_curves_concave(pipelines):
     grid = [round(0.3 + 0.1 * i, 1) for i in range(37)]
     for name in ("cantor-1-3", "golden-bernoulli", "commensurable-osc"):
         eng = pipelines(name).engine
         curve = eng.lq_curve(grid, n=10)
         assert curve.diagnostics["smoothness_max_jump"] <= 1e-8
+        assert curve.diagnostics["dp_coarsened"] is False
         assert len(curve.q) == len(curve.tau) == 37
         for lo, t, hi in zip(curve.tau_lower, curve.tau, curve.tau_upper):
             assert lo - 1e-12 <= t <= hi + 1e-12
