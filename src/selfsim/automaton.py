@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intervals import RatInterval
-from .maps import IFS, Similitude, MapError, point_dist_sq
-from .neighbors import NeighborDecider, _as_interval
+from .maps import IFS, Similitude, MapError, dist_sq_interval
+from .neighbors import NeighborDecider
 
 
 class NotAdmissible(KeyError):
@@ -387,8 +387,7 @@ def witness(auto: Automaton, sid: int, depth: int = 10):
         return None
     abs_frame = _frame(auto, _bfs_tree(auto, 0)[sid])
     x_abs = abs_frame.apply(x_local) if abs_frame is not None else x_local
-    return Witness(point=x_abs if isinstance(x_abs, tuple) else (x_abs,),
-                   separation_certified=True)
+    return Witness(point=x_abs, separation_certified=True)
 
 
 def _periodic_continuation(auto: Automaton, sid: int):
@@ -435,7 +434,7 @@ def _point_separated(ifs: IFS, decider, x, smap: Similitude, tag: int, depth: in
     """Certified dist(x, smap(K)) > 0 by recursive ball subdivision."""
     ball = decider.ball
     center = smap.apply(ball.center)
-    d2 = _as_interval(point_dist_sq(x, center), 96)
+    d2 = dist_sq_interval(x, center)
     rad = ifs.base.ratio_interval(smap.exponent, 96) * RatInterval.point(ball.radius)
     if d2.strictly_greater(rad.square()):
         return True

@@ -23,7 +23,7 @@ from .neighbors import BudgetExceeded
 from .automaton import NotAdmissible
 from .oracle import IntervalUnion, estimate_mass, dyadic_lq_sum, tau_dyadic
 from .pipeline import Pipeline
-from .spectrum import SpectrumError, irreducibility_check
+from .spectrum import SpectrumError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -142,7 +142,7 @@ def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
     engine = pipe.engine
-    r = irreducibility_check(engine.ess)
+    r, _delta = engine.irreducibility()
     grid = _parse_grid(args.q_grid)
     curve = engine.lq_curve([float(q) for q in grid],
                             n=cfg.budgets["pressure_n"])

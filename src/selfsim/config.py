@@ -152,8 +152,9 @@ class IfsConfig:
         try:
             if self.backend == "complex":
                 base = ScaleBase(field, ratio_sq=field.element(self.base_ratio))
-                maps = [Similitude(field, field.element(m["linear"]),
-                                   field.element(m["translation"]),
+                # z -> c z + t is the 1x1 case of x -> L x + t
+                maps = [Similitude(field, ((field.element(m["linear"]),),),
+                                   (field.element(m["translation"]),),
                                    m["scale_exponent"]) for m in self.maps]
             else:
                 base = ScaleBase(field, ratio=field.element(self.base_ratio))

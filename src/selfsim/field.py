@@ -329,9 +329,6 @@ class NumberField:
                                            target_width, certified=True)
             self._box = RootBox(rect.re, rect.im)
 
-    def root_box(self) -> RootBox:
-        return self._box
-
     def enclose(self, el: "FieldElement", bits: int = 64):
         """Certified enclosure of el's embedding: RatInterval or RectInterval."""
         key = (el.coeffs, bits)

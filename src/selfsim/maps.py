@@ -1,8 +1,8 @@
 """Contracting similitudes with exact algebra, and iterated function systems.
 
 A similitude is x -> L x + t where L is r^k times an exact orthogonal
-matrix over the number field (real backend) or a single field scalar of
-modulus r^k (complex backend).  Composition, inversion and equality are
+dxd matrix over the number field; over a complex field d = 1 and L is a
+single entry of modulus r^k.  Composition, inversion and equality are
 all exact; the integer scale exponent k is carried explicitly so that
 stopping-set bookkeeping never touches floating point.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldElement, NumberField
-from .intervals import RatInterval, sqrt_interval
+from .intervals import RatInterval, RectInterval, sqrt_interval
 
 
 class MapError(ValueError):
@@ -24,16 +24,19 @@ class MapError(ValueError):
 # small exact linear algebra over the field
 # ----------------------------------------------------------------------
 
+def _dot(u, v):
+    # started from the first term, not from zero: a 1x1 product is one multiply
+    terms = [x * y for x, y in zip(u, v)]
+    return sum(terms[1:], start=terms[0])
+
+
 def mat_mul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(m)),
-                           start=a[0][0].field.zero) for j in range(p))
-                 for i in range(n))
+    cols = tuple(zip(*b))
+    return tuple(tuple(_dot(row, col) for col in cols) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum((a[i][j] * v[j] for j in range(len(v))),
-                     start=a[0][0].field.zero) for i in range(len(a)))
+    return tuple(_dot(row, v) for row in a)
 
 
 def mat_det(a) -> FieldElement:
@@ -90,9 +93,9 @@ def _int_coeffs(coeffs):
 class Similitude:
     """x -> L x + t with similarity ratio r^exponent.
 
-    Real backend: L is a dxd tuple-of-tuples of FieldElement, t a
-    d-tuple.  Complex backend: L and t are single FieldElements and the
-    map is z -> L z + t on C.
+    L is a dxd tuple-of-tuples of FieldElement and t a d-tuple.  Over a
+    complex field d = 1: the map z -> c z + t is held as L = ((c,),),
+    t = (t,), and points are 1-tuples.
     """
 
     __slots__ = ("field", "linear", "translation", "exponent", "_key",
@@ -106,33 +109,22 @@ class Similitude:
         self.exponent = exponent
         self._inv = None
         self._hash = None
-        # keys are flat int tuples: cheap to hash, compare and sort
-        if field.complex_embedding:
-            k = (_int_coeffs(linear.coeffs), _int_coeffs(translation.coeffs))
-            if lin_ident is None:
-                lin_ident = linear == field.one
-        else:
-            k = (tuple(_int_coeffs(c.coeffs) for row in linear for c in row),
-                 tuple(_int_coeffs(c.coeffs) for c in translation))
-            if lin_ident is None:
-                lin_ident = all(
-                    linear[i][j] == (field.one if i == j else field.zero)
-                    for i in range(len(linear)) for j in range(len(linear)))
+        if lin_ident is None:
+            lin_ident = all(
+                linear[i][j] == (field.one if i == j else field.zero)
+                for i in range(len(linear)) for j in range(len(linear)))
         self._lin_ident = lin_ident
-        self._key = (exponent,) + k
-
-    @property
-    def is_complex(self) -> bool:
-        return self.field.complex_embedding
+        # keys are flat int tuples: cheap to hash, compare and sort
+        self._key = (exponent,
+                     tuple(_int_coeffs(c.coeffs) for row in linear for c in row),
+                     tuple(_int_coeffs(c.coeffs) for c in translation))
 
     @property
     def dim(self) -> int:
-        return 1 if self.is_complex else len(self.translation)
+        return len(self.translation)
 
     @staticmethod
     def identity(field: NumberField, d: int = 1) -> "Similitude":
-        if field.complex_embedding:
-            return Similitude(field, field.one, field.zero, 0)
         return Similitude(field, identity_matrix(field, d),
                           tuple(field.zero for _ in range(d)), 0)
 
@@ -145,38 +137,21 @@ class Similitude:
         if self.field is not other.field:
             raise MapError("similitudes over different fields")
         k = self.exponent + other.exponent
-        if self.is_complex:
-            if self._lin_ident:
-                return Similitude(self.field, other.linear,
-                                  other.translation + self.translation, k,
-                                  lin_ident=other._lin_ident)
-            lin = self.linear * other.linear
-            tr = self.linear * other.translation + self.translation
-        elif self._lin_ident:
+        if self._lin_ident:
             return Similitude(self.field, other.linear,
                               tuple(a + b for a, b in zip(other.translation,
                                                           self.translation)), k,
                               lin_ident=other._lin_ident)
-        else:
-            lin = mat_mul(self.linear, other.linear)
-            tr = tuple(a + b for a, b in
-                       zip(mat_vec(self.linear, other.translation), self.translation))
+        lin = mat_mul(self.linear, other.linear)
+        tr = tuple(a + b for a, b in
+                   zip(mat_vec(self.linear, other.translation), self.translation))
         return Similitude(self.field, lin, tr, k)
-
-    def __matmul__(self, other):
-        return self.compose(other)
 
     def inverse(self) -> "Similitude":
         if self._inv is not None:
             return self._inv
         ident = None
-        if self.is_complex:
-            if self._lin_ident:
-                lin, tr, ident = self.linear, -self.translation, True
-            else:
-                lin = self.linear.inverse()
-                tr = -(lin * self.translation)
-        elif self._lin_ident:
+        if self._lin_ident:
             lin, tr, ident = self.linear, tuple(-x for x in self.translation), True
         else:
             lin = mat_inv(self.linear)
@@ -187,10 +162,6 @@ class Similitude:
         return out
 
     def apply(self, point):
-        if self.is_complex:
-            if self._lin_ident:
-                return point + self.translation
-            return self.linear * point + self.translation
         if self._lin_ident:
             return tuple(a + b for a, b in zip(point, self.translation))
         return tuple(a + b for a, b in zip(mat_vec(self.linear, point), self.translation))
@@ -199,8 +170,6 @@ class Similitude:
 
     def fixed_point(self):
         """The unique fixed point of a contracting similitude."""
-        if self.is_complex:
-            return self.translation / (self.field.one - self.linear)
         d = self.dim
         field = self.field
         m = tuple(tuple((field.one if i == j else field.zero) - self.linear[i][j]
@@ -222,8 +191,8 @@ class Similitude:
         return self._hash
 
     def __str__(self):
-        if self.is_complex:
-            return f"z->({self.linear})*z+({self.translation})"
+        if self.field.complex_embedding:
+            return f"z->({self.linear[0][0]})*z+({self.translation[0]})"
         rows = ";".join(",".join(str(c) for c in row) for row in self.linear)
         tr = ",".join(str(c) for c in self.translation)
         return f"x->[{rows}]x+({tr})"
@@ -232,12 +201,16 @@ class Similitude:
         return f"Similitude({self}, k={self.exponent})"
 
 
-def point_dist_sq(p, q):
-    """Squared distance between two field points, as a field element."""
-    if isinstance(p, FieldElement):
-        return (p - q).modulus_sq()
-    field = p[0].field
-    return sum(((a - b) * (a - b) for a, b in zip(p, q)), start=field.zero)
+def dist_sq_interval(p, q, bits: int = 96) -> RatInterval:
+    """Certified enclosure of the squared distance between two field points."""
+    terms = [(a - b).modulus_sq() for a, b in zip(p, q)]
+    d2 = sum(terms[1:], start=terms[0])
+    if isinstance(d2, RatInterval):
+        # |z|^2 over a complex field without conjugation is enclosed directly
+        return d2
+    enc = d2.enclosure(bits)
+    # a real-valued element of a complex field lies in the real slice
+    return enc.re if isinstance(enc, RectInterval) else enc
 
 
 # ----------------------------------------------------------------------
@@ -349,8 +322,8 @@ class IFS:
 
     def _check_orthogonal(self, s: Similitude):
         rk = self.base.ratio_sq ** s.exponent
-        if s.is_complex:
-            m2 = s.linear.modulus_sq()
+        if self.field.complex_embedding:
+            m2 = s.linear[0][0].modulus_sq()
             if isinstance(m2, FieldElement):
                 if m2 != rk:
                     raise MapError(f"linear part of {s} has |c|^2 != r^(2k)")

@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .field import FieldElement
-from .intervals import RatInterval, RectInterval
-from .maps import IFS, Similitude, point_dist_sq, MapError
+from .intervals import RatInterval, sqrt_interval
+from .maps import IFS, Similitude, MapError, dist_sq_interval
 
 
 class BudgetExceeded(RuntimeError):
@@ -28,20 +27,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.frontier_size = frontier_size
         self.node_count = node_count
-
-
-def _as_interval(x, bits: int = 96) -> RatInterval:
-    """Certified RatInterval for a real-valued quantity."""
-    if isinstance(x, RatInterval):
-        return x
-    if isinstance(x, FieldElement):
-        enc = x.enclosure(bits)
-        if isinstance(enc, RectInterval):
-            # real-valued element of a complex field: the value lies in the
-            # real slice of the rectangle
-            return enc.re
-        return enc
-    return RatInterval.point(x)
 
 
 class BoundingBall:
@@ -58,24 +43,19 @@ class BoundingBall:
 
 def bounding_ball(ifs: IFS, bits: int = 96) -> BoundingBall:
     """Invariant ball centered at the mean of the generator fixed points."""
-    field = ifs.field
     fps = [s.fixed_point() for s in ifs.maps]
-    minv = Fraction(1, ifs.m)
-    if field.complex_embedding:
-        center = sum(fps[1:], start=fps[0]) * field.from_rational(minv)
-    else:
-        center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * field.from_rational(minv)
-                       for i in range(ifs.dim))
+    minv = ifs.field.from_rational(Fraction(1, ifs.m))
+    center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * minv
+                   for i in range(ifs.dim))
     # R = max_i |S_i(c) - c| / (1 - r_max), r_max the largest generator ratio
     k_min = min(ifs.exponents)
     rmax = ifs.base.ratio_interval(k_min, bits)
     num_sq = RatInterval.point(0)
     for s in ifs.maps:
-        d2 = _as_interval(point_dist_sq(s.apply(center), center), bits)
+        d2 = dist_sq_interval(s.apply(center), center, bits)
         if d2.hi > num_sq.hi:
             num_sq = d2
     denom = (RatInterval.point(1) - rmax)
-    from .intervals import sqrt_interval
     r_up = (sqrt_interval(RatInterval(max(Fraction(0), num_sq.lo), num_sq.hi), 80)
             / denom).hi
     return BoundingBall(center, r_up, r_up * r_up)
@@ -127,7 +107,7 @@ class NeighborGraph:
 
 def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude, bits: int = 96) -> bool:
     """Necessary condition for smap(K) to meet K; False only when certified."""
-    lhs = _as_interval(point_dist_sq(smap.apply(ball.center), ball.center), bits)
+    lhs = dist_sq_interval(smap.apply(ball.center), ball.center, bits)
     ratio = ifs.base.ratio_interval(smap.exponent, bits)
     rhs = (RatInterval.point(1) + ratio).square() * RatInterval.point(ball.radius_sq)
     return not lhs.strictly_greater(rhs)

@@ -16,20 +16,12 @@ from functools import reduce
 
 import numpy as np
 
-from .field import FieldElement
 from .intervals import RatInterval, sqrt_interval
-from .maps import IFS, Similitude, point_dist_sq
+from .maps import IFS, Similitude, dist_sq_interval
 
 
 class OracleError(RuntimeError):
     pass
-
-
-def _as_interval(x, bits: int = 96) -> RatInterval:
-    if isinstance(x, RatInterval):
-        return x
-    enc = x.enclosure(bits)
-    return enc.re if hasattr(enc, "re") else enc
 
 
 # ----------------------------------------------------------------------
@@ -37,8 +29,6 @@ def _as_interval(x, bits: int = 96) -> RatInterval:
 # ----------------------------------------------------------------------
 
 def _flatten_point(point):
-    if isinstance(point, FieldElement):
-        return tuple(point.coeffs)
     return tuple(c for coord in point for c in coord.coeffs)
 
 
@@ -46,9 +36,6 @@ def _coeff_affine(ifs: IFS, smap: Similitude):
     """The generator as an affine map on flattened coefficient vectors."""
     field = ifs.field
     deg = field.degree
-    if field.complex_embedding:
-        a = field.multiplication_matrix(smap.linear)
-        return [list(r) for r in a], list(smap.translation.coeffs)
     d = smap.dim
     n = d * deg
     a = [[Fraction(0)] * n for _ in range(n)]
@@ -282,8 +269,8 @@ def sample_points(ifs: IFS, n: int, seed: int = 0, word_len: int | None = None):
 
     field = ifs.field
     if field.complex_embedding:
-        lin = np.array([complex(s.linear) for s in ifs.maps])
-        tr = np.array([complex(s.translation) for s in ifs.maps])
+        lin = np.array([complex(s.linear[0][0]) for s in ifs.maps])
+        tr = np.array([complex(s.translation[0]) for s in ifs.maps])
         x = np.zeros(n, dtype=complex)
         for _ in range(word_len):
             row = draw()
@@ -465,19 +452,15 @@ class _OrderKey:
 # ----------------------------------------------------------------------
 
 def _local_ball(ifs: IFS):
-    field = ifs.field
     fps = [s.fixed_point() for s in ifs.maps]
-    minv = field.from_rational(Fraction(1, ifs.m))
-    if field.complex_embedding:
-        center = sum(fps[1:], start=fps[0]) * minv
-    else:
-        center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * minv
-                       for i in range(ifs.dim))
+    minv = ifs.field.from_rational(Fraction(1, ifs.m))
+    center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * minv
+                   for i in range(ifs.dim))
     k_min = min(ifs.exponents)
     rmax = ifs.base.ratio_interval(k_min, 96)
     worst = RatInterval.point(0)
     for s in ifs.maps:
-        d2 = _as_interval(point_dist_sq(s.apply(center), center), 96)
+        d2 = dist_sq_interval(s.apply(center), center)
         if d2.hi > worst.hi:
             worst = d2
     r_up = (sqrt_interval(RatInterval(max(Fraction(0), worst.lo), worst.hi), 80)
@@ -502,7 +485,7 @@ def subdivision_intersects(ifs: IFS, f: Similitude, g: Similitude,
         raise OracleError("maps must come from a common stopping level")
 
     def feasible(u: Similitude) -> bool:
-        lhs = _as_interval(point_dist_sq(u.apply(center), center), 96)
+        lhs = dist_sq_interval(u.apply(center), center)
         ratio = ifs.base.ratio_interval(u.exponent, 96)
         rhs = (RatInterval.point(1) + ratio).square() * r2
         return not lhs.strictly_greater(rhs)
@@ -558,10 +541,7 @@ def _cycle_certificate(ifs: IFS, u: Similitude, a_letters, b_letters) -> bool:
         return not a_letters and not b_letters and u.is_identity()
     za = ifs.map_of_word(a_letters).fixed_point()
     zb = ifs.map_of_word(b_letters).fixed_point()
-    image = u.apply(zb)
-    if isinstance(image, FieldElement):
-        return image == za
-    return all(x == y for x, y in zip(image, za))
+    return u.apply(zb) == za
 
 
 # ----------------------------------------------------------------------

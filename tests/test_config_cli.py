@@ -146,6 +146,31 @@ def test_cli_spectrum_reports_dp_coarsening(tmp_path, capsys, monkeypatch):
     assert out.count("continued in floats") == 1 and "n = 16" in out
 
 
+def test_cli_spectrum_checks_irreducibility_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = spectrum.irreducibility_check
+
+    def counted(ess):
+        calls.append(ess)
+        return original(ess)
+
+    monkeypatch.setattr(spectrum, "irreducibility_check", counted)
+    if hasattr(cli, "irreducibility_check"):
+        monkeypatch.setattr(cli, "irreducibility_check", counted)
+    assert cli.main(["spectrum", "--config", "bundled:golden-bernoulli",
+                     "--q-grid", "1.5:2.5:0.5", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    path = tmp_path / "golden-bernoulli-spectrum.csv"
+    assert capsys.readouterr().out == (
+        "essential class: 5 states, L = 9, irreducibility exponent r = 4\n"
+        "tau(1) = -0.000e+00 via eigenvector-exact\n"
+        f"curve written to {path} (max bound width 1.11, concavity defect 0; "
+        "smoothness diagnostic is non-rigorous)\n"
+        "note: the tau column follows the subadditive estimate (exactly concave); "
+        "tau_lower/tau_upper give the rigorous range, and --integer-q-exact "
+        "appends certified values at integer q\n")
+
+
 def test_cli_oracle(tmp_path, capsys):
     rc = cli.main(["oracle", "tau", "--config", "bundled:lebesgue-1-2",
                    "--q", "2.0", "--n-min", "6", "--n-max", "12",

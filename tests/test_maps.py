@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
-from selfsim.maps import IFS, MapError, ScaleBase, Similitude
+from selfsim.maps import IFS, MapError, ScaleBase, Similitude, dist_sq_interval
 
 K = NumberField([-1, 1, 1], RootBox(RatInterval(0, 1)))
 RHO = K.gen
@@ -168,3 +168,76 @@ def test_word_probability_product(aw, bw):
     wc = GOLDEN.word(tuple(aw) + tuple(bw))
     assert wc.probability == wa.probability * wb.probability
     assert wc.exponent == wa.exponent + wb.exponent
+
+
+# -- a complex map z -> c z + t is the 1x1 case of x -> L x + t ---------------
+
+KC = NumberField([F(1, 2), -1, 1], RootBox(RatInterval(0, 1), RatInterval(F(1, 4), 1)),
+                 complex_embedding=True)
+
+small_q = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+dragon_el = st.tuples(small_q, small_q).map(KC.element)
+nonzero_el = dragon_el.filter(lambda c: not c.is_zero())
+
+
+def complex_map(c, t, k=1):
+    return Similitude(KC, ((c,),), (t,), k)
+
+
+def _scalar_key(e, c, t):
+    def flat(x):
+        return tuple(v for q in x.coeffs for v in (q.numerator, q.denominator))
+    return (e, flat(c), flat(t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(nonzero_el, dragon_el, nonzero_el, dragon_el, dragon_el)
+def test_complex_map_matches_scalar_formulas(c1, t1, c2, t2, z):
+    s1, s2 = complex_map(c1, t1), complex_map(c2, t2, 2)
+    comp = s1.compose(s2)
+    assert comp.linear == ((c1 * c2,),) and comp.translation == (c1 * t2 + t1,)
+    assert comp.exponent == 3
+    inv = s1.inverse()
+    assert inv.linear == ((c1.inverse(),),) and inv.translation == (-(t1 / c1),)
+    assert s1.apply((z,)) == (c1 * z + t1,)
+    if c1 != KC.one:
+        assert s1.fixed_point() == (t1 / (KC.one - c1),)
+    assert str(s1) == f"z->({c1})*z+({t1})"
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 3), nonzero_el, dragon_el),
+                min_size=2, max_size=8))
+def test_complex_map_key_sorts_like_scalar_key(specs):
+    maps = [complex_map(c, t, e) for e, c, t in specs]
+    by_key = sorted(range(len(maps)), key=lambda i: maps[i].key())
+    by_scalar = sorted(range(len(maps)), key=lambda i: _scalar_key(*specs[i]))
+    assert by_key == by_scalar
+
+
+@settings(max_examples=30, deadline=None)
+@given(dragon_el, dragon_el, st.tuples(small_q, small_q), st.tuples(small_q, small_q))
+def test_dist_sq_interval_encloses_the_exact_square(z, w, p, q):
+    # complex: |z - w|^2 = (z - w) * conj(z - w), the real slice of its rectangle
+    def ends(iv):
+        return iv.lo, iv.hi
+
+    d = z - w
+    assert ends(dist_sq_interval((z,), (w,))) == ends((d * d.conjugate()).enclosure(96).re)
+    # real 2-D: the sum of squared coordinate differences
+    a = tuple(K.from_rational(x) + RHO for x in p)
+    b = tuple(K.from_rational(x) for x in q)
+    exact = sum(((x - y) * (x - y) for x, y in zip(a, b)), start=K.zero)
+    assert ends(dist_sq_interval(a, b)) == ends(exact.enclosure(96))
+
+
+def test_dragon_maps_are_one_by_one(dragon):
+    auto = dragon.automaton
+    maps = list(dragon.ifs.maps) + list(dragon.decider.gamma_maps())
+    for st_ in auto.states:
+        maps.extend(st_.umaps)
+        maps.append(st_.rmap)
+    assert len(maps) > len(dragon.ifs.maps)
+    for s in maps:
+        assert len(s.linear) == 1 and len(s.linear[0]) == 1
+        assert len(s.translation) == 1
