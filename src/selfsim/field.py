@@ -7,14 +7,18 @@ are exact.  The selected root is pinned down by a rational isolating
 box which can be refined on demand; every element then gets a certified
 interval (real backend) or rectangle (complex backend) enclosure of its
 embedding.
+
+sympy is imported only where it is needed: by ``check_pisot`` (and the
+``isolate_all_roots`` it calls), and by the irreducibility test of a
+minimal polynomial of degree >= 3.  Degrees 1 and 2 are decided here, so
+building a linear or quadratic field loads no sympy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Sequence
-
-import sympy
 
 from .intervals import RatInterval, RectInterval, sqrt_interval
 
@@ -58,7 +62,9 @@ def poly_derivative(coeffs: Sequence[Fraction]):
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
-def _sympy_poly(coeffs: Sequence[Fraction]) -> sympy.Poly:
+def _sympy_poly(coeffs: Sequence[Fraction]):
+    import sympy
+
     return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
                                  for c in map(_rat, reversed(coeffs))], sympy.Symbol("x"))
 
@@ -67,11 +73,24 @@ def _from_sympy(q) -> Fraction:
     return Fraction(int(q.p), int(q.q))
 
 
+def _is_rational_square(q: Fraction) -> bool:
+    return (q >= 0 and isqrt(q.numerator) ** 2 == q.numerator
+            and isqrt(q.denominator) ** 2 == q.denominator)
+
+
 def _is_irreducible(coeffs: Sequence[Fraction]) -> bool:
-    poly = _sympy_poly(coeffs)
-    if poly.degree() == 1:
+    """Irreducibility over Q; degree >= 3 is decided by sympy's factor_list.
+
+    a x^2 + b x + c is reducible iff it has a rational root, i.e. iff its
+    discriminant b^2 - 4ac is the square of a rational.
+    """
+    degree = len(coeffs) - 1
+    if degree == 1:
         return True
-    _, factors = poly.factor_list()
+    if degree == 2:
+        c, b, a = coeffs
+        return not _is_rational_square(b * b - 4 * a * c)
+    _, factors = _sympy_poly(coeffs).factor_list()
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -202,6 +221,8 @@ def isolate_all_roots(coeffs, bits: int = 80) -> list[RootBox]:
     Exact isolation by sympy: the boxes are disjoint and complete by
     construction.  A repeated root is refused.
     """
+    import sympy
+
     real, cplx = _sympy_poly(coeffs).intervals(all=True, eps=sympy.Rational(1, 1 << bits))
     if any(mult != 1 for _, mult in real + cplx):
         raise FieldError("polynomial is not squarefree")

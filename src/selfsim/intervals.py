@@ -124,6 +124,14 @@ class RatInterval:
     def __float__(self):
         return float(self.mid)
 
+    def __eq__(self, other):
+        if not isinstance(other, RatInterval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
     def __repr__(self):
         return f"RatInterval({self.lo}, {self.hi})"
 
@@ -236,6 +244,14 @@ class RectInterval:
 
     def __complex__(self):
         return complex(float(self.re.mid), float(self.im.mid))
+
+    def __eq__(self, other):
+        if not isinstance(other, RectInterval):
+            return NotImplemented
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash((self.re, self.im))
 
     def __repr__(self):
         return f"RectInterval({self.re!r}, {self.im!r})"

@@ -1,7 +1,11 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +100,55 @@ def test_cli_check_ftc_inconclusive(tmp_path, capsys):
     path.write_text(IfsConfig.from_dict(cfg).canonical_json())
     rc = cli.main(["check-ftc", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
+
+
+# Runs in a fresh interpreter: prints, as JSON, whether sympy is loaded after
+# each step of the start-up, build and spectrum path, then the check-ftc
+# report (which is the one command that needs sympy).
+_SYMPY_PROBE = """
+import contextlib, io, json, sys
+import selfsim, selfsim.cli
+names, out = sys.argv[1].split(","), sys.argv[2]
+loaded = {"import": "sympy" in sys.modules}
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in names:
+        assert selfsim.cli.main(["build", "--config", "bundled:" + name, "--out", out]) == 0
+        loaded["build " + name] = "sympy" in sys.modules
+    assert selfsim.cli.main(["spectrum", "--config", "bundled:golden-bernoulli",
+                             "--out", out]) == 0
+    loaded["spectrum golden-bernoulli"] = "sympy" in sys.modules
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    rc = selfsim.cli.main(["check-ftc", "--config", "bundled:complex-pisot-demo",
+                           "--out", out])
+print(json.dumps({"loaded": loaded, "ftc_rc": rc, "ftc": report.getvalue(),
+                  "ftc_loaded": "sympy" in sys.modules}))
+"""
+
+
+def test_pipeline_path_loads_no_sympy(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, ",".join(ALL), str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert len(result["loaded"]) == len(ALL) + 2
+    assert not any(result["loaded"].values()), result["loaded"]
+    # check_pisot isolates roots with sympy: the probe does see the import
+    assert result["ftc_rc"] == 0 and result["ftc_loaded"]
+    assert result["ftc"] == (
+        "pisot advisory: 1/rho is complex-pisot (|1/rho| = 1.414214, algebraic integer: True)\n"
+        "finite type verified: |Gamma| = 7 maps (7 tagged nodes alive of 21 candidates)\n"
+        "  z->(1)*z+(-2)\n"
+        "  z->(1)*z+(-2+2*r)\n"
+        "  z->(1)*z+(-2*r)\n"
+        "  z->(1)*z+(0)\n"
+        "  z->(1)*z+(2*r)\n"
+        "  z->(1)*z+(2-2*r)\n"
+        "  z->(1)*z+(2)\n")
 
 
 def test_cli_invalid_config(tmp_path, capsys):

@@ -1,9 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+import sympy
+from hypothesis import example, given, settings, strategies as st
 
-from selfsim.field import (FieldError, NumberField, RootBox, check_pisot,
+from selfsim.field import (FieldError, NumberField, RootBox, _is_irreducible, check_pisot,
                            format_rational, parse_rational)
 from selfsim.intervals import RatInterval, RectInterval, sqrt_interval
 
@@ -91,6 +92,58 @@ def test_degree_one_field_is_exact():
 def test_reducible_minimal_polynomial_rejected():
     with pytest.raises(FieldError):
         NumberField([F(-1, 2), F(-1, 2), 1], RootBox(RatInterval(F(1, 2), F(3, 2))))
+
+
+def _sympy_irreducible(coeffs):
+    """Reference verdict: sympy's factorisation over Q (coefficients ascending)."""
+    x = sympy.Symbol("x")
+    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
+               for i, c in enumerate(coeffs))
+    _, factors = sympy.Poly(expr, x).factor_list()
+    return len(factors) == 1 and factors[0][1] == 1
+
+
+small_rat = st.builds(F, st.integers(-12, 12), st.integers(1, 12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_rat, small_rat)
+@example(F(-2), F(0))       # x^2 - 2: discriminant 8 > 0 is no square
+@example(F(1, 8), F(1))     # x^2 + x + 1/8: discriminant 1/2, square numerator only
+@example(F(-1, 2), F(0))    # x^2 - 1/2: discriminant 2, square denominator only
+@example(F(1, 4), F(1))     # (x + 1/2)^2: discriminant 0
+def test_quadratic_irreducibility_matches_sympy(c0, c1):
+    coeffs = [c0, c1, F(1)]
+    assert _is_irreducible(coeffs) == _sympy_irreducible(coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_rat, small_rat)
+@example(F(1, 3), F(1, 3))  # a double root
+@example(F(0), F(0))        # x^2
+def test_quadratic_with_rational_roots_is_reducible(r, s):
+    coeffs = [r * s, -(r + s), F(1)]
+    assert not _is_irreducible(coeffs)
+    assert not _sympy_irreducible(coeffs)
+    with pytest.raises(FieldError, match="reducible"):
+        NumberField(coeffs, RootBox(RatInterval(r - 1, r + 1)))
+
+
+@pytest.mark.parametrize("root", [F(0), F(1), F(-7, 3), F(5, 12)])
+def test_linear_polynomials_are_irreducible(root):
+    assert _is_irreducible([-root, F(1)])
+
+
+def test_cubic_irreducibility_through_sympy():
+    # x^3 - x - 1 (the plastic number's polynomial) is irreducible
+    K = NumberField([-1, -1, 0, 1], RootBox(RatInterval(1, 2)))
+    assert K.degree == 3 and K.gen ** 3 == K.gen + 1
+    assert abs(float(K.gen) - 1.324717957244746) < 1e-12
+    # (x - 1/2)(x^2 + 1) = x^3 - x^2/2 + x - 1/2 has the rational root 1/2
+    reducible = [F(-1, 2), 1, F(-1, 2), 1]
+    assert not _is_irreducible(reducible)
+    with pytest.raises(FieldError, match="reducible"):
+        NumberField(reducible, RootBox(RatInterval(0, 1)))
 
 
 def test_check_pisot_examples():

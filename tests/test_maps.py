@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfsim.field import NumberField, RootBox
-from selfsim.intervals import RatInterval
+from selfsim.intervals import RatInterval, RectInterval
 from selfsim.maps import IFS, MapError, ScaleBase, Similitude, dist_sq_interval
 
 K = NumberField([-1, 1, 1], RootBox(RatInterval(0, 1)))
@@ -219,16 +219,26 @@ def test_complex_map_key_sorts_like_scalar_key(specs):
 @given(dragon_el, dragon_el, st.tuples(small_q, small_q), st.tuples(small_q, small_q))
 def test_dist_sq_interval_encloses_the_exact_square(z, w, p, q):
     # complex: |z - w|^2 = (z - w) * conj(z - w), the real slice of its rectangle
-    def ends(iv):
-        return iv.lo, iv.hi
-
     d = z - w
-    assert ends(dist_sq_interval((z,), (w,))) == ends((d * d.conjugate()).enclosure(96).re)
+    assert dist_sq_interval((z,), (w,)) == (d * d.conjugate()).enclosure(96).re
     # real 2-D: the sum of squared coordinate differences
     a = tuple(K.from_rational(x) + RHO for x in p)
     b = tuple(K.from_rational(x) for x in q)
     exact = sum(((x - y) * (x - y) for x, y in zip(a, b)), start=K.zero)
-    assert ends(dist_sq_interval(a, b)) == ends(exact.enclosure(96))
+    assert dist_sq_interval(a, b) == exact.enclosure(96)
+
+
+def test_intervals_compare_by_value():
+    d2 = dist_sq_interval((RHO, K.zero), (K.zero, K.from_rational(F(1, 3))))
+    fresh = RatInterval(d2.lo, d2.hi)
+    assert fresh is not d2 and fresh == d2 and hash(fresh) == hash(d2)
+    assert len({d2, fresh}) == 1
+    assert d2 != RatInterval(d2.lo, d2.hi + 1) and d2 != RatInterval(d2.lo - 1, d2.hi)
+    box = RectInterval(d2, RatInterval(0, 1))
+    assert box == RectInterval(fresh, RatInterval(F(0), F(1)))
+    assert hash(box) == hash(RectInterval(fresh, RatInterval(0, 1)))
+    assert box != RectInterval(d2, RatInterval(0, 2)) and box != RectInterval(fresh, fresh)
+    assert d2 != box and d2 != d2.lo
 
 
 def test_dragon_maps_are_one_by_one(dragon):
