@@ -104,12 +104,11 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
     vset = set(state.vpos)
     for j, (psi, tag) in enumerate(zip(state.umaps, state.utags)):
         for br in ifs.bridges(tag):
-            h = decider.compose(psi, br.map)
-            key = h.key()
-            rec = recs.get(key)
+            h = decider.compose(psi, br.map)  # interned: equal maps are one object
+            rec = recs.get(h)
             if rec is None:
                 rec = _ChildRec(h, br.new_tag, (j, br.letters))
-                recs[key] = rec
+                recs[h] = rec
             else:
                 if rec.tag != br.new_tag:
                     raise MapError("inconsistent scale tag for a child map")
@@ -157,8 +156,8 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
         h1_inv = h1.inverse()
         umaps = tuple(decider.compose(h1_inv, r.map) for r in nlist)
         utags = tuple(r.tag for r in nlist)
-        member_keys = {allowed[i].map.key() for i in members}
-        vpos = tuple(i for i, r in enumerate(nlist) if r.map.key() in member_keys)
+        member_maps = {allowed[i].map for i in members}
+        vpos = tuple(i for i, r in enumerate(nlist) if r.map in member_maps)
         child = AtomState(umaps, utags, vpos, h1)
         tmat = _edge_matrix(state, allowed, members)
         out.append((child, tmat))
@@ -173,19 +172,19 @@ def _signatures(allowed, cover_sets, decider: NeighborDecider):
     entries; yields index tuples in lexicographic order.
     """
     n = len(allowed)
-    suffix_cover = [set() for _ in range(n + 1)]
+    nv = len(cover_sets)
+    covers = [[k for k, s in enumerate(cover_sets) if i in s] for i in range(n)]
+    # missing[i]: the V entries no allowed map from index i on can cover
+    missing = [list(range(nv))]
     for i in range(n - 1, -1, -1):
-        suffix_cover[i] = suffix_cover[i + 1] | {
-            k for k, s in enumerate(cover_sets) if i in s}
+        missing.append([k for k in missing[-1] if k not in covers[i]])
+    missing.reverse()
 
     chosen: list[int] = []
+    count = [0] * nv  # chosen maps covering each V entry
 
     def uncovered_after(i):
-        got = set()
-        for k, s in enumerate(cover_sets):
-            if any(c in s for c in chosen):
-                got.add(k)
-        return {k for k in range(len(cover_sets)) if k not in got} - suffix_cover[i]
+        return any(not count[k] for k in missing[i])
 
     def rec(i):
         if i == n:
@@ -208,7 +207,11 @@ def _signatures(allowed, cover_sets, decider: NeighborDecider):
             ok = decider.tuple_intersects(maps, tags)
         if ok:
             chosen.append(i)
+            for k in covers[i]:
+                count[k] += 1
             yield from rec(i + 1)
+            for k in covers[i]:
+                count[k] -= 1
             chosen.pop()
         yield from rec(i + 1)
 

@@ -150,6 +150,7 @@ def cmd_spectrum(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.name}-spectrum.csv"
     h = cfg.config_hash()
+    fell_back = []  # integer q whose certified row fell back to finite-n
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["q", "tau", "tau_lower", "tau_upper", "method", "n", "config_hash"])
@@ -165,6 +166,8 @@ def cmd_spectrum(args) -> int:
                 tau, lo, hi, est = engine.tau(float(q))
                 w.writerow([repr(float(q)), repr(tau), repr(lo), repr(hi),
                             est.method, est.n, h])
+                if est.method == "finite-n":
+                    fell_back.append(q)
     tau1, lo1, hi1, est1 = engine.tau(1.0)
     print(f"essential class: {len(engine.ess.ids)} states, L = {engine.ess.size}, "
           f"irreducibility exponent r = {r}")
@@ -181,6 +184,14 @@ def cmd_spectrum(args) -> int:
         print("note: the tau column follows the subadditive estimate (exactly "
               "concave); tau_lower/tau_upper give the rigorous range, and "
               "--integer-q-exact appends certified values at integer q")
+    if fell_back:
+        print(f"note: --integer-q-exact fell back to finite-n at q = "
+              f"{', '.join(str(q) for q in fell_back)} (L^q above kron_dim_budget), "
+              "so those rows carry finite-n bounds")
+    ncomp = engine.ess.diagnostics["terminal_components"]
+    if ncomp > 1:
+        print(f"note: the pruned automaton has {ncomp} terminal components; "
+              "the essential class is the one with the smallest state id")
     return EXIT_OK
 
 

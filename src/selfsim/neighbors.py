@@ -201,17 +201,44 @@ def prune(graph: NeighborGraph) -> NeighborGraph:
 
 
 class NeighborDecider:
-    """Exact intersection oracle for same-level cylinder maps and tuples."""
+    """Exact intersection oracle for same-level cylinder maps and tuples.
+
+    Under the finite type condition the relative maps and the bridge maps
+    form a finite set, so every map the decider meets is interned: `_ids`
+    takes a Similitude (equal maps over one field) to a small int id and
+    `_maps` takes the id back.  Ids are per decider, handed out in order of
+    first sight.  The compose and inverse tables, the pair, tuple and raw
+    memos and the surviving closure nodes are all keyed by ids, and a tuple
+    state is a sorted tuple of (id, tag).  Its canonical form is the least
+    such tuple over the left renormalizations, so it follows id order: a
+    fixed total order for the life of the decider.  A verdict does not
+    depend on it, because a common left composition moves every cylinder
+    of the tuple together and keeps their intersection empty or not.
+    """
 
     def __init__(self, ifs: IFS, max_nodes: int = 20000, tuple_budget: int = 200000):
         self.ifs = ifs
         self.max_nodes = max_nodes
         self.tuple_budget = tuple_budget
         self._graph: NeighborGraph | None = None
+        self._reset()
+
+    def _reset(self):
+        """Empty every id-keyed table together; ids restart from 0."""
+        self._ids: dict = {}             # Similitude -> id
+        self._maps: list = []            # id -> interned Similitude
+        self._inv: list = []             # id -> id of the inverse, or None
+        self._compose_memo: dict = {}    # (id, id) -> id
+        self._bridge_ids: dict = {}      # tag -> ((bridge id, new tag), ...)
+        self._alive: set | None = None   # (relative id, tag, tag) of survivors
         self._pair_memo: dict = {}
         self._tuple_memo: dict = {}
         self._raw_memo: dict = {}
-        self._compose_memo: dict = {}
+
+    def _bound_memory(self):
+        # only between public calls, never inside a tuple decision
+        if len(self._maps) > 200_000 or len(self._raw_memo) > 2_000_000:
+            self._reset()
 
     @property
     def graph(self) -> NeighborGraph:
@@ -226,21 +253,51 @@ class NeighborDecider:
     def gamma_maps(self):
         return self.graph.gamma_maps()
 
-    def compose(self, f: Similitude, g: Similitude) -> Similitude:
-        """f.compose(g), memoized per (f, g).
+    # -- the intern table --------------------------------------------------
+    def _intern(self, smap: Similitude) -> int:
+        i = self._ids.get(smap)
+        if i is None:
+            if smap.field is not self.ifs.field:
+                raise MapError("similitude over a different field than the decider's")
+            i = len(self._maps)
+            self._ids[smap] = i
+            self._maps.append(smap)
+            self._inv.append(None)
+        return i
 
-        Under the finite type condition the relative maps and the bridge
-        maps form a finite set, so the same compositions recur.  Keyed
-        by the pair of maps, whose equality includes the field.
-        """
-        key = (f, g)
-        h = self._compose_memo.get(key)
-        if h is None:
-            h = f.compose(g)
-            if len(self._compose_memo) >= 200_000:
-                self._compose_memo.clear()
-            self._compose_memo[key] = h
-        return h
+    def _compose_id(self, a: int, b: int) -> int:
+        c = self._compose_memo.get((a, b))
+        if c is None:
+            c = self._intern(self._maps[a].compose(self._maps[b]))
+            self._compose_memo[(a, b)] = c
+        return c
+
+    def _inverse_id(self, a: int) -> int:
+        b = self._inv[a]
+        if b is None:
+            b = self._intern(self._maps[a].inverse())
+            self._inv[a] = b
+            self._inv[b] = a
+        return b
+
+    def _bridges_of(self, tag: int) -> tuple:
+        out = self._bridge_ids.get(tag)
+        if out is None:
+            out = tuple((self._intern(b.map), b.new_tag) for b in self.ifs.bridges(tag))
+            self._bridge_ids[tag] = out
+        return out
+
+    def _alive_nodes(self) -> set:
+        if self._alive is None:
+            self._alive = {(self._intern(n.map),) + n.tags
+                           for n in self.graph.nodes.values() if n.alive}
+        return self._alive
+
+    # -- public queries ----------------------------------------------------
+    def compose(self, f: Similitude, g: Similitude) -> Similitude:
+        """f.compose(g), memoized; equal results are one interned object."""
+        self._bound_memory()
+        return self._maps[self._compose_id(self._intern(f), self._intern(g))]
 
     def pair_of(self, s1: Similitude, t1: int, s2: Similitude, t2: int) -> bool:
         """Memoized intersection verdict for two tagged same-level maps.
@@ -248,19 +305,22 @@ class NeighborDecider:
         Read off the pruned closure: the node of s1^{-1} s2 with tags
         (t1, t2) exists and survived.
         """
-        key = (s1, t1, s2, t2)
-        hit = self._pair_memo.get(key)
-        if hit is not None:
-            return hit
-        if s1 is s2 or s1 == s2:
-            out = True
-        else:
-            rel = self.compose(s1.inverse(), s2)
-            node = self.graph.nodes.get((rel.key(), (t1, t2)))
-            out = node is not None and node.alive
-        self._pair_memo[key] = out
-        self._pair_memo[(s2, t2, s1, t1)] = out
-        return out
+        self._bound_memory()
+        p, q = (self._intern(s1), t1), (self._intern(s2), t2)
+        return self._pair(p, q) if p <= q else self._pair(q, p)
+
+    def _pair(self, p, q) -> bool:
+        """Pair verdict for (id, tag) items p <= q."""
+        hit = self._pair_memo.get((p, q))
+        if hit is None:
+            (a, ta), (b, tb) = p, q
+            if a == b:
+                hit = True
+            else:
+                rel = self._compose_id(self._inverse_id(a), b)
+                hit = (rel, ta, tb) in self._alive_nodes()
+            self._pair_memo[(p, q)] = hit
+        return hit
 
     def intersects(self, f: Similitude, g: Similitude) -> bool:
         """Exact decision of f(K) meeting g(K) for same-level cylinder maps."""
@@ -269,10 +329,10 @@ class NeighborDecider:
     def tuple_intersects(self, maps, tags=None) -> bool:
         """Exact decision of a k-fold intersection of same-level cylinders.
 
-        maps: list of Similitudes at one stopping level; tags default to
-        exponent mod k_max.  Memoized on the sorted distinct input; a
-        failing pair decides it at once, and three or more cylinders go
-        to the product graph as one canonical state.
+        maps: list of Similitudes at one stopping level; tags, one per map,
+        default to exponent mod k_max.  Memoized on the sorted distinct
+        input; a failing pair decides it at once, and three or more
+        cylinders go to the product graph as one canonical state.
         """
         maps = list(maps)
         if tags is None:
@@ -280,43 +340,41 @@ class NeighborDecider:
             if len({s.exponent // k for s in maps}) != 1:
                 raise MapError("tuple_intersects requires one stopping level")
             tags = [s.exponent % k for s in maps]
-        items = sorted(dict.fromkeys(zip(maps, tags)), key=lambda p: (p[0].key(), p[1]))
+        else:
+            tags = list(tags)
+            if len(tags) != len(maps):
+                raise MapError(f"tuple_intersects got {len(tags)} tags "
+                               f"for {len(maps)} maps")
+        self._bound_memory()
+        items = tuple(sorted(dict.fromkeys(zip(map(self._intern, maps), tags))))
         if len(items) == 1:
             return True
-        raw = tuple(items)
-        hit = self._raw_memo.get(raw)
-        if hit is not None:
-            return hit
-        out = self._pairwise_ok(items)
-        if out and len(items) > 2:
-            out = self._decide_tuple(self._canonical(items))
-        self._raw_memo[raw] = out
-        if len(self._raw_memo) > 2_000_000:
-            self._raw_memo.clear()
-        return out
+        hit = self._raw_memo.get(items)
+        if hit is None:
+            hit = self._pairwise_ok(items)
+            if hit and len(items) > 2:
+                hit = self._decide_tuple(self._canonical(items))
+            self._raw_memo[items] = hit
+        return hit
 
     def _canonical(self, items):
-        """Normalize a tuple state of distinct components.
+        """Normalize a tuple state of distinct (id, tag) components.
 
         Quotients by a common left composition: renormalizes by each
-        component in turn and keeps the lexicographically smallest sorted
-        representative.
+        component in turn and keeps the least sorted representative.
         """
+        compose = self._compose_id
         best = None
-        best_raw = None
         for pivot, _ in items:
-            inv = pivot.inverse()
-            rel = sorted(((self.compose(inv, s), t) for s, t in items),
-                         key=lambda p: (p[0].key(), p[1]))
-            raw = tuple((s.key(), t) for s, t in rel)
-            if best_raw is None or raw < best_raw:
-                best_raw = raw
-                best = tuple(rel)
+            inv = self._inverse_id(pivot)
+            rel = tuple(sorted([(compose(inv, s), t) for s, t in items]))
+            if best is None or rel < best:
+                best = rel
         return best
 
     def _pairwise_ok(self, state) -> bool:
-        return all(self.pair_of(s1, t1, s2, t2)
-                   for (s1, t1), (s2, t2) in itertools.combinations(state, 2))
+        # state is sorted, so every pair comes in order
+        return all(self._pair(p, q) for p, q in itertools.combinations(state, 2))
 
     def _decide_tuple(self, start) -> bool:
         """Verdict for a canonical tuple state, memoized in `_tuple_memo`.
@@ -346,11 +404,17 @@ class NeighborDecider:
         return memo[start]
 
     def _expand(self, state) -> list:
-        """All simultaneous one-step refinements of a tuple state, canonical."""
+        """All simultaneous one-step refinements of a tuple state, canonical.
+
+        Each refinement is renormalized by its first bridge, which
+        `_canonical` would quotient out anyway; it keeps the composed maps
+        at the scale of the relative maps, where their arithmetic is cheaper.
+        """
+        compose = self._compose_id
         out = []
-        for combo in itertools.product(*(self.ifs.bridges(t) for _, t in state)):
-            base_inv = combo[0].map.inverse()
-            nxt = dict.fromkeys((self.compose(base_inv, self.compose(s, b.map)), b.new_tag)
-                                for (s, _), b in zip(state, combo))
+        for combo in itertools.product(*(self._bridges_of(t) for _, t in state)):
+            base_inv = self._inverse_id(combo[0][0])
+            nxt = dict.fromkeys((compose(base_inv, compose(s, b)), nt)
+                                for (s, _), (b, nt) in zip(state, combo))
             out.append(self._canonical(list(nxt)))
         return out

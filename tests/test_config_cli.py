@@ -224,6 +224,36 @@ def test_cli_spectrum_checks_irreducibility_once(tmp_path, capsys, monkeypatch):
         "appends certified values at integer q\n")
 
 
+def test_cli_spectrum_reports_integer_q_fallback(tmp_path, capsys):
+    args = ["spectrum", "--config", "bundled:golden-bernoulli", "--q-grid", "6:6:1"]
+    assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert "fell back" not in capsys.readouterr().out
+    assert cli.main(args + ["--out", str(tmp_path / "b"), "--integer-q-exact"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("note: --integer-q-exact fell back to finite-n at q = 6 ") == 1
+    rows = (tmp_path / "b" / "golden-bernoulli-spectrum.csv").read_text().splitlines()
+    assert len(rows) == 3 and rows[2].split(",")[4] == "finite-n"
+
+
+def test_cli_spectrum_reports_extra_terminal_components(tmp_path, capsys, monkeypatch):
+    args = ["spectrum", "--config", "bundled:commensurable-osc", "--q-grid", "1.5:2.5:0.5"]
+    assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
+    assert "terminal components" not in capsys.readouterr().out
+    original = spectrum.essential_class
+
+    def two_components(model):
+        ess = original(model)
+        ess.diagnostics["terminal_components"] = 2
+        return ess
+
+    monkeypatch.setattr(spectrum, "essential_class", two_components)
+    assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out
+    assert out.count("note: the pruned automaton has 2 terminal components") == 1
+    name = "commensurable-osc-spectrum.csv"
+    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
 def test_cli_oracle(tmp_path, capsys):
     rc = cli.main(["oracle", "tau", "--config", "bundled:lebesgue-1-2",
                    "--q", "2.0", "--n-min", "6", "--n-max", "12",

@@ -192,8 +192,10 @@ def test_compose_memo_is_exact(pipelines, name):
     p = pipelines(name)
     p.automaton
     memo = p.decider._compose_memo
+    maps = p.decider._maps
     assert memo
-    for (f, g), h in memo.items():
+    for (a, b), c in memo.items():
+        f, g, h = maps[a], maps[b], maps[c]
         assert h.key() == f.compose(g).key()
         assert h.field is f.field
 
@@ -226,5 +228,85 @@ def test_tuple_verdicts_do_not_depend_on_query_order(pipelines, name):
     assert decided
     fresh = NeighborDecider(p.ifs)
     for raw, verdict in reversed(decided):
-        maps, tags = zip(*raw)
+        ids, tags = zip(*raw)
+        maps = [p.decider._maps[i] for i in ids]
         assert fresh.tuple_intersects(maps, tags) == verdict, [str(m) for m in maps]
+
+
+def _copy(s, field=None):
+    """An equal map as a new object, over `field` if given."""
+    if field is None:
+        return Similitude(s.field, s.linear, s.translation, s.exponent)
+    lin = tuple(tuple(field.element(c.coeffs) for c in row) for row in s.linear)
+    tr = tuple(field.element(c.coeffs) for c in s.translation)
+    return Similitude(field, lin, tr, s.exponent)
+
+
+@pytest.mark.parametrize("name", ["golden-bernoulli", "golden-gasket-conjugated"])
+def test_compose_returns_one_object_for_equal_maps(pipelines, name):
+    ifs = pipelines(name).ifs
+    d = NeighborDecider(ifs)
+    f, g = ifs.maps[0], ifs.maps[-1]
+    h = d.compose(f, g)
+    assert h == f.compose(g)
+    assert d.compose(_copy(f), _copy(g)) is h
+    # the same map reached through different pairs
+    fg_h = d.compose(d.compose(f, g), f)
+    assert d.compose(f, d.compose(g, f)) is fg_h
+    assert d.compose(_copy(f), _copy(d.compose(g, f))) is fg_h
+
+
+def test_map_over_another_field_is_refused(pipelines):
+    p = pipelines("golden-bernoulli")
+    ifs = p.ifs
+    other = p.config.build_field()
+    assert other is not ifs.field
+    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(3)]
+    d = NeighborDecider(ifs)
+
+    def answers():
+        return ([d.compose(a, b) for a in ws[:3] for b in ifs.maps],
+                [d.pair_of(a, 0, b, 0) for a in ws for b in ws],
+                [d.tuple_intersects(c) for c in itertools.combinations(ws, 3)])
+
+    before = answers()
+    foreign = _copy(ws[0], other)
+    assert foreign.key() == ws[0].key() and foreign != ws[0]
+    with pytest.raises(MapError):
+        d.compose(foreign, ws[1])
+    with pytest.raises(MapError):
+        d.compose(ws[1], foreign)
+    with pytest.raises(MapError):
+        d.pair_of(ws[1], 0, foreign, 0)
+    with pytest.raises(MapError):
+        d.tuple_intersects([ws[1], ws[2], foreign])
+    after = answers()
+    assert after[1:] == before[1:]
+    assert all(x is y for x, y in zip(after[0], before[0]))
+
+
+def test_answers_survive_clearing_the_id_tables(pipelines):
+    ifs = pipelines("golden-gasket-conjugated").ifs
+    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(2)][:8]
+    d = NeighborDecider(ifs)
+
+    def answers():
+        return ([d.compose(a, b) for a in ws[:3] for b in ws[:3]],
+                [d.pair_of(a, 0, b, 0) for a in ws for b in ws],
+                [d.tuple_intersects(c) for c in itertools.combinations(ws, 3)])
+
+    before = answers()
+    d._reset()  # what the memory bound does between public calls
+    assert answers() == before
+
+
+def test_tuple_intersects_needs_one_tag_per_map(pipelines):
+    ifs = pipelines("golden-bernoulli").ifs
+    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(3)]
+    d = NeighborDecider(ifs)
+    assert not d.tuple_intersects([ws[0], ws[7]])
+    assert not d.tuple_intersects([ws[0], ws[7]], [0, 0])
+    with pytest.raises(MapError):
+        d.tuple_intersects([ws[0], ws[7]], [0])
+    with pytest.raises(MapError):
+        d.tuple_intersects([ws[0]], [0, 0])
