@@ -86,20 +86,27 @@ def essential_class(model: MeasureModel) -> EssentialClass:
 
 
 def _verify_communication(model, ids):
-    idx = {sid: k for k, sid in enumerate(ids)}
-    n = len(ids)
-    adj = np.zeros((n, n), dtype=bool)
-    for sid in ids:
-        for e in model.successors(sid):
-            adj[idx[sid], idx[e.child]] = True
-    reach = adj.copy()
-    for _ in range(n):
-        new = reach | (reach @ adj)
-        if (new == reach).all():
-            break
-        reach = new
-    if not reach.all():
-        raise SpectrumError("essential class members do not all communicate")
+    """Every member reaches every member by a walk of length >= 1.
+
+    One forward and one backward search from the first member: each
+    member is reached from it and reaches it, so any two members are
+    joined through it.
+    """
+    succ = {sid: [e.child for e in model.successors(sid)] for sid in ids}
+    pred = {sid: [] for sid in ids}
+    for sid, children in succ.items():
+        for child in children:
+            pred[child].append(sid)
+    for adj in (succ, pred):
+        seen = set(adj[ids[0]])
+        stack = list(seen)
+        while stack:
+            for nxt in adj[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        if seen != set(ids):
+            raise SpectrumError("essential class members do not all communicate")
 
 
 def lifted_operator(system, q):
@@ -134,29 +141,40 @@ def lifted_operator(system, q):
 
 
 def irreducibility_check(ess: EssentialClass):
-    """Minimal r with sum_{i<=r} H^i entrywise positive; raises on failure."""
-    b = lifted_operator(ess.system, 1).toarray() > 0
-    n = len(b)
-    acc = b.copy()
-    power = b.copy()
+    """Minimal r with sum_{i<=r} H^i entrywise positive; raises on failure.
+
+    Row i of the sum is held as an int bitset acc[i], the set of j reached
+    from i by a walk of length 1..r; one more step gives
+    acc'[i] = succ(i) | OR_{j in succ(i)} acc[j].
+    """
+    b = lifted_operator(ess.system, 1) > 0
+    n = b.shape[0]
+    succ = [b.indices[b.indptr[i]:b.indptr[i + 1]].tolist() for i in range(n)]
+    full = (1 << n) - 1
+    step = [sum(1 << j for j in row) for row in succ]
+    acc = step
     r = 1
-    while not acc.all():
+    while any(a != full for a in acc):
         if r >= n:
-            missing = [(i, j) for i in range(n) for j in range(n) if not acc[i, j]]
+            missing = [(i, j) for i in range(n) for j in range(n) if not acc[i] >> j & 1]
             raise SpectrumError(
                 f"transfer matrix is reducible; zero pattern at {missing[:10]}"
                 f"{'...' if len(missing) > 10 else ''}")
-        power = power @ b
-        acc |= power
+        acc = [reduce(int.__or__, (acc[j] for j in row), s) for s, row in zip(step, succ)]
         r += 1
     return r
 
 
 def min_positive_entry_sum_powers(ess: EssentialClass, r: int) -> float:
-    """delta: the smallest positive entry of sum_{i<=r} H^i (float)."""
-    h = lifted_operator(ess.system, 1).toarray()
-    acc = h.copy()
-    power = h.copy()
+    """delta: the smallest positive entry of sum_{i<=r} H^i (float).
+
+    delta is computed in floats from the `float(Fraction)` entries of H,
+    so it is not certified.  The accumulator is dense; each next power
+    is the dense previous one times the sparse H.
+    """
+    h = lifted_operator(ess.system, 1)
+    power = h.toarray()
+    acc = power.copy()
     for _ in range(r - 1):
         power = power @ h
         acc += power

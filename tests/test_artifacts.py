@@ -1,8 +1,12 @@
-"""`selfsim build` artifacts are byte-identical to the recorded goldens.
+"""`selfsim build` and `selfsim spectrum` outputs are byte-identical to goldens.
 
 Each simplification or speed-up of the pipeline must leave these files
-unchanged, on all six bundled configs.  The goldens are the sha256 values
-recorded in `perfbench/references.json`.
+unchanged, on all six bundled configs.  The build goldens are the sha256
+values recorded in `perfbench/references.json`.  The spectrum goldens are
+the sha256 values of `selfsim spectrum --integer-q-exact` CSVs at the
+default q grid; they pin the tau values and bounds, and the delta that
+enters the finite-n lower bounds, to the last bit.  Those are float
+results, so the spectrum goldens assume the same numpy and BLAS rounding.
 """
 
 import hashlib
@@ -50,6 +54,15 @@ GOLDEN = {
     },
 }
 
+SPECTRUM_GOLDEN = {
+    "cantor-1-3": "3882710a128b6eae19302adf9f2ed7e151f149e4dbe87795a79cfc69fac34ab5",
+    "lebesgue-1-2": "96755daad8d7b38185c7a33a950ac21d89a2c4f67a990b42b7c022c5239f2fd9",
+    "golden-bernoulli": "0c3383b1713d311a27c8f7304f998ddca55da146f084aa73a8e24c4e053885da",
+    "complex-pisot-demo": "98f3a4c2eb29a0a5e011f998c271dce7f87fd5be5d38b5690a0986c8d2e4178d",
+    "golden-gasket-conjugated": "6372cdb2b948827a7d4c2084c50aaee57fd84caaf331f30af1252448e7e06021",
+    "commensurable-osc": "23fb4488fd08c36a2581d8a9eaad7fcacae2d84edd66662f69705649570ac772",
+}
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_build_artifacts_match_golden(name, tmp_path, capsys):
@@ -57,3 +70,11 @@ def test_build_artifacts_match_golden(name, tmp_path, capsys):
     got = {p.name[len(name) + 1:]: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob(f"{name}-*")}
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_GOLDEN))
+def test_spectrum_csv_matches_golden(name, tmp_path, capsys):
+    assert cli.main(["spectrum", "--config", f"bundled:{name}", "--out", str(tmp_path),
+                     "--integer-q-exact"]) == 0
+    got = hashlib.sha256((tmp_path / f"{name}-spectrum.csv").read_bytes()).hexdigest()
+    assert got == SPECTRUM_GOLDEN[name]

@@ -11,7 +11,7 @@ from selfsim.measure import GlobalSystem
 from selfsim import spectrum
 from selfsim.spectrum import (PressureEngine, SpectrumError, essential_class,
                               irreducibility_check, lifted_operator,
-                              spectral_radius_bounds)
+                              min_positive_entry_sum_powers, spectral_radius_bounds)
 
 
 def _block_system(dims, edges):
@@ -73,6 +73,150 @@ def test_irreducibility_golden_fixture(golden):
     r = irreducibility_check(eng.ess)
     assert 1 <= r <= eng.ess.size
     assert r == 4  # regression fixture
+
+
+def _dense_irreducibility_check(ess):
+    """Reference: r from dense boolean matrix powers of H."""
+    b = lifted_operator(ess.system, 1).toarray() > 0
+    n = len(b)
+    acc = b.copy()
+    power = b.copy()
+    r = 1
+    while not acc.all():
+        if r >= n:
+            missing = [(i, j) for i in range(n) for j in range(n) if not acc[i, j]]
+            raise SpectrumError(
+                f"transfer matrix is reducible; zero pattern at {missing[:10]}"
+                f"{'...' if len(missing) > 10 else ''}")
+        power = power @ b
+        acc |= power
+        r += 1
+    return r
+
+
+def _dense_min_positive_entry(ess, r):
+    """Reference: delta from dense float matrix powers of H."""
+    h = lifted_operator(ess.system, 1).toarray()
+    acc = h.copy()
+    power = h.copy()
+    for _ in range(r - 1):
+        power = power @ h
+        acc += power
+    return float(acc[acc > 0].min())
+
+
+def _exact_min_positive_entry(system, r):
+    """Reference: the least positive entry of sum_{i<=r} H^i in Fractions."""
+    h = [{} for _ in range(system.size)]
+    for i, into in enumerate(system.blocks_into):
+        for k, t in into:
+            for a, row in enumerate(t):
+                out = h[system.offsets[k] + a]
+                for b, x in enumerate(row):
+                    col = system.offsets[i] + b
+                    out[col] = out.get(col, F(0)) + x
+    power = [dict(row) for row in h]
+    acc = [dict(row) for row in h]
+    for _ in range(r - 1):
+        nxt = []
+        for row in power:
+            out = {}
+            for k, x in row.items():
+                for j, y in h[k].items():
+                    out[j] = out.get(j, F(0)) + x * y
+            nxt.append(out)
+        power = nxt
+        for a, row in zip(acc, power):
+            for j, x in row.items():
+                a[j] = a.get(j, F(0)) + x
+    return min(x for row in acc for x in row.values() if x > 0)
+
+
+_positive = st.builds(F, st.integers(1, 4), st.integers(1, 4))
+_entries = st.one_of(st.just(F(0)), _positive, _positive)
+
+
+@st.composite
+def pattern_systems(draw):
+    """Block systems with 2-6 states: random (often reducible) patterns,
+    a cycle through every state (periodic), or a cycle with chords.  Half
+    of them draw zero entries, which leave zero rows inside blocks; random
+    patterns also leave states without edges."""
+    t = draw(st.integers(2, 6))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=t, max_size=t))
+    kind = draw(st.sampled_from(["random", "cycle", "cycle+chords"]))
+    pairs = set()
+    if kind != "random":
+        perm = draw(st.permutations(range(t)))
+        pairs |= {(perm[k], perm[(k + 1) % t]) for k in range(t)}
+    if kind != "cycle":
+        pairs |= {(k, i) for k in range(t) for i in range(t) if draw(st.booleans())}
+    entries = draw(st.sampled_from([_entries, _positive]))
+    edges = {(k, i): tuple(tuple(draw(entries) for _ in range(dims[i]))
+                           for _ in range(dims[k]))
+             for k, i in sorted(pairs)}
+    return SimpleNamespace(system=_block_system(dims, edges))
+
+
+def _r_or_error(check, ess):
+    try:
+        return check(ess)
+    except SpectrumError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pattern_systems())
+def test_irreducibility_matches_dense_powers(ess):
+    assert _r_or_error(irreducibility_check, ess) == _r_or_error(_dense_irreducibility_check, ess)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pattern_systems())
+def test_min_positive_entry_matches_fractions_on_fuzz(ess):
+    try:
+        r = irreducibility_check(ess)
+    except SpectrumError:
+        r = 3  # delta is defined for any r once H has a positive entry
+    if lifted_operator(ess.system, 1).nnz == 0:
+        return
+    exact = _exact_min_positive_entry(ess.system, r)
+    delta = min_positive_entry_sum_powers(ess, r)
+    assert abs(delta - exact) <= 1e-12 * exact
+
+
+@pytest.mark.parametrize("name", ["cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
+                                  "golden-gasket-conjugated", "complex-pisot-demo",
+                                  "commensurable-osc"])
+def test_irreducibility_and_delta_match_dense_references(pipelines, name):
+    ess = pipelines(name).engine.ess
+    r = irreducibility_check(ess)
+    assert r == _dense_irreducibility_check(ess)
+    delta = min_positive_entry_sum_powers(ess, r)
+    assert delta.hex() == _dense_min_positive_entry(ess, r).hex()
+    if name != "golden-gasket-conjugated":
+        exact = _exact_min_positive_entry(ess.system, r)
+        assert abs(delta - exact) <= 1e-12 * exact
+
+
+def _fake_model(edges):
+    return SimpleNamespace(successors=lambda sid: [SimpleNamespace(child=c) for c in edges[sid]])
+
+
+@pytest.mark.parametrize("ids", [[1, 2, 3, 4], [3, 4, 1, 2]])
+def test_verify_communication_refuses_one_way_classes(ids):
+    # {1, 2} reaches {3, 4}, which never comes back; the search starts in
+    # the source class (backward search fails) or the sink (forward fails)
+    model = _fake_model({1: [2], 2: [1, 3], 3: [4], 4: [3]})
+    with pytest.raises(SpectrumError, match="^essential class members do not all communicate$"):
+        spectrum._verify_communication(model, ids)
+    spectrum._verify_communication(_fake_model({1: [2], 2: [1, 3], 3: [4], 4: [1]}), ids)
+
+
+def test_verify_communication_needs_a_cycle_through_a_lone_state():
+    spectrum._verify_communication(_fake_model({7: [7]}), [7])
+    with pytest.raises(SpectrumError, match="do not all communicate"):
+        spectrum._verify_communication(_fake_model({7: []}), [7])
 
 
 def test_spectral_radius_certificates():
@@ -199,10 +343,6 @@ def test_lifted_operator_matches_kronecker_sum(pipelines, name, qs):
         assert 0 < lo_l <= hi_l and 0 < lo_k <= hi_k
         assert max(lo_l, lo_k) <= min(hi_l, hi_k) * (1 + 1e-12)
         assert abs(hi_l - hi_k) <= 1e-10 * hi_k
-
-
-_positive = st.builds(F, st.integers(1, 4), st.integers(1, 4))
-_entries = st.one_of(st.just(F(0)), _positive, _positive)
 
 
 @st.composite
