@@ -23,6 +23,8 @@ from .intervals import RatInterval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
 from .neighbors import NeighborDecider
 
+_WITNESS_DEPTH = 10  # ball-subdivision depth of the witness separation test
+
 
 class NotAdmissible(KeyError):
     """Address walks an edge that does not exist."""
@@ -313,11 +315,8 @@ class Automaton:
         return {"states": states, "edges": edges}
 
 
-def build(ifs: IFS, decider: NeighborDecider | None = None,
-          max_states: int = 20000) -> Automaton:
+def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automaton:
     """Construct the full candidate automaton from the root."""
-    if decider is None:
-        decider = NeighborDecider(ifs)
     auto = Automaton(ifs, decider)
     root = root_state(ifs)
     auto.states.append(root)
@@ -362,14 +361,14 @@ class Witness:
     separation_certified: bool
 
 
-def witness(auto: Automaton, sid: int, depth: int = 10):
+def witness(auto: Automaton, sid: int):
     """A point certified inside every V cylinder of the state's atom.
 
     The point is the limit of the nested first-cylinder chain along an
     eventually periodic admissible continuation, so membership in all
     covering cylinders is structural.  Separation from the touching
-    non-covering cylinders is checked by ball subdivision to the given
-    depth; on failure returns None (unknown) rather than guessing.
+    non-covering cylinders is checked by ball subdivision to depth
+    _WITNESS_DEPTH; on failure returns None (unknown) rather than guessing.
     """
     state = auto.states[sid]
     path_r, cycle_r = _periodic_continuation(auto, sid)
@@ -383,7 +382,7 @@ def witness(auto: Automaton, sid: int, depth: int = 10):
         if j in state.vpos:
             continue
         if not _point_separated(auto.ifs, auto.decider, x_local, psi,
-                                state.utags[j], depth):
+                                state.utags[j], _WITNESS_DEPTH):
             certified = False
             break
     if not certified:

@@ -8,28 +8,30 @@ box which can be refined on demand; every element then gets a certified
 interval (real backend) or rectangle (complex backend) enclosure of its
 embedding.
 
-sympy is imported only where it is needed: by ``check_pisot`` (and the
-``isolate_all_roots`` it calls), and by the irreducibility test of a
-minimal polynomial of degree >= 3.  Degrees 1 and 2 are decided here, so
-building a linear or quadratic field loads no sympy.
+One interval-Newton operator on rational rectangles (`_newton_step`)
+certifies roots: `_refine_complex_root` pins a complex selected root with
+it, and `check_pisot` certifies every root with it from `numpy.roots`
+seeds (a real selected root is pinned by bisection).  sympy is imported
+only by the irreducibility test of a minimal polynomial of degree >= 3;
+degrees 1 and 2 are decided here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import isqrt
 from typing import Sequence
 
-from .intervals import RatInterval, RectInterval, sqrt_interval
+from .intervals import RatInterval, RectInterval
 
 Rat = Fraction
+_PISOT_BITS = 80  # check_pisot's root boxes have width 2^-_PISOT_BITS
 
 
 def _rat(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, str):
-        return Fraction(x)
     return Fraction(x)
 
 
@@ -62,17 +64,6 @@ def poly_derivative(coeffs: Sequence[Fraction]):
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
-def _sympy_poly(coeffs: Sequence[Fraction]):
-    import sympy
-
-    return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
-                                 for c in map(_rat, reversed(coeffs))], sympy.Symbol("x"))
-
-
-def _from_sympy(q) -> Fraction:
-    return Fraction(int(q.p), int(q.q))
-
-
 def _is_rational_square(q: Fraction) -> bool:
     return (q >= 0 and isqrt(q.numerator) ** 2 == q.numerator
             and isqrt(q.denominator) ** 2 == q.denominator)
@@ -90,7 +81,11 @@ def _is_irreducible(coeffs: Sequence[Fraction]) -> bool:
     if degree == 2:
         c, b, a = coeffs
         return not _is_rational_square(b * b - 4 * a * c)
-    _, factors = _sympy_poly(coeffs).factor_list()
+    import sympy
+
+    poly = sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
+                                 for c in reversed(coeffs)], sympy.Symbol("x"))
+    _, factors = poly.factor_list()
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -215,23 +210,43 @@ def _numeric_shrink(coeffs, box: RectInterval) -> RectInterval:
     return inter if inter is not None else cand
 
 
-def isolate_all_roots(coeffs, bits: int = 80) -> list[RootBox]:
-    """Rational isolating boxes of width <= 2^-bits for every root.
+def _isolate_roots(coeffs) -> list[RectInterval]:
+    """Disjoint rectangles of width 2^-_PISOT_BITS, one per root.
 
-    Exact isolation by sympy: the boxes are disjoint and complete by
-    construction.  A repeated root is refused.
+    numpy.roots seeds each root; point Newton steps, rounded to a grid
+    2^-40 finer than the boxes, polish the seed, and the box around it
+    counts only if its own Newton image lies inside it (`_newton_step`),
+    which proves it holds exactly one root.  deg p pairwise disjoint such
+    boxes hold every root, so p is squarefree; anything less raises
+    FieldError.  Degree 1 gives the exact rational root.
     """
-    import sympy
+    import numpy as np
 
-    real, cplx = _sympy_poly(coeffs).intervals(all=True, eps=sympy.Rational(1, 1 << bits))
-    if any(mult != 1 for _, mult in real + cplx):
-        raise FieldError("polynomial is not squarefree")
-    boxes = [RootBox(RatInterval(_from_sympy(lo), _from_sympy(hi))) for (lo, hi), _ in real]
-    for (lo, hi), _ in cplx:
-        (re_lo, im_lo), (re_hi, im_hi) = lo.as_real_imag(), hi.as_real_imag()
-        boxes.append(RootBox(RatInterval(_from_sympy(re_lo), _from_sympy(re_hi)),
-                             RatInterval(_from_sympy(im_lo), _from_sympy(im_hi))))
-    return sorted(boxes, key=lambda b: (b.real.lo, b.imag.lo if b.imag else 0))
+    if len(coeffs) == 2:
+        return [RectInterval.point(-coeffs[0] / coeffs[1])]
+    dcoeffs = poly_derivative(coeffs)
+    grid = 1 << (_PISOT_BITS + 40)
+    w = Fraction(1, 1 << (_PISOT_BITS + 1))
+    boxes = []
+    for z in np.roots([float(c) for c in reversed(coeffs)]):
+        pt = RectInterval.point(_rat(z.real), _rat(z.imag))
+        for _ in range(8):
+            nxt = _newton_step(coeffs, dcoeffs, pt)
+            if nxt is None:
+                break
+            nxt = RectInterval.point(*(Fraction(round(x * grid), grid) for x in nxt.mid))
+            if nxt == pt:
+                break
+            pt = nxt
+        re, im = pt.mid
+        box = RectInterval(RatInterval(re - w, re + w), RatInterval(im - w, im + w))
+        n = _newton_step(coeffs, dcoeffs, box)
+        if n is None or not n.contained_in(box):
+            raise FieldError("interval Newton does not certify a root box")
+        boxes.append(box)
+    if any(a.intersect(b) is not None for a, b in combinations(boxes, 2)):
+        raise FieldError("root boxes overlap: repeated or unseparated roots")
+    return boxes
 
 
 # ----------------------------------------------------------------------
@@ -273,11 +288,13 @@ class NumberField:
             if box.is_real and not box.real.contains(root):
                 raise FieldError("isolating box does not contain the rational root")
             return RootBox(RatInterval.point(root))
-        target = Fraction(1, 1 << 64)
+        return self._shrink(box, Fraction(1, 1 << 64), certified=False)
+
+    def _shrink(self, box: RootBox, target: Fraction, certified: bool) -> RootBox:
         if box.is_real:
-            lo, hi = _bisect_real_root(self.min_poly, box.real.lo, box.real.hi, target)
-            return RootBox(RatInterval(lo, hi))
-        rect, _ = _refine_complex_root(self.min_poly, box.as_rect(), target, certified=False)
+            return RootBox(RatInterval(*_bisect_real_root(self.min_poly, box.real.lo,
+                                                          box.real.hi, target)))
+        rect, _ = _refine_complex_root(self.min_poly, box.as_rect(), target, certified)
         return RootBox(rect.re, rect.im)
 
     def _build_powers(self):
@@ -341,14 +358,7 @@ class NumberField:
         if self._box.width <= target_width:
             return
         self._enclosure_cache.clear()
-        if self._box.is_real:
-            lo, hi = _bisect_real_root(self.min_poly, self._box.real.lo,
-                                       self._box.real.hi, target_width)
-            self._box = RootBox(RatInterval(lo, hi))
-        else:
-            rect, _ = _refine_complex_root(self.min_poly, self._box.as_rect(),
-                                           target_width, certified=True)
-            self._box = RootBox(rect.re, rect.im)
+        self._box = self._shrink(self._box, target_width, certified=True)
 
     def enclose(self, el: "FieldElement", bits: int = 64):
         """Certified enclosure of el's embedding: RatInterval or RectInterval."""
@@ -636,52 +646,33 @@ class PisotReport:
 def check_pisot(min_poly: Sequence, root_box: RootBox) -> PisotReport:
     """Classify 1/rho as Pisot, complex Pisot, or neither.
 
-    Works from the reversed polynomial whose roots are the reciprocals
-    of the input's roots; every modulus comparison is certified by root
-    enclosures.  Advisory only: reducible inputs are still classified by
-    the selected root and its cofactors.
+    1/rho is (complex) Pisot iff the reversed monic polynomial has integer
+    coefficients, |rho| < 1, and every conjugate of rho other than its
+    complex partner has modulus > 1.  Every root is held in a certified
+    box (`_isolate_roots`); a modulus comparison those boxes leave
+    undecided classifies as neither.  Advisory only: reducible inputs are
+    still classified by the selected root and its cofactors.  The moduli
+    reported are those of the reciprocals.
     """
     coeffs = [_rat(c) for c in min_poly]
     if coeffs[0] == 0:
         raise FieldError("zero is a root; reciprocal undefined")
-    # reversed polynomial, made monic: roots are reciprocals
-    rev = list(reversed(coeffs))
-    lead = rev[-1]
-    rev = [c / lead for c in rev]
-    is_alg_int = all(c.denominator == 1 for c in rev)
-    boxes = isolate_all_roots(rev, bits=80)
-
-    # pin down rho tightly inside the user's box, then take reciprocals
-    orig_boxes = isolate_all_roots(coeffs, bits=80)
-    inside = [b for b in orig_boxes if b.as_rect().intersect(root_box.as_rect()) is not None]
+    is_alg_int = all((c / coeffs[0]).denominator == 1 for c in coeffs)
+    boxes = _isolate_roots(coeffs)
+    inside = [b for b in boxes if b.intersect(root_box.as_rect()) is not None]
     if len(inside) != 1:
         raise FieldError("isolating box does not isolate a single root")
-    sel_rect = inside[0].as_rect().inverse()
-    selected = [i for i, b in enumerate(boxes) if b.as_rect().intersect(sel_rect) is not None]
-    if len(selected) != 1:
-        raise FieldError("could not match the selected root among reciprocal roots")
-    sel = selected[0]
-    sel_box = boxes[sel]
-    sel_mod = sqrt_interval(sel_box.as_rect().modulus_sq())
-    selected_is_real = sel_box.is_real or sel_box.as_rect().im.contains(0)
-
-    others = [b for i, b in enumerate(boxes) if i != sel]
-    if not selected_is_real:
-        # drop the complex conjugate partner of the selected root
-        conj_rect = sel_box.as_rect().conj()
-        others = [b for b in others if b.as_rect().intersect(conj_rect) is None]
-
-    moduli = []
-    all_inside = True
-    for b in others:
-        m = sqrt_interval(b.as_rect().modulus_sq())
-        moduli.append(float(m.mid))
-        if not m.strictly_less(RatInterval.point(1)):
-            all_inside = False
-
-    big = sel_mod.strictly_greater(RatInterval.point(1))
-    if big and all_inside and is_alg_int:
+    sel = inside[0]
+    selected_is_real = sel.im.contains(0)
+    # the conjugates, without the complex partner of a non-real selected root
+    others = [b for b in boxes
+              if b is not sel and (selected_is_real or b.intersect(sel.conj()) is None)]
+    if len(others) != len(boxes) - (1 if selected_is_real else 2):
+        raise FieldError("could not match the complex conjugate of the selected root")
+    if (is_alg_int and sel.modulus_sq().hi < 1
+            and all(b.modulus_sq().lo > 1 for b in others)):
         kind = "pisot" if selected_is_real else "complex-pisot"
     else:
         kind = "neither"
-    return PisotReport(kind, is_alg_int, moduli, float(sel_mod.mid))
+    return PisotReport(kind, is_alg_int, [1 / abs(complex(b)) for b in others],
+                       1 / abs(complex(sel)))

@@ -287,7 +287,7 @@ class IFS:
     """An ordered list of contracting similitudes with a probability vector."""
 
     def __init__(self, field: NumberField, maps, probabilities, base: ScaleBase,
-                 mode: str = "equicontractive", validate: bool = True):
+                 mode: str = "equicontractive"):
         self.field = field
         self.maps = list(maps)
         self.probabilities = [Fraction(p) for p in probabilities]
@@ -298,8 +298,7 @@ class IFS:
         self.k_max = max(self.exponents)
         self.dim = self.maps[0].dim
         self._bridge_cache: dict[int, tuple] = {}
-        if validate:
-            self._validate()
+        self._validate()
 
     # -- validation (exact) --------------------------------------------------
     def _validate(self):

@@ -19,6 +19,8 @@ from fractions import Fraction
 from .intervals import RatInterval, sqrt_interval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
 
+_BALL_BITS = 96  # bits of the certified enclosures behind the ball tests
+
 
 class BudgetExceeded(RuntimeError):
     """Closure grew past its node budget: finite type not verified."""
@@ -41,7 +43,7 @@ class BoundingBall:
         return f"BoundingBall(R<={self.radius})"
 
 
-def bounding_ball(ifs: IFS, bits: int = 96) -> BoundingBall:
+def bounding_ball(ifs: IFS) -> BoundingBall:
     """Invariant ball centered at the mean of the generator fixed points."""
     fps = [s.fixed_point() for s in ifs.maps]
     minv = ifs.field.from_rational(Fraction(1, ifs.m))
@@ -49,10 +51,10 @@ def bounding_ball(ifs: IFS, bits: int = 96) -> BoundingBall:
                    for i in range(ifs.dim))
     # R = max_i |S_i(c) - c| / (1 - r_max), r_max the largest generator ratio
     k_min = min(ifs.exponents)
-    rmax = ifs.base.ratio_interval(k_min, bits)
+    rmax = ifs.base.ratio_interval(k_min, _BALL_BITS)
     num_sq = RatInterval.point(0)
     for s in ifs.maps:
-        d2 = dist_sq_interval(s.apply(center), center, bits)
+        d2 = dist_sq_interval(s.apply(center), center, _BALL_BITS)
         if d2.hi > num_sq.hi:
             num_sq = d2
     denom = (RatInterval.point(1) - rmax)
@@ -105,15 +107,15 @@ class NeighborGraph:
         return "\n".join(lines)
 
 
-def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude, bits: int = 96) -> bool:
+def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude) -> bool:
     """Necessary condition for smap(K) to meet K; False only when certified."""
-    lhs = dist_sq_interval(smap.apply(ball.center), ball.center, bits)
-    ratio = ifs.base.ratio_interval(smap.exponent, bits)
+    lhs = dist_sq_interval(smap.apply(ball.center), ball.center, _BALL_BITS)
+    ratio = ifs.base.ratio_interval(smap.exponent, _BALL_BITS)
     rhs = (RatInterval.point(1) + ratio).square() * RatInterval.point(ball.radius_sq)
     return not lhs.strictly_greater(rhs)
 
 
-def candidate_closure(ifs: IFS, max_nodes: int = 20000, ball: BoundingBall | None = None) -> NeighborGraph:
+def candidate_closure(ifs: IFS, max_nodes: int = 20000) -> NeighborGraph:
     """BFS closure of same-level relative maps under refinement.
 
     Seeds are all pairs of first-level stopping cylinders; each node
@@ -122,8 +124,7 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000, ball: BoundingBall | Non
     surviving maps as the witness set; exceeding the budget raises
     BudgetExceeded and decides nothing.
     """
-    if ball is None:
-        ball = bounding_ball(ifs)
+    ball = bounding_ball(ifs)
     graph = NeighborGraph(ifs, ball)
     level1 = [(ifs.map_of_word(w.letters), w.exponent - ifs.k_max)
               for w in ifs.stopping_words(ifs.k_max)]

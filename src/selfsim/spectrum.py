@@ -19,7 +19,8 @@ products over admissible words of the essential class.  Three routes:
 `kron_dim_budget` bounds L^q, the dimension of the unlifted Kronecker
 sum, not the lifted dimension: the integer route is taken at the same q
 as with the L^q operator, so every finite-n value recorded beyond the
-budget stays a finite-n value.
+budget stays a finite-n value.  The lifted operator is numpy COO
+arrays, and the certificate's matvec is one `np.bincount` over them.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def _verify_communication(model, ids):
 
 
 def lifted_operator(system, q):
-    """Sparse operator with block (k, i) = T(k, i)^(kron q) on each edge k -> i.
+    """(dim, rows, cols, vals): COO arrays, sorted by (row, col), of the
+    operator with block (k, i) = T(k, i)^(kron q) on each edge k -> i.
 
     Block k has size d_k^q, and q = 1 gives H = sum_i M_i.  Its spectral
     radius is that of sum_i M_i^(kron q) = H^(kron q) P, since rho(XP) =
@@ -119,8 +121,6 @@ def lifted_operator(system, q):
     entries are raised to the q-th power, for any real q > 0; otherwise q
     must be a positive integer.  Reads only `dims` and `blocks_into`.
     """
-    from scipy import sparse
-
     scalar = all(d == 1 for d in system.dims)
     if not scalar and q != int(q):
         raise SpectrumError("lifted operator needs integer q unless all blocks are 1x1")
@@ -135,9 +135,9 @@ def lifted_operator(system, q):
             rows.append(r + offsets[k])
             cols.append(c + offsets[i])
             vals.append(block[r, c])
-    n = int(offsets[-1])
-    return sparse.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                             shape=(n, n))
+    dim = int(offsets[-1])
+    keys, at = np.unique(np.concatenate(rows) * dim + np.concatenate(cols), return_inverse=True)
+    return dim, keys // dim, keys % dim, np.bincount(at, np.concatenate(vals), minlength=len(keys))
 
 
 def irreducibility_check(ess: EssentialClass):
@@ -147,9 +147,9 @@ def irreducibility_check(ess: EssentialClass):
     from i by a walk of length 1..r; one more step gives
     acc'[i] = succ(i) | OR_{j in succ(i)} acc[j].
     """
-    b = lifted_operator(ess.system, 1) > 0
-    n = b.shape[0]
-    succ = [b.indices[b.indptr[i]:b.indptr[i + 1]].tolist() for i in range(n)]
+    n, rows, cols, _ = lifted_operator(ess.system, 1)
+    ends = np.searchsorted(rows, np.arange(n + 1))
+    succ = [cols[a:b].tolist() for a, b in zip(ends[:-1], ends[1:])]
     full = (1 << n) - 1
     step = [sum(1 << j for j in row) for row in succ]
     acc = step
@@ -169,14 +169,19 @@ def min_positive_entry_sum_powers(ess: EssentialClass, r: int) -> float:
     """delta: the smallest positive entry of sum_{i<=r} H^i (float).
 
     delta is computed in floats from the `float(Fraction)` entries of H,
-    so it is not certified.  The accumulator is dense; each next power
-    is the dense previous one times the sparse H.
+    so it is not certified.  Each next power is the dense previous one
+    times the sparse H: column c gains power[:, a] * H[a, c] over the
+    nonzeros (a, c) in row order.  The powers are held transposed.
     """
-    h = lifted_operator(ess.system, 1)
-    power = h.toarray()
+    n, rows, cols, vals = lifted_operator(ess.system, 1)
+    power = np.zeros((n, n))
+    power[cols, rows] = vals
     acc = power.copy()
     for _ in range(r - 1):
-        power = power @ h
+        nxt = np.zeros((n, n))
+        for a, c, v in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+            nxt[c] += power[a] * v
+        power = nxt
         acc += power
     vals = acc[acc > 0]
     return float(vals.min())
@@ -286,8 +291,9 @@ class PressureEngine:
 
     # -- certified routes ------------------------------------------------------
     def _certified(self, q, method: str, n: int) -> PressureEstimate:
-        op = lifted_operator(self.ess.system, q).T.tocsr()
-        lo, hi = spectral_radius_bounds(lambda x: op @ x, op.shape[0])
+        dim, rows, cols, vals = lifted_operator(self.ess.system, q)
+        lo, hi = spectral_radius_bounds(
+            lambda x: np.bincount(cols, vals * x[rows], minlength=dim), dim)
         if lo <= 0:
             raise SpectrumError(f"{method} route found a zero spectral radius")
         return PressureEstimate(q, math.log(lo), math.log(hi),

@@ -102,27 +102,29 @@ def test_cli_check_ftc_inconclusive(tmp_path, capsys):
     assert rc == 2
 
 
-# Runs in a fresh interpreter: prints, as JSON, whether sympy is loaded after
-# each step of the start-up, build and spectrum path, then the check-ftc
-# report (which is the one command that needs sympy).
-_SYMPY_PROBE = """
+# Runs in a fresh interpreter: prints, as JSON, which of sympy and scipy are
+# loaded after each step of the start-up, build and spectrum path, then
+# after the check-ftc report.
+_IMPORT_PROBE = """
 import contextlib, io, json, sys
 import selfsim, selfsim.cli
 names, out = sys.argv[1].split(","), sys.argv[2]
-loaded = {"import": "sympy" in sys.modules}
+def loaded():
+    return [m for m in ("sympy", "scipy") if m in sys.modules]
+steps = {"import": loaded()}
 with contextlib.redirect_stdout(io.StringIO()):
     for name in names:
         assert selfsim.cli.main(["build", "--config", "bundled:" + name, "--out", out]) == 0
-        loaded["build " + name] = "sympy" in sys.modules
+        steps["build " + name] = loaded()
     assert selfsim.cli.main(["spectrum", "--config", "bundled:golden-bernoulli",
-                             "--out", out]) == 0
-    loaded["spectrum golden-bernoulli"] = "sympy" in sys.modules
+                             "--integer-q-exact", "--out", out]) == 0
+    steps["spectrum golden-bernoulli"] = loaded()
 report = io.StringIO()
 with contextlib.redirect_stdout(report):
     rc = selfsim.cli.main(["check-ftc", "--config", "bundled:complex-pisot-demo",
                            "--out", out])
-print(json.dumps({"loaded": loaded, "ftc_rc": rc, "ftc": report.getvalue(),
-                  "ftc_loaded": "sympy" in sys.modules}))
+print(json.dumps({"steps": steps, "ftc_rc": rc, "ftc": report.getvalue(),
+                  "ftc_loaded": loaded()}))
 """
 
 
@@ -131,14 +133,14 @@ def test_pipeline_path_loads_no_sympy(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _SYMPY_PROBE, ",".join(ALL), str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, ",".join(ALL), str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert len(result["loaded"]) == len(ALL) + 2
-    assert not any(result["loaded"].values()), result["loaded"]
-    # check_pisot isolates roots with sympy: the probe does see the import
-    assert result["ftc_rc"] == 0 and result["ftc_loaded"]
+    assert len(result["steps"]) == len(ALL) + 2
+    assert not any(result["steps"].values()), result["steps"]
+    # check_pisot certifies its roots by interval Newton: no sympy, no scipy
+    assert result["ftc_rc"] == 0 and result["ftc_loaded"] == []
     assert result["ftc"] == (
         "pisot advisory: 1/rho is complex-pisot (|1/rho| = 1.414214, algebraic integer: True)\n"
         "finite type verified: |Gamma| = 7 maps (7 tagged nodes alive of 21 candidates)\n"

@@ -2,10 +2,10 @@ from fractions import Fraction as F
 
 import pytest
 import sympy
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from selfsim.field import (FieldError, NumberField, RootBox, _is_irreducible, check_pisot,
-                           format_rational, parse_rational)
+from selfsim.field import (FieldError, NumberField, RootBox, _is_irreducible, _isolate_roots,
+                           check_pisot, format_rational, parse_rational)
 from selfsim.intervals import RatInterval, RectInterval, sqrt_interval
 
 
@@ -94,12 +94,15 @@ def test_reducible_minimal_polynomial_rejected():
         NumberField([F(-1, 2), F(-1, 2), 1], RootBox(RatInterval(F(1, 2), F(3, 2))))
 
 
+def _sympy_poly(coeffs):
+    """The sympy polynomial with these coefficients (ascending)."""
+    return sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
+                                 for c in reversed(coeffs)], sympy.Symbol("x"))
+
+
 def _sympy_irreducible(coeffs):
     """Reference verdict: sympy's factorisation over Q (coefficients ascending)."""
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(c.numerator, c.denominator) * x ** i
-               for i, c in enumerate(coeffs))
-    _, factors = sympy.Poly(expr, x).factor_list()
+    _, factors = _sympy_poly(coeffs).factor_list()
     return len(factors) == 1 and factors[0][1] == 1
 
 
@@ -162,6 +165,99 @@ def test_check_pisot_complex(dragon_field):
                     RootBox(RatInterval(0, 1), RatInterval(F(1, 4), 1)))
     assert r.kind == "complex-pisot"
     assert abs(r.selected_modulus - 2**0.5) < 1e-9
+
+
+def _sympy_roots(coeffs):
+    """Reference: sympy's 40-digit roots, after its isolating intervals
+    have certified how many of them are real."""
+    poly = _sympy_poly(coeffs)
+    real, _ = poly.intervals(all=True)
+    values = poly.nroots(n=40)
+    assert sum(1 for z in values if z.is_real) == len(real)
+    return values
+
+
+def _in_box(z, box, slack=F(1, 10 ** 35)):
+    """z within box, up to the error of a 40-digit root (degree 1 gives a point box)."""
+    return (box.re.lo - slack <= sympy.re(z) <= box.re.hi + slack
+            and box.im.lo - slack <= sympy.im(z) <= box.im.hi + slack)
+
+
+def _sympy_pisot_kind(coeffs, values, sel):
+    """Reference verdict on 1/rho: sympy's monic reversal, and the moduli of
+    sympy's roots against 1 (a modulus within 1e-30 of 1 decides nothing)."""
+    rev = _sympy_poly(coeffs[::-1]).monic()
+    z = values[sel]
+    others = [w for j, w in enumerate(values)
+              if j != sel and (z.is_real or abs(w - sympy.conjugate(z)) > 1e-30)]
+    assert len(others) == len(values) - (1 if z.is_real else 2)
+    if (all(c.is_integer for c in rev.all_coeffs()) and abs(z) < 1 - 1e-30
+            and all(abs(w) > 1 + 1e-30 for w in others)):
+        return "pisot" if z.is_real else "complex-pisot"
+    return "neither"
+
+
+@st.composite
+def squarefree_polys(draw):
+    """Squarefree rational polynomials of degree 1-5 with a nonzero constant term.
+
+    Half of them reverse to integer polynomials (constant term +-1), so
+    that 1/rho is an algebraic integer and Pisot verdicts occur.
+    """
+    degree = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        coeffs = ([F(draw(st.sampled_from([-1, 1])))]
+                  + [F(draw(st.integers(-3, 3))) for _ in range(degree - 1)]
+                  + [F(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])))])
+    else:
+        coeffs = [draw(small_rat) for _ in range(degree + 1)]
+    assume(coeffs[0] != 0 and coeffs[-1] != 0)
+    poly = _sympy_poly(coeffs)
+    assume(sympy.gcd(poly, poly.diff()).degree() == 0)
+    return coeffs, draw(st.integers(0, degree - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(squarefree_polys())
+def test_isolated_roots_match_sympy(spec):
+    coeffs, sel = spec
+    boxes = _isolate_roots(coeffs)
+    assert len(boxes) == len(coeffs) - 1
+    assert all(a.intersect(b) is None for i, a in enumerate(boxes) for b in boxes[:i])
+    values = _sympy_roots(coeffs)
+    # each certified box holds exactly one of sympy's roots, each root one box
+    hits = [[j for j, z in enumerate(values) if _in_box(z, b)] for b in boxes]
+    assert all(len(h) == 1 for h in hits)
+    assert sorted(h[0] for h in hits) == list(range(len(values)))
+    assert sum(1 for b in boxes if b.im.contains(0)) == sum(1 for z in values if z.is_real)
+    z = values[sel]
+    grid = 1 << 60
+    near = lambda x: RatInterval(F(int(x * grid) - 2, grid), F(int(x * grid) + 2, grid))  # noqa: E731
+    root_box = RootBox(near(sympy.re(z)), None if z.is_real else near(sympy.im(z)))
+    assert check_pisot(coeffs, root_box).kind == _sympy_pisot_kind(coeffs, values, sel)
+
+
+def test_check_pisot_tribonacci_and_salem():
+    # rho^3 + rho^2 + rho = 1: 1/rho is the tribonacci constant, a Pisot number
+    r = check_pisot([-1, 1, 1, 1], RootBox(RatInterval(0, 1)))
+    assert r.kind == "pisot" and r.is_algebraic_integer
+    assert abs(r.selected_modulus - 1.839286755214161) < 1e-12
+    assert all(m < 1 for m in r.conjugate_moduli)
+    # x^4 - x^3 - x^2 - x + 1 is its own reversal: a Salem number with two
+    # conjugates on |z| = 1, so no modulus comparison decides them
+    r = check_pisot([1, -1, -1, -1, 1], RootBox(RatInterval(F(1, 2), F(7, 10))))
+    assert r.kind == "neither" and r.is_algebraic_integer
+    assert abs(r.selected_modulus - 1.722083805739043) < 1e-12
+    assert sorted(r.conjugate_moduli)[1:] == pytest.approx([1.0, 1.0], abs=1e-12)
+
+
+@pytest.mark.parametrize("coeffs", [
+    [F(1, 4), -1, 1],                    # (x - 1/2)^2
+    [F(3, 4), F(-11, 4), 2, 1],          # (x - 1/2)^2 (x + 3)
+])
+def test_check_pisot_refuses_repeated_roots(coeffs):
+    with pytest.raises(FieldError):
+        check_pisot(coeffs, RootBox(RatInterval(0, 1)))
 
 
 def test_complex_conjugation(dragon_field):

@@ -24,6 +24,14 @@ def _block_system(dims, edges):
                            offsets=offsets, size=sum(dims))
 
 
+def _dense(op):
+    """The (dim, rows, cols, vals) tuple of `lifted_operator` as a dense matrix."""
+    dim, rows, cols, vals = op
+    m = np.zeros((dim, dim))
+    m[rows, cols] = vals
+    return m
+
+
 def test_essential_class_cantor(cantor):
     ess = essential_class(cantor.measure)
     # the two recurring cylinder states communicate; the root is transient
@@ -77,7 +85,7 @@ def test_irreducibility_golden_fixture(golden):
 
 def _dense_irreducibility_check(ess):
     """Reference: r from dense boolean matrix powers of H."""
-    b = lifted_operator(ess.system, 1).toarray() > 0
+    b = _dense(lifted_operator(ess.system, 1)) > 0
     n = len(b)
     acc = b.copy()
     power = b.copy()
@@ -96,7 +104,7 @@ def _dense_irreducibility_check(ess):
 
 def _dense_min_positive_entry(ess, r):
     """Reference: delta from dense float matrix powers of H."""
-    h = lifted_operator(ess.system, 1).toarray()
+    h = _dense(lifted_operator(ess.system, 1))
     acc = h.copy()
     power = h.copy()
     for _ in range(r - 1):
@@ -178,7 +186,7 @@ def test_min_positive_entry_matches_fractions_on_fuzz(ess):
         r = irreducibility_check(ess)
     except SpectrumError:
         r = 3  # delta is defined for any r once H has a positive entry
-    if lifted_operator(ess.system, 1).nnz == 0:
+    if not _dense(lifted_operator(ess.system, 1)).any():
         return
     exact = _exact_min_positive_entry(ess.system, r)
     delta = min_positive_entry_sum_powers(ess, r)
@@ -311,6 +319,18 @@ def test_certified_routes_converge_before_stall(pipelines, monkeypatch):
             assert hi - lo <= 1e-13 * max(1.0, hi)
 
 
+def test_lifted_operator_coo_sorted_with_repeated_edges_summed():
+    # two edges 0 -> 1 put their blocks on the same positions
+    system = SimpleNamespace(dims=[1, 2], blocks_into=[
+        [(1, ((F(1, 2),), (F(1, 4),)))],
+        [(0, ((F(1, 4), F(0)),)), (0, ((F(1, 4), F(1, 5)),)), (1, ((F(0), F(1)), (F(1), F(0))))],
+    ])
+    dim, rows, cols, vals = lifted_operator(system, 1)
+    assert dim == 3
+    assert (np.diff(rows * dim + cols) > 0).all()
+    assert _dense((dim, rows, cols, vals)).tolist() == [[0, 0.5, 0.2], [0.5, 0, 1], [0.25, 1, 0]]
+
+
 def _kronecker_sum(system, q):
     """Reference: the unlifted sum_i M_i^(kron q), of dimension L^q."""
     total = None
@@ -336,7 +356,7 @@ def _certified_rho(op, **kwargs):
 def test_lifted_operator_matches_kronecker_sum(pipelines, name, qs):
     system = pipelines(name).engine.ess.system
     for q in qs:
-        lifted = lifted_operator(system, q)
+        lifted = _dense(lifted_operator(system, q))
         assert lifted.shape[0] == sum(d ** q for d in system.dims)
         lo_l, hi_l = _certified_rho(lifted)
         lo_k, hi_k = _certified_rho(_kronecker_sum(system, q))
@@ -365,8 +385,8 @@ def block_systems(draw):
 def test_lifted_operator_fuzz_against_eigvals(spec):
     system, q = spec
     rho = max(abs(np.linalg.eigvals(_kronecker_sum(system, q).toarray())))
-    lifted = lifted_operator(system, q)
-    rho_lifted = max(abs(np.linalg.eigvals(lifted.toarray())))
+    lifted = _dense(lifted_operator(system, q))
+    rho_lifted = max(abs(np.linalg.eigvals(lifted)))
     tol = 1e-6 * max(1.0, rho)
     assert abs(rho_lifted - rho) <= tol
     lo, hi = _certified_rho(lifted, max_iter=2000)
