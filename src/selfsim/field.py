@@ -8,25 +8,28 @@ box which can be refined on demand; every element then gets a certified
 interval (real backend) or rectangle (complex backend) enclosure of its
 embedding.
 
-One interval-Newton operator on rational rectangles (`_newton_step`)
-certifies roots: `_refine_complex_root` pins a complex selected root with
-it, and `check_pisot` certifies every root with it from `numpy.roots`
-seeds (a real selected root is pinned by bisection).  sympy is imported
-only by the irreducibility test of a minimal polynomial of degree >= 3;
-degrees 1 and 2 are decided here.
+One root routine serves real and complex fields alike: `_isolate_roots`
+seeds every root with `numpy.roots` and certifies a box around it with
+the interval-Newton operator `_newton_step`, and `_refine` shrinks a box
+by the same operator on an outward-rounded dyadic grid.  The field
+selects its root among those boxes, `_is_irreducible` decides
+irreducibility in every degree from them, and `check_pisot` compares
+their moduli.  numpy is the only import outside the standard library.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import isqrt
+from math import ceil, floor, lcm
 from typing import Sequence
 
 from .intervals import RatInterval, RectInterval
 
 Rat = Fraction
-_PISOT_BITS = 80  # check_pisot's root boxes have width 2^-_PISOT_BITS
+_ROOT_BITS = 80  # _isolate_roots' boxes have width 2^-_ROOT_BITS
+_GUARD_BITS = 16  # _refine rounds to a grid this many bits finer than its target
 
 
 def _rat(x) -> Fraction:
@@ -64,29 +67,39 @@ def poly_derivative(coeffs: Sequence[Fraction]):
     return [c * i for i, c in enumerate(coeffs)][1:]
 
 
-def _is_rational_square(q: Fraction) -> bool:
-    return (q >= 0 and isqrt(q.numerator) ** 2 == q.numerator
-            and isqrt(q.denominator) ** 2 == q.denominator)
+def _is_irreducible(coeffs: Sequence[Fraction], boxes=None) -> bool:
+    """Irreducibility over Q of a rational polynomial p, exact in every degree.
 
-
-def _is_irreducible(coeffs: Sequence[Fraction]) -> bool:
-    """Irreducibility over Q; degree >= 3 is decided by sympy's factor_list.
-
-    a x^2 + b x + c is reducible iff it has a rational root, i.e. iff its
-    discriminant b^2 - 4ac is the square of a rational.
+    A repeated root makes p reducible; gcd(p, p') decides that first
+    (`_isolate_roots` returns None).  Else let p be monic and D the lcm of
+    its denominators.  By Gauss's lemma a monic rational factor of p with
+    root set S has D * prod_{s in S} (x - s) in Z[x].  The root boxes (those
+    of `_isolate_roots`, or `boxes` if the caller holds them) enclose these
+    coefficients for every S of at most half the roots, and are refined
+    until every enclosure is narrower than 1.  Each S then leaves at most
+    one integer candidate, and exact division decides it.
     """
-    degree = len(coeffs) - 1
-    if degree == 1:
+    p = [_rat(c) / coeffs[-1] for c in coeffs]
+    if len(p) == 2:
         return True
-    if degree == 2:
-        c, b, a = coeffs
-        return not _is_rational_square(b * b - 4 * a * c)
-    import sympy
-
-    poly = sympy.Poly.from_list([sympy.Rational(c.numerator, c.denominator)
-                                 for c in reversed(coeffs)], sympy.Symbol("x"))
-    _, factors = poly.factor_list()
-    return len(factors) == 1 and factors[0][1] == 1
+    boxes = boxes or _isolate_roots(p)
+    if boxes is None:
+        return False
+    n, dp = len(p) - 1, poly_derivative(p)
+    scale = lcm(*(c.denominator for c in p))
+    subsets = [s for k in range(1, n // 2 + 1) for s in combinations(range(n), k)]
+    while True:
+        factors = [reduce(_poly_mul, ([-boxes[i], 1] for i in s), [scale]) for s in subsets]
+        if max(c.width for f in factors for c in f[:-1]) < 1:
+            break
+        target = max(b.width for b in boxes) / (1 << 32)
+        boxes = [_refine(p, dp, b, target) for b in boxes]
+    for f in factors:
+        ints = [ceil(c.re.lo) for c in f[:-1]]
+        if (all(k <= c.re.hi and c.im.contains(0) for k, c in zip(ints, f))
+                and not any(_poly_divmod(p, ints + [scale])[1])):
+            return False
+    return True
 
 
 # ----------------------------------------------------------------------
@@ -94,7 +107,14 @@ def _is_irreducible(coeffs: Sequence[Fraction]) -> bool:
 # ----------------------------------------------------------------------
 
 class RootBox:
-    """Rational isolating region for one root: an interval or a rectangle."""
+    """A config's region for the selected root: an interval or a rectangle.
+
+    It need not be small.  `NumberField` and `check_pisot` select the
+    certified root box (`_isolate_roots`) that lies inside it, and refuse
+    the region unless it meets exactly one root box and holds all of it.
+    An interval (imag None) selects among the real roots by their real
+    parts alone.
+    """
 
     def __init__(self, real: RatInterval, imag: RatInterval | None = None):
         self.real = real
@@ -107,38 +127,10 @@ class RootBox:
     def as_rect(self) -> RectInterval:
         return RectInterval(self.real, self.imag or RatInterval.point(0))
 
-    @property
-    def width(self) -> Fraction:
-        if self.imag is None:
-            return self.real.width
-        return max(self.real.width, self.imag.width)
-
     def __repr__(self):
         if self.imag is None:
             return f"RootBox({self.real!r})"
         return f"RootBox({self.real!r}, {self.imag!r})"
-
-
-def _bisect_real_root(coeffs, lo: Fraction, hi: Fraction, target: Fraction):
-    """Shrink [lo,hi] around a sign-change root until width <= target."""
-    flo = poly_eval(coeffs, lo)
-    fhi = poly_eval(coeffs, hi)
-    if flo == 0:
-        return lo, lo
-    if fhi == 0:
-        return hi, hi
-    if (flo > 0) == (fhi > 0):
-        raise FieldError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > target:
-        mid = (lo + hi) / 2
-        fm = poly_eval(coeffs, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return lo, hi
 
 
 def _newton_step(coeffs, dcoeffs, box: RectInterval):
@@ -149,84 +141,59 @@ def _newton_step(coeffs, dcoeffs, box: RectInterval):
     return mid - poly_eval(coeffs, mid) / dp
 
 
-def _refine_complex_root(coeffs, box: RectInterval, target: Fraction,
-                         certified: bool) -> tuple[RectInterval, bool]:
-    """Shrink a rectangle around a simple complex root.
+def _round_out(box: RectInterval, scale: int) -> RectInterval:
+    """The least box with endpoints on the grid 1/scale that holds box."""
+    return RectInterval(*(RatInterval(Fraction(floor(iv.lo * scale), scale),
+                                      Fraction(ceil(iv.hi * scale), scale))
+                          for iv in (box.re, box.im)))
 
-    Returns (box, certified): certified means an interval-Newton
-    contraction N(box) within box was observed, which proves existence
-    and uniqueness of a root in the box.
+
+def _refine(coeffs, dcoeffs, box: RectInterval, target: Fraction) -> RectInterval:
+    """Shrink a certified root box to width <= target by interval Newton.
+
+    Let 2^-n be the largest power of 2 <= target.  Each step keeps
+    box & N(box) (`_newton_step`), rounded outward to the grid
+    2^-(n + _GUARD_BITS).  Every root in box lies in N(box), so the root
+    never leaves the box, and the grid bounds the endpoints' denominators,
+    which exact Newton steps would square.  Last, each axis is rounded
+    outward to the grid 2^-n where that keeps it within target: the
+    dyadic cell that bisection reaches.  Every box stays inside the
+    certified one, and a box symmetric about the real axis stays so.
     """
-    dcoeffs = poly_derivative(coeffs)
-    for _ in range(256):
-        if certified and box.width <= target:
-            return box, True
-        n = _newton_step(coeffs, dcoeffs, box)
-        if n is not None:
-            inter = n.intersect(box)
-            if inter is None:
-                raise FieldError("isolating box excludes the root")
-            if n.contained_in(box):
-                certified = True
-            if inter.width < box.width:
-                box = inter
-                continue
-            if certified:
-                return box, True
-        # Newton not yet contracting: quadrisect and keep sub-boxes where
-        # the polynomial may vanish.
-        keep = [b for b in box.split4() if poly_eval(coeffs, b).contains_zero()]
-        if not keep:
-            raise FieldError("no root in the isolating box")
-        if len(keep) == 1:
-            box = keep[0]
-        else:
-            # root may sit on a split line; merge the survivors back
-            re_lo = min(b.re.lo for b in keep)
-            re_hi = max(b.re.hi for b in keep)
-            im_lo = min(b.im.lo for b in keep)
-            im_hi = max(b.im.hi for b in keep)
-            merged = RectInterval(RatInterval(re_lo, re_hi), RatInterval(im_lo, im_hi))
-            if merged.width >= box.width:
-                # nudge: shrink towards the numeric root
-                box = _numeric_shrink(coeffs, box)
-            else:
-                box = merged
-    if not certified:
-        raise FieldError("could not certify the isolating box; supply a tighter one")
-    return box, certified
+    n = (ceil(1 / target) - 1).bit_length()
+    certified = box
+    while box.width > target:
+        step = _newton_step(coeffs, dcoeffs, box)
+        nxt = step and _round_out(step, 1 << (n + _GUARD_BITS)).intersect(box)
+        if nxt is None or nxt.width >= box.width:
+            raise FieldError("interval Newton does not contract the root box")
+        box = nxt
+    cell = _round_out(box, 1 << n).intersect(certified)
+    return RectInterval(*(c if c.width <= target else b
+                          for c, b in ((cell.re, box.re), (cell.im, box.im))))
 
 
-def _numeric_shrink(coeffs, box: RectInterval) -> RectInterval:
-    import numpy as np
-
-    roots = np.roots([float(c) for c in reversed(coeffs)])
-    cx = complex(box)
-    z = min(roots, key=lambda r: abs(r - cx))
-    w = box.width / 4
-    cand = RectInterval(RatInterval(_rat(z.real) - w, _rat(z.real) + w),
-                        RatInterval(_rat(z.imag) - w, _rat(z.imag) + w))
-    inter = cand.intersect(box)
-    return inter if inter is not None else cand
-
-
-def _isolate_roots(coeffs) -> list[RectInterval]:
-    """Disjoint rectangles of width 2^-_PISOT_BITS, one per root.
+def _isolate_roots(coeffs) -> list[RectInterval] | None:
+    """Disjoint boxes of width 2^-_ROOT_BITS, one per root; None if p has a
+    repeated root, which gcd(p, p') decides exactly.
 
     numpy.roots seeds each root; point Newton steps, rounded to a grid
     2^-40 finer than the boxes, polish the seed, and the box around it
     counts only if its own Newton image lies inside it (`_newton_step`),
     which proves it holds exactly one root.  deg p pairwise disjoint such
-    boxes hold every root, so p is squarefree; anything less raises
-    FieldError.  Degree 1 gives the exact rational root.
+    boxes hold every root; anything less raises FieldError.  A real seed
+    stays real, so the box of a real root is symmetric about the real
+    axis.  Degree 1 gives the exact rational root.
     """
     import numpy as np
 
     if len(coeffs) == 2:
         return [RectInterval.point(-coeffs[0] / coeffs[1])]
     dcoeffs = poly_derivative(coeffs)
-    grid = 1 << (_PISOT_BITS + 40)
-    w = Fraction(1, 1 << (_PISOT_BITS + 1))
+    if len(_poly_gcd(coeffs, dcoeffs)) > 1:
+        return None
+    grid = 1 << (_ROOT_BITS + 40)
+    w = Fraction(1, 1 << (_ROOT_BITS + 1))
     boxes = []
     for z in np.roots([float(c) for c in reversed(coeffs)]):
         pt = RectInterval.point(_rat(z.real), _rat(z.imag))
@@ -245,8 +212,28 @@ def _isolate_roots(coeffs) -> list[RectInterval]:
             raise FieldError("interval Newton does not certify a root box")
         boxes.append(box)
     if any(a.intersect(b) is not None for a, b in combinations(boxes, 2)):
-        raise FieldError("root boxes overlap: repeated or unseparated roots")
+        raise FieldError("root boxes overlap: unseparated roots")
     return boxes
+
+
+def _holds_real_root(box: RectInterval) -> bool:
+    # the one root of a box symmetric about the real axis is its own conjugate
+    return box.im.lo == -box.im.hi
+
+
+def _select_root(boxes, root_box: RootBox) -> RectInterval:
+    """The one root box inside root_box; for a real root_box, the one real
+    root whose box's real part lies inside root_box.real.  A root box that
+    meets root_box but sticks out of it counts against it."""
+    rect = root_box.as_rect()
+    if root_box.is_real:
+        seen = [(b, RectInterval(b.re, rect.im)) for b in boxes if _holds_real_root(b)]
+    else:
+        seen = [(b, b) for b in boxes]
+    hits = [(b, part) for b, part in seen if part.intersect(rect) is not None]
+    if len(hits) != 1 or not hits[0][1].contained_in(rect):
+        raise FieldError("isolating box does not isolate a single root")
+    return hits[0][0]
 
 
 # ----------------------------------------------------------------------
@@ -262,16 +249,20 @@ class NumberField:
             raise FieldError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
             raise FieldError("minimal polynomial must be monic")
-        if not _is_irreducible(coeffs):
+        roots = _isolate_roots(coeffs)
+        if roots is None or not _is_irreducible(coeffs, roots):
             raise FieldError("minimal polynomial is reducible over Q")
         self.min_poly = coeffs
+        self._dpoly = poly_derivative(coeffs)
         self.degree = len(coeffs) - 1
         self.complex_embedding = complex_embedding
         if complex_embedding and root_box.is_real:
             raise FieldError("complex backend requires a genuinely complex root box")
         if not complex_embedding and not root_box.is_real:
             raise FieldError("real backend requires a real root box")
-        self._box = self._certify_box(root_box)
+        self._root = _select_root(roots, root_box)
+        if complex_embedding and self._root.im.contains(0):
+            raise FieldError("complex backend requires a non-real root")
         # reduction table: rho^D .. rho^(2D-2) expressed in the power basis
         self._powers = self._build_powers()
         self._enclosure_cache: dict = {}
@@ -282,21 +273,6 @@ class NumberField:
                     if self.degree >= 2 else self.element([-coeffs[0]]))
 
     # -- setup ----------------------------------------------------------
-    def _certify_box(self, box: RootBox) -> RootBox:
-        if self.degree == 1:
-            root = -self.min_poly[0]
-            if box.is_real and not box.real.contains(root):
-                raise FieldError("isolating box does not contain the rational root")
-            return RootBox(RatInterval.point(root))
-        return self._shrink(box, Fraction(1, 1 << 64), certified=False)
-
-    def _shrink(self, box: RootBox, target: Fraction, certified: bool) -> RootBox:
-        if box.is_real:
-            return RootBox(RatInterval(*_bisect_real_root(self.min_poly, box.real.lo,
-                                                          box.real.hi, target)))
-        rect, _ = _refine_complex_root(self.min_poly, box.as_rect(), target, certified)
-        return RootBox(rect.re, rect.im)
-
     def _build_powers(self):
         d = self.degree
         # rho^d = -(c_0 + c_1 rho + ... + c_{d-1} rho^{d-1})
@@ -355,10 +331,15 @@ class NumberField:
 
     # -- embedding ---------------------------------------------------------
     def refine_root(self, target_width: Fraction):
-        if self._box.width <= target_width:
+        """Shrink the selected root's box to width <= target_width.
+
+        Interval Newton on an outward-rounded dyadic grid (`_refine`), the
+        same for a real and a complex field.
+        """
+        if self._root.width <= target_width:
             return
         self._enclosure_cache.clear()
-        self._box = self._shrink(self._box, target_width, certified=True)
+        self._root = _refine(self.min_poly, self._dpoly, self._root, target_width)
 
     def enclose(self, el: "FieldElement", bits: int = 64):
         """Certified enclosure of el's embedding: RatInterval or RectInterval."""
@@ -371,8 +352,8 @@ class NumberField:
         # linear error propagation: output width <~ size * D * box width
         self.refine_root(target / (size * self.degree * 4))
         out = self._eval_at_root(el)
-        while out.width > target and self._box.width > 0:
-            self.refine_root(self._box.width / 16)
+        while out.width > target and self._root.width > 0:
+            self.refine_root(self._root.width / 16)
             out = self._eval_at_root(el)
         if len(self._enclosure_cache) > 100_000:
             self._enclosure_cache.clear()
@@ -381,12 +362,12 @@ class NumberField:
 
     def _eval_at_root(self, el: "FieldElement"):
         if self.complex_embedding:
-            out = poly_eval(el.coeffs, self._box.as_rect())
+            out = poly_eval(el.coeffs, self._root)
             if not isinstance(out, RectInterval):
                 out = RectInterval(out if isinstance(out, RatInterval)
                                    else RatInterval.point(out), RatInterval.point(0))
         else:
-            out = poly_eval(el.coeffs, self._box.real)
+            out = poly_eval(el.coeffs, self._root.re)  # the root is real
             if not isinstance(out, RatInterval):
                 out = RatInterval.point(out)
         return out
@@ -449,6 +430,12 @@ def _poly_divmod(a, b):
         while a and a[-1] == 0:
             a.pop()
     return q, (a or [Fraction(0)])
+
+
+def _poly_gcd(a, b):
+    while any(b):
+        a, b = b, _poly_divmod(a, b)[1]
+    return a
 
 
 def _poly_mul(a, b):
@@ -649,8 +636,9 @@ def check_pisot(min_poly: Sequence, root_box: RootBox) -> PisotReport:
     1/rho is (complex) Pisot iff the reversed monic polynomial has integer
     coefficients, |rho| < 1, and every conjugate of rho other than its
     complex partner has modulus > 1.  Every root is held in a certified
-    box (`_isolate_roots`); a modulus comparison those boxes leave
-    undecided classifies as neither.  Advisory only: reducible inputs are
+    box (`_isolate_roots`), and root_box selects rho's as it does for
+    `NumberField`; a modulus comparison those boxes leave undecided
+    classifies as neither.  Advisory only: reducible inputs are
     still classified by the selected root and its cofactors.  The moduli
     reported are those of the reciprocals.
     """
@@ -659,11 +647,10 @@ def check_pisot(min_poly: Sequence, root_box: RootBox) -> PisotReport:
         raise FieldError("zero is a root; reciprocal undefined")
     is_alg_int = all((c / coeffs[0]).denominator == 1 for c in coeffs)
     boxes = _isolate_roots(coeffs)
-    inside = [b for b in boxes if b.intersect(root_box.as_rect()) is not None]
-    if len(inside) != 1:
-        raise FieldError("isolating box does not isolate a single root")
-    sel = inside[0]
-    selected_is_real = sel.im.contains(0)
+    if boxes is None:
+        raise FieldError("the polynomial has a repeated root")
+    sel = _select_root(boxes, root_box)
+    selected_is_real = _holds_real_root(sel)
     # the conjugates, without the complex partner of a non-real selected root
     others = [b for b in boxes
               if b is not sel and (selected_is_real or b.intersect(sel.conj()) is None)]

@@ -236,12 +236,6 @@ class RectInterval:
     def mid(self):
         return (self.re.mid, self.im.mid)
 
-    def split4(self):
-        rm, im = self.re.mid, self.im.mid
-        return [RectInterval(r, i)
-                for r in (RatInterval(self.re.lo, rm), RatInterval(rm, self.re.hi))
-                for i in (RatInterval(self.im.lo, im), RatInterval(im, self.im.hi))]
-
     def __complex__(self):
         return complex(float(self.re.mid), float(self.im.mid))
 

@@ -103,11 +103,12 @@ def test_cli_check_ftc_inconclusive(tmp_path, capsys):
 
 
 # Runs in a fresh interpreter: prints, as JSON, which of sympy and scipy are
-# loaded after each step of the start-up, build and spectrum path, then
-# after the check-ftc report.
+# loaded after each step of the start-up, build and spectrum path, after a
+# degree-3 field and its Pisot check, then after the check-ftc report.
 _IMPORT_PROBE = """
 import contextlib, io, json, sys
 import selfsim, selfsim.cli
+from selfsim import NumberField, RatInterval, RootBox, check_pisot
 names, out = sys.argv[1].split(","), sys.argv[2]
 def loaded():
     return [m for m in ("sympy", "scipy") if m in sys.modules]
@@ -119,6 +120,10 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert selfsim.cli.main(["spectrum", "--config", "bundled:golden-bernoulli",
                              "--integer-q-exact", "--out", out]) == 0
     steps["spectrum golden-bernoulli"] = loaded()
+# the tribonacci field: rho^3 + rho^2 + rho = 1
+tribonacci = ([-1, 1, 1, 1], RootBox(RatInterval(0, 1)))
+NumberField(*tribonacci)
+steps["tribonacci " + check_pisot(*tribonacci).kind] = loaded()
 report = io.StringIO()
 with contextlib.redirect_stdout(report):
     rc = selfsim.cli.main(["check-ftc", "--config", "bundled:complex-pisot-demo",
@@ -137,7 +142,7 @@ def test_pipeline_path_loads_no_sympy(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert len(result["steps"]) == len(ALL) + 2
+    assert len(result["steps"]) == len(ALL) + 3 and "tribonacci pisot" in result["steps"]
     assert not any(result["steps"].values()), result["steps"]
     # check_pisot certifies its roots by interval Newton: no sympy, no scipy
     assert result["ftc_rc"] == 0 and result["ftc_loaded"] == []

@@ -137,7 +137,7 @@ def test_linear_polynomials_are_irreducible(root):
     assert _is_irreducible([-root, F(1)])
 
 
-def test_cubic_irreducibility_through_sympy():
+def test_cubic_irreducibility():
     # x^3 - x - 1 (the plastic number's polynomial) is irreducible
     K = NumberField([-1, -1, 0, 1], RootBox(RatInterval(1, 2)))
     assert K.degree == 3 and K.gen ** 3 == K.gen + 1
@@ -147,6 +147,74 @@ def test_cubic_irreducibility_through_sympy():
     assert not _is_irreducible(reducible)
     with pytest.raises(FieldError, match="reducible"):
         NumberField(reducible, RootBox(RatInterval(0, 1)))
+
+
+def _product(f, g):
+    out = [F(0)] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+@st.composite
+def monic_polys(draw):
+    """Monic rational polynomials of degree 1-6; half of them are the
+    product of two monic rational factors."""
+    def monic(degree):
+        return [draw(small_rat) for _ in range(degree)] + [F(1)]
+    if draw(st.booleans()):
+        a = draw(st.integers(1, 5))
+        return _product(monic(a), monic(draw(st.integers(1, 6 - a))))
+    return monic(draw(st.integers(1, 6)))
+
+
+_M89 = 2 ** 89 - 1  # a prime: factors with denominator M89 need root boxes far below 2^-80
+
+
+@settings(max_examples=100, deadline=None)
+@given(monic_polys())
+@example(_product([F(-1, 3), 1], [F(-2, 9), F(1, 3), 1]))        # (x - 1/3)^2 (x + 2/3)
+@example(_product([-2, 0, 1], [-3, 0, 1]))                        # (x^2 - 2)(x^2 - 3)
+@example(_product([-2, 0, 0, 1], [-1, -1, 0, 1]))                 # two irreducible cubics
+@example([1, 0, 0, 0, 1])                                         # x^4 + 1
+@example([1, -1, -1, -1, 1])                                      # a Salem polynomial
+@example(_product([-3, F(1, _M89), 1], [F(-1, _M89), 1]))
+@example(_product([F(-5, 3 * _M89), F(2, _M89), 1], [F(-7, _M89), 1]))
+def test_irreducibility_matches_sympy(coeffs):
+    assert _is_irreducible(coeffs) == _sympy_irreducible(coeffs)
+
+
+def test_root_box_must_isolate_one_root():
+    # x^3 - 3x + 1 has the roots -1.879, 0.347 and 1.532
+    coeffs, wide = [1, -3, 0, 1], RootBox(RatInterval(-2, 2))
+    with pytest.raises(FieldError, match="does not isolate a single root"):
+        NumberField(coeffs, wide)
+    with pytest.raises(FieldError, match="does not isolate a single root"):
+        check_pisot(coeffs, wide)
+    K = NumberField(coeffs, RootBox(RatInterval(0, 1)))
+    assert abs(float(K.gen) - 0.3472963553338607) < 1e-12
+    # a complex backend needs a non-real root, here the golden ratio's is real
+    with pytest.raises(FieldError, match="non-real root"):
+        NumberField([-1, 1, 1], RootBox(RatInterval(0, 1), RatInterval(-1, 1)),
+                    complex_embedding=True)
+
+
+def test_complex_cubic_root_refines_on_a_bounded_grid():
+    # x^3 + x^2 - 1 and its root near -0.877 + 0.745i
+    coeffs = [F(-1), F(0), F(1), F(1)]
+    K = NumberField(coeffs, RootBox(RatInterval(-1, F(-3, 4)), RatInterval(F(1, 2), 1)),
+                    complex_embedding=True)
+    K.refine_root(F(1, 2 ** 200))
+    box = K._root
+    assert box.width <= F(1, 2 ** 200)
+    z, = [z for z in _sympy_poly(coeffs).nroots(n=60) if sympy.im(z) > 0]
+    assert _in_box(z, box, slack=F(1, 10 ** 58))  # up to the error of a 60-digit root
+    # outward rounding keeps the endpoints on a grid near the target width;
+    # exact Newton steps would square their denominators at each step
+    ends = [x for iv in (box.re, box.im) for x in (iv.lo, iv.hi)]
+    assert max(x.denominator.bit_length() for x in ends) <= 200 + 32
+    assert abs(complex(K.gen) - complex(-0.8774388331233464, 0.7448617666197442)) < 1e-12
 
 
 def test_check_pisot_examples():
