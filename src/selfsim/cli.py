@@ -55,10 +55,10 @@ def _load_config(args) -> IfsConfig:
 def _parse_grid(spec: str):
     try:
         a, b, step = (Fraction(x) for x in spec.split(":"))
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"bad q-grid {spec!r}; expected a:b:step") from exc
-    if step <= 0 or b < a:
-        raise ConfigError(f"bad q-grid {spec!r}")
+    if step <= 0 or b < a or a < 0:
+        raise ConfigError(f"bad q-grid {spec!r}; tau(q) needs 0 <= a <= b and step > 0")
     out = []
     q = a
     while q <= b:
@@ -124,10 +124,11 @@ def cmd_build(args) -> int:
 
 
 def cmd_mass(args) -> int:
-    cfg = _load_config(args)
-    pipe = Pipeline(cfg)
-    model = pipe.measure
-    address = [int(x) for x in args.address.split(",")]
+    try:
+        address = [int(x) for x in args.address.split(",")]
+    except ValueError as exc:
+        raise ConfigError(f"bad address {args.address!r}; expected state ids") from exc
+    model = Pipeline(_load_config(args)).measure
     try:
         val = model.mass(address)
     except NotAdmissible as exc:
@@ -139,11 +140,11 @@ def cmd_mass(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    grid = _parse_grid(args.q_grid)
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
     engine = pipe.engine
     r, _delta = engine.irreducibility()
-    grid = _parse_grid(args.q_grid)
     curve = engine.lq_curve([float(q) for q in grid],
                             n=cfg.budgets["pressure_n"])
     out = Path(args.out)
@@ -217,7 +218,10 @@ def cmd_oracle(args) -> int:
               f"(fit residual {td.residual:.3g}, n = {td.n_range[0]}..{td.n_range[1]})")
         return EXIT_OK
     if args.oracle_cmd == "estimate-mass":
-        region = IntervalUnion([(Fraction(args.lo), Fraction(args.hi))])
+        try:
+            region = IntervalUnion([(Fraction(args.lo), Fraction(args.hi))])
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad --lo/--hi {args.lo!r}, {args.hi!r}") from exc
         est = estimate_mass(ifs, region, samples=args.samples, seed=args.rng_seed)
         print(f"mu({args.lo},{args.hi}) in [{est.lower:.6f}, {est.upper:.6f}] "
               f"+- {est.stderr:.2g} ({est.mode}, seed {args.rng_seed})")

@@ -10,6 +10,11 @@ pass, successors first, and a class without inflow keeps mass only when
 its block has spectral radius exactly 1 (Frobenius-Victory); all other
 null components get exact zeros.  No float enters the solve, and the
 result is verified entry by entry against the full system.
+
+Every exact read of the solved measure (`mass`, `u_vector`,
+`product_matrix`, `total_mass` and `GlobalSystem.mass_global`) is one walk
+of row vectors over one edge table, a child -> T dict per state, stepped
+by `_row_times`.
 """
 
 from __future__ import annotations
@@ -186,9 +191,9 @@ class MeasureModel:
         self.v = v                    # per state: tuple of Fractions over V positions
         self.star = star              # per state: tuple of V-indices with positive mass
         self.kept = kept              # sorted state ids with nonzero mass
-        self.kept_set = set(kept)
         self.edges = edges            # per state id: list[Edge] over star entries (kept only)
         self.diagnostics = diagnostics
+        self._table = [{e.child: e.tmatrix for e in es} for es in edges]  # child -> T
 
     # -- basic accessors ----------------------------------------------------
     def v_star(self, sid: int):
@@ -198,10 +203,10 @@ class MeasureModel:
         return len(self.star[sid])
 
     def transition_matrix(self, a: int, b: int):
-        for e in self.edges[a]:
-            if e.child == b:
-                return e.tmatrix
-        raise NotAdmissible(f"no mass-positive edge {a} -> {b}")
+        t = self._table[a].get(b)
+        if t is None:
+            raise NotAdmissible(f"no mass-positive edge {a} -> {b}")
+        return t
 
     def successors(self, sid: int):
         return self.edges[sid]
@@ -210,23 +215,16 @@ class MeasureModel:
     def mass(self, address) -> Fraction:
         """Exact mass of the atom addressed by a root-based state path."""
         address = list(address)
-        u = self.u_vector(address)
-        return sum((a * b for a, b in zip(u, self.v_star(address[-1]))), Fraction(0))
+        return _dot(self.u_vector(address), self.v_star(address[-1]))
 
     def u_vector(self, address):
         """The exact row vector of word-weight sums along an address."""
         address = list(address)
         if not address or address[0] != 0:
             raise NotAdmissible("address must start at the root state 0")
-        if address[0] not in self.kept_set:
-            raise NotAdmissible("root pruned (inconsistent model)")
         vec = [Fraction(1)] * self.star_dim(0)
-        cur = 0
-        for nxt in address[1:]:
-            t = self.transition_matrix(cur, nxt)
-            vec = [sum((vec[i] * t[i][j] for i in range(len(vec))), Fraction(0))
-                   for j in range(len(t[0]) if t else 0)]
-            cur = nxt
+        for cur, nxt in zip(address, address[1:]):
+            vec = _row_times(vec, self.transition_matrix(cur, nxt))
         return tuple(vec)
 
     def addresses(self, depth: int):
@@ -235,44 +233,30 @@ class MeasureModel:
     def total_mass(self, depth: int) -> Fraction:
         """Sum of mass over all depth-n admissible addresses, exactly.
 
-        Computed by distributing the sum over the path tree, which gives
-        the same rational as adding the individual masses.
+        Walks forward level by level, summing the u-vectors of the paths
+        that end in each state, which gives the same rational as adding
+        the individual masses.
         """
-        memo = {}
-
-        def g(sid, d):
-            if d == 0:
-                return list(self.v_star(sid))
-            key = (sid, d)
-            hit = memo.get(key)
-            if hit is not None:
-                return hit
-            dim = self.star_dim(sid)
-            acc = [Fraction(0)] * dim
-            for e in self.edges[sid]:
-                sub = g(e.child, d - 1)
-                for i in range(dim):
-                    row = e.tmatrix[i]
-                    acc[i] += sum((row[j] * sub[j] for j in range(len(sub))), Fraction(0))
-            memo[key] = acc
-            return acc
-
-        return g(0, depth)[0]
+        level = {0: [Fraction(1)] * self.star_dim(0)}
+        for _ in range(depth):
+            nxt = {}
+            for sid, vec in level.items():
+                for child, t in self._table[sid].items():
+                    u = _row_times(vec, t)
+                    acc = nxt.get(child)
+                    nxt[child] = u if acc is None else [x + y for x, y in zip(acc, u)]
+            level = nxt
+        return sum((_dot(vec, self.v_star(sid)) for sid, vec in level.items()), Fraction(0))
 
     def product_matrix(self, address):
         """Product of the restricted edge matrices along an address."""
         address = list(address)
-        mat = None
-        cur = address[0]
-        for nxt in address[1:]:
+        d = self.star_dim(address[0])
+        rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+        for cur, nxt in zip(address, address[1:]):
             t = self.transition_matrix(cur, nxt)
-            mat = t if mat is None else _mat_mul_frac(mat, t)
-            cur = nxt
-        if mat is None:
-            d = self.star_dim(cur)
-            mat = tuple(tuple(Fraction(1 if i == j else 0) for j in range(d))
-                        for i in range(d))
-        return mat
+            rows = [_row_times(r, t) for r in rows]
+        return tuple(tuple(r) for r in rows)
 
     def star_maps_absolute(self, address):
         """Absolute covering maps (star entries) at the end of an address."""
@@ -285,12 +269,19 @@ class MeasureModel:
         return out
 
 
-def _mat_mul_frac(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
-                       for j in range(cols)) for i in range(rows))
+def _row_times(vec, t):
+    """The row vector vec . T over Fractions, skipping zero entries."""
+    out = [Fraction(0)] * len(t[0])
+    for x, row in zip(vec, t):
+        if x:
+            for j, y in enumerate(row):
+                if y:
+                    out[j] += x * y
+    return out
+
+
+def _dot(a, b) -> Fraction:
+    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def compute_mass_vectors(auto: Automaton) -> MeasureModel:
@@ -439,13 +430,16 @@ class GlobalSystem:
             self.offsets.append(off)
             off += d
         self.size = off
-        # admissible block pairs: position k -> list of (position j, T)
+        # admissible block pairs: position j -> list of (position k, T),
+        # and the same blocks as a (k, j) -> T lookup for mass_global
         self.blocks_into: list[list] = [[] for _ in self.alphabet]
+        self._block = {}
         for k, sid in enumerate(self.alphabet):
             for e in model.successors(sid):
                 j = self.position.get(e.child)
                 if j is not None:
                     self.blocks_into[j].append((k, e.tmatrix))
+                    self._block[(k, j)] = e.tmatrix
 
     def matrix_dense(self, i: int):
         """M_i as a dense tuple-of-tuples of Fractions (for export/tests)."""
@@ -487,32 +481,22 @@ class GlobalSystem:
         }
 
     def mass_global(self, address) -> Fraction:
-        """e1 . M_{i1} ... M_{in} . w_{in}^T for a root-based address."""
+        """e1 . M_{i1} ... M_{in} . w_{in}^T for a root-based address.
+
+        Only the live block is carried: after a step by M_i the vector
+        lives in block i, where w_i holds the mass vector of the state.  A
+        step with no block (k, i) leaves the zero vector, so the mass is 0.
+        """
         address = list(address)
         if not address or address[0] != self.alphabet[0]:
             raise NotAdmissible("address must start at the first alphabet state")
-        vec = {0: [Fraction(1)] + [Fraction(0)] * (self.dims[0] - 1)}
+        vec = [Fraction(1)] + [Fraction(0)] * (self.dims[0] - 1)
         last = 0
         for sid in address[1:]:
             i = self.position.get(sid)
             if i is None:
                 raise NotAdmissible(f"state {sid} not in the alphabet")
-            acc = [Fraction(0)] * self.dims[i]
-            for k, t in self.blocks_into[i]:
-                seg = vec.get(k)
-                if seg is None:
-                    continue
-                for a, va in enumerate(seg):
-                    if va:
-                        row = t[a]
-                        for b in range(len(acc)):
-                            acc[b] += va * row[b]
-            vec = {i: acc}
+            t = self._block.get((last, i))
+            vec = [Fraction(0)] * self.dims[i] if t is None else _row_times(vec, t)
             last = i
-        w = self.weight_vector(last)
-        total = Fraction(0)
-        for k, seg in vec.items():
-            off = self.offsets[k]
-            for a, va in enumerate(seg):
-                total += va * w[off + a]
-        return total
+        return _dot(vec, self.model.v_star(self.alphabet[last]))

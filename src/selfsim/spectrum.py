@@ -18,9 +18,10 @@ products over admissible words of the essential class.  Three routes:
 
 `kron_dim_budget` bounds L^q, the dimension of the unlifted Kronecker
 sum, not the lifted dimension: the integer route is taken at the same q
-as with the L^q operator, so every finite-n value recorded beyond the
-budget stays a finite-n value.  The lifted operator is numpy COO
-arrays, and the certificate's matvec is one `np.bincount` over them.
+as with the L^q operator, so every value recorded beyond the budget
+keeps its route: scalar for one-dimensional blocks, finite-n otherwise.
+The lifted operator is numpy COO arrays, and the certificate's matvec is
+one `np.bincount` over them.
 """
 
 from __future__ import annotations
@@ -305,7 +306,8 @@ class PressureEngine:
         return self._certified(q, "scalar", len(self.ess.ids))
 
     def pressure_integer_q(self, q: int) -> PressureEstimate:
-        """Exact-norm route via the lifted operator; falls back on budget."""
+        """Exact-norm route via the lifted operator; past the budget the
+        scalar route for one-dimensional blocks, finite-n otherwise."""
         if q < 1 or q != int(q):
             raise SpectrumError("integer route needs a positive integer q")
         q = int(q)
@@ -313,6 +315,8 @@ class PressureEngine:
             return self._pressure_one()
         # L^q, not the lifted dimension: see the module docstring
         if self.ess.size ** q > self.kron_dim_budget:
+            if self._scalar:
+                return self.pressure_scalar(float(q))
             return self.pressure_finite_n(q, self.default_n)
         return self._certified(q, "kronecker", q)
 
@@ -345,6 +349,8 @@ class PressureEngine:
             n = self.default_n
         if n < 2:
             raise SpectrumError("finite-n route needs n >= 2")
+        if q < 0:  # C = q |log delta| + log L below needs q >= 0
+            raise SpectrumError("finite-n bounds hold for q >= 0 only")
         snaps = self._word_norms(n)
         a_n = _log_moment(snaps[n], q)
         a_prev2 = _log_moment(snaps[n - 2], q) if n >= 3 else _log_moment(snaps[1], q) * (n - 2)
@@ -361,9 +367,7 @@ class PressureEngine:
         if q <= 0:
             raise SpectrumError("pressure is computed for q > 0 only")
         if float(q).is_integer():
-            est = self.pressure_integer_q(int(q))
-            if est.method != "finite-n":
-                return est
+            return self.pressure_integer_q(int(q))
         if self._scalar:
             return self.pressure_scalar(q)
         return self.pressure_finite_n(q)
@@ -383,12 +387,14 @@ class PressureEngine:
         tau is concave up to float evaluation noise; the sharper point
         estimates stay available through tau().  diagnostics["dp_coarsened"]
         says whether the word DP behind a finite-n curve left exact
-        arithmetic for floats (see `word_norm_levels`).
+        arithmetic for floats (see `word_norm_levels`).  q must be >= 0.
         """
         method = "scalar" if self._scalar else "finite-n"
         curve = SpectrumCurve([], [], [], [], [], [])
         widths = []
         for q in qs:
+            if q < 0:
+                raise SpectrumError("the L^q spectrum is computed for q >= 0 only")
             if method == "scalar":
                 est = self.pressure_scalar(q)
                 value = est.point / self.log_rho

@@ -175,6 +175,19 @@ def test_cli_mass(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["mass", "--address", "0,a"],
+    ["spectrum", "--q-grid", "0:1/0:1"],
+    ["spectrum", "--q-grid=-1:0:0.5"],
+    ["oracle", "estimate-mass", "--lo", "x"],
+])
+def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--config", "bundled:cantor-1-3", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_cli_build_and_spectrum_deterministic(tmp_path, capsys):
     outs = []
     for run in ("a", "b"):

@@ -113,6 +113,49 @@ def test_global_system_matches_mass(pipelines):
             assert gs.mass_global(addr) == model.mass(addr)
 
 
+def test_dense_matrix_representation(pipelines):
+    """e1 . M_{i1} ... M_{in} . w_{in}^T by dense Fraction matrices."""
+    for name in ("cantor-1-3", "golden-bernoulli", "commensurable-osc"):
+        pipe = pipelines(name)
+        model, gs = pipe.measure, pipe.global_system
+        dense = [gs.matrix_dense(i) for i in range(len(gs.alphabet))]
+        for depth in range(5):
+            for addr in model.addresses(depth):
+                row = [F(int(j == 0)) for j in range(gs.size)]
+                for sid in addr[1:]:
+                    m = dense[gs.position[sid]]
+                    row = [sum((row[k] * m[k][j] for k in range(gs.size)), F(0))
+                           for j in range(gs.size)]
+                w = gs.weight_vector(gs.position[addr[-1]])
+                value = sum((x * y for x, y in zip(row, w)), F(0))
+                assert value == gs.mass_global(addr) == model.mass(addr), (name, addr)
+
+
+def test_mass_global_is_zero_on_a_step_with_no_block(pipelines):
+    for name in ("cantor-1-3", "golden-bernoulli"):
+        pipe = pipelines(name)
+        model, gs = pipe.measure, pipe.global_system
+        cases = [addr + (b,) for addr in model.addresses(1) for b in gs.alphabet
+                 if b not in {e.child for e in model.edges[addr[-1]]}]
+        assert cases
+        for addr in cases:
+            assert gs.mass_global(addr) == 0
+            with pytest.raises(NotAdmissible):
+                model.mass(addr)
+            # an admissible step after the missing block keeps the mass at 0
+            for e in model.edges[addr[-1]]:
+                assert gs.mass_global(addr + (e.child,)) == 0
+
+
+def test_total_mass_is_the_sum_of_masses(pipelines):
+    for name in ("cantor-1-3", "golden-bernoulli", "commensurable-osc",
+                 "complex-pisot-demo"):
+        model = pipelines(name).measure
+        for d in range(6):
+            assert model.total_mass(d) == sum(
+                (model.mass(a) for a in model.addresses(d)), F(0)), (name, d)
+
+
 def test_global_dense_blocks(cantor):
     gs = GlobalSystem(cantor.measure)
     n = gs.size

@@ -454,6 +454,32 @@ def test_kronecker_budget_fallback(golden):
     assert est.method == "finite-n"
 
 
+def test_scalar_class_past_budget_takes_scalar_route(cantor, monkeypatch):
+    eng = PressureEngine(cantor.measure, kron_dim_budget=4)
+
+    def no_finite_n(*_args, **_kwargs):
+        raise AssertionError("finite-n computed for a scalar class")
+
+    monkeypatch.setattr(eng, "pressure_finite_n", no_finite_n)
+    for q in (3, 4):
+        est = eng.pressure_integer_q(q)
+        assert est.method == "scalar"
+        assert est == eng.pressure_scalar(float(q)) == eng.pressure(float(q))
+    assert eng.pressure_integer_q(2).method == "kronecker"
+
+
+def test_negative_q_refused(cantor, golden):
+    with pytest.raises(SpectrumError, match="q >= 0"):
+        golden.engine.pressure_finite_n(-1.0, 8)
+    for pipe in (cantor, golden):
+        with pytest.raises(SpectrumError, match="q >= 0"):
+            pipe.engine.lq_curve([-1.0, 0.5], n=8)
+    est = golden.engine.pressure_finite_n(0.0, 8)
+    assert est.lower <= est.upper
+    curve = cantor.engine.lq_curve([0.0])
+    assert abs(curve.tau[0] + math.log(2) / math.log(3)) < 1e-9
+
+
 def test_tau_rejects_nonpositive_q(cantor):
     with pytest.raises(SpectrumError):
         cantor.engine.tau(0.0)
