@@ -160,9 +160,10 @@ def cmd_spectrum(args) -> int:
                         repr(curve.tau_lower[i]), repr(curve.tau_upper[i]),
                         curve.method[i], curve.n[i], h])
         if args.integer_q_exact:
-            # extra rows: certified spectral-radius route at integer q
+            # extra rows: certified spectral-radius route at integer q > 0
+            # (the pressure is defined for q > 0; tau(0) stays a curve row)
             for q in grid:
-                if q.denominator != 1:
+                if q.denominator != 1 or q == 0:
                     continue
                 tau, lo, hi, est = engine.tau(float(q))
                 w.writerow([repr(float(q)), repr(tau), repr(lo), repr(hi),
@@ -251,7 +252,7 @@ def main(argv=None) -> int:
     _common(s)
     s.add_argument("--q-grid", default="0.3:4.0:0.1")
     s.add_argument("--integer-q-exact", action="store_true",
-                   help="append rows for integer q via the certified "
+                   help="append rows for positive integer q via the certified "
                         "spectral-radius route")
 
     s = subs.add_parser("oracle", help="brute-force reference computations")

@@ -1,12 +1,14 @@
 """Exact arithmetic in Q(rho) for an algebraic contraction ratio rho.
 
-Elements are rational coefficient vectors in the power basis
-1, rho, ..., rho^(D-1) reduced modulo a monic minimal polynomial, so
-equality is literal coefficient equality and all ring/field operations
-are exact.  The selected root is pinned down by a rational isolating
-box which can be refined on demand; every element then gets a certified
-interval (real backend) or rectangle (complex backend) enclosure of its
-embedding.
+An element is a vector of int numerators over one positive int
+denominator in the power basis 1, rho, ..., rho^(D-1), reduced modulo a
+monic minimal polynomial and kept in lowest terms (the gcd of the
+denominator and all numerators is 1).  That form is canonical, so
+equality is a comparison of int tuples, and all ring/field operations
+are exact: a sum or a product makes int products and one gcd.  The
+selected root is pinned down by a rational isolating box which can be
+refined on demand; every element then gets a certified interval (real
+backend) or rectangle (complex backend) enclosure of its embedding.
 
 One root routine serves real and complex fields alike: `_isolate_roots`
 seeds every root with `numpy.roots` and certifies a box around it with
@@ -22,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
-from math import ceil, floor, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
 from .intervals import RatInterval, RectInterval
@@ -177,13 +179,14 @@ def _isolate_roots(coeffs) -> list[RectInterval] | None:
     """Disjoint boxes of width 2^-_ROOT_BITS, one per root; None if p has a
     repeated root, which gcd(p, p') decides exactly.
 
-    numpy.roots seeds each root; point Newton steps, rounded to a grid
-    2^-40 finer than the boxes, polish the seed, and the box around it
-    counts only if its own Newton image lies inside it (`_newton_step`),
-    which proves it holds exactly one root.  deg p pairwise disjoint such
-    boxes hold every root; anything less raises FieldError.  A real seed
-    stays real, so the box of a real root is symmetric about the real
-    axis.  Degree 1 gives the exact rational root.
+    numpy.roots seeds each root; point Newton steps in exact complex
+    rational arithmetic, rounded to a grid 2^-40 finer than the boxes,
+    polish the seed, and the box around it counts only if its own Newton
+    image lies inside it (`_newton_step`), which proves it holds exactly
+    one root.  deg p pairwise disjoint such boxes hold every root;
+    anything less raises FieldError.  A real seed stays real, so the box
+    of a real root is symmetric about the real axis.  Degree 1 gives the
+    exact rational root.
     """
     import numpy as np
 
@@ -196,16 +199,19 @@ def _isolate_roots(coeffs) -> list[RectInterval] | None:
     w = Fraction(1, 1 << (_ROOT_BITS + 1))
     boxes = []
     for z in np.roots([float(c) for c in reversed(coeffs)]):
-        pt = RectInterval.point(_rat(z.real), _rat(z.imag))
+        re, im = _rat(z.real), _rat(z.imag)
         for _ in range(8):
-            nxt = _newton_step(coeffs, dcoeffs, pt)
-            if nxt is None:
+            pr, pi = _complex_eval(coeffs, re, im)
+            dr, di = _complex_eval(dcoeffs, re, im)
+            m = dr * dr + di * di
+            if not m:
                 break
-            nxt = RectInterval.point(*(Fraction(round(x * grid), grid) for x in nxt.mid))
-            if nxt == pt:
+            # z - p(z)/p'(z) = z - p(z) conj(p'(z)) / |p'(z)|^2, rounded to the grid
+            nxt = (Fraction(round((re - (pr * dr + pi * di) / m) * grid), grid),
+                   Fraction(round((im - (pi * dr - pr * di) / m) * grid), grid))
+            if nxt == (re, im):
                 break
-            pt = nxt
-        re, im = pt.mid
+            re, im = nxt
         box = RectInterval(RatInterval(re - w, re + w), RatInterval(im - w, im + w))
         n = _newton_step(coeffs, dcoeffs, box)
         if n is None or not n.contained_in(box):
@@ -214,6 +220,14 @@ def _isolate_roots(coeffs) -> list[RectInterval] | None:
     if any(a.intersect(b) is not None for a, b in combinations(boxes, 2)):
         raise FieldError("root boxes overlap: unseparated roots")
     return boxes
+
+
+def _complex_eval(coeffs, re, im):
+    """p(re + i im) by Horner, as an exact (real, imaginary) pair."""
+    a = b = 0
+    for c in reversed(coeffs):
+        a, b = a * re - b * im + c, a * im + b * re
+    return a, b
 
 
 def _holds_real_root(box: RectInterval) -> bool:
@@ -263,8 +277,8 @@ class NumberField:
         self._root = _select_root(roots, root_box)
         if complex_embedding and self._root.im.contains(0):
             raise FieldError("complex backend requires a non-real root")
-        # reduction table: rho^D .. rho^(2D-2) expressed in the power basis
-        self._powers = self._build_powers()
+        # reduction table: rho^D .. rho^(2D-2) in the power basis, times _scale
+        self._table, self._scale = self._build_table()
         self._enclosure_cache: dict = {}
 
         self.zero = self.element([0] * self.degree)
@@ -273,7 +287,9 @@ class NumberField:
                     if self.degree >= 2 else self.element([-coeffs[0]]))
 
     # -- setup ----------------------------------------------------------
-    def _build_powers(self):
+    def _build_table(self):
+        """Int rows T*rho^D .. T*rho^(2D-2) in the power basis, and the
+        least T > 0 that clears their denominators."""
         d = self.degree
         # rho^d = -(c_0 + c_1 rho + ... + c_{d-1} rho^{d-1})
         powers = [[-c for c in self.min_poly[:d]]]
@@ -282,7 +298,9 @@ class NumberField:
             shifted = [Fraction(0)] + prev[:-1]
             lead = prev[-1]
             powers.append([s + lead * p for s, p in zip(shifted, powers[0])])
-        return powers
+        powers = powers[:d - 1]
+        scale = lcm(*(c.denominator for row in powers for c in row))
+        return [tuple(int(c * scale) for c in row) for row in powers], scale
 
     # -- element constructors --------------------------------------------
     def element(self, coeffs) -> "FieldElement":
@@ -290,28 +308,31 @@ class NumberField:
         if len(cs) > self.degree:
             raise FieldError(f"expected at most {self.degree} coefficients")
         cs += [Fraction(0)] * (self.degree - len(cs))
-        return FieldElement(self, tuple(cs))
+        # over the lcm of the reduced denominators the numerators share no
+        # factor with it, so the pair is already canonical
+        den = lcm(*(c.denominator for c in cs))
+        return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, q) -> "FieldElement":
         return self.element([_rat(q)])
 
     # -- arithmetic backend ----------------------------------------------
     def _mul(self, a, b):
+        """Int numerators of a*b*_scale reduced modulo the minimal polynomial,
+        for int numerator vectors a and b."""
         d = self.degree
-        conv = [Fraction(0)] * (2 * d - 1)
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = list(conv[:d])
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
+                    conv[i + j] += ai * bj
+        scale = self._scale
+        out = conv[:d] if scale == 1 else [c * scale for c in conv[:d]]
+        for ck, row in zip(conv[d:], self._table):
             if ck:
-                table = self._powers[k - d]
-                for i in range(d):
-                    out[i] += ck * table[i]
-        return tuple(out)
+                for i, t in enumerate(row):
+                    out[i] += ck * t
+        return out
 
     def _inverse(self, a):
         # extended Euclid in Q[x] against the minimal polynomial
@@ -343,12 +364,12 @@ class NumberField:
 
     def enclose(self, el: "FieldElement", bits: int = 64):
         """Certified enclosure of el's embedding: RatInterval or RectInterval."""
-        key = (el.coeffs, bits)
+        key = (el.num, el.den, bits)
         hit = self._enclosure_cache.get(key)
         if hit is not None:
             return hit
         target = Fraction(1, 1 << bits)
-        size = sum(abs(c) for c in el.coeffs) + 1
+        size = Fraction(sum(map(abs, el.num)), el.den) + 1
         # linear error propagation: output width <~ size * D * box width
         self.refine_root(target / (size * self.degree * 4))
         out = self._eval_at_root(el)
@@ -361,23 +382,21 @@ class NumberField:
         return out
 
     def _eval_at_root(self, el: "FieldElement"):
-        if self.complex_embedding:
-            out = poly_eval(el.coeffs, self._root)
-            if not isinstance(out, RectInterval):
-                out = RectInterval(out if isinstance(out, RatInterval)
-                                   else RatInterval.point(out), RatInterval.point(0))
-        else:
-            out = poly_eval(el.coeffs, self._root.re)  # the root is real
-            if not isinstance(out, RatInterval):
-                out = RatInterval.point(out)
-        return out
+        # Horner on the int numerators, then one division by den: scaling by
+        # a positive rational commutes with exact interval Horner, so this is
+        # the enclosure that Horner on the rational coefficients gives
+        root = self._root if self.complex_embedding else self._root.re  # the root is real
+        out = poly_eval(el.num, root)
+        if not isinstance(out, (RatInterval, RectInterval)):  # degree 1: a real rational
+            return RatInterval.point(Fraction(out, el.den))
+        return out if el.den == 1 else out * Fraction(1, el.den)
 
     def multiplication_matrix(self, el: "FieldElement"):
         """Rational matrix of y -> el*y on the power basis (column j: el*rho^j)."""
-        cols = [el.coeffs]
+        cols = [el]
         for _ in range(self.degree - 1):
-            cols.append(self._mul(cols[-1], self.gen.coeffs))
-        return tuple(tuple(cols[j][i] for j in range(self.degree))
+            cols.append(cols[-1] * self.gen)
+        return tuple(tuple(cols[j].coeffs[i] for j in range(self.degree))
                      for i in range(self.degree))
 
     def basis_embeddings(self, bits: int = 64):
@@ -453,14 +472,38 @@ def _poly_sub(a, b):
     return [x - y for x, y in zip(a, b)]
 
 
+def _reduced(field: NumberField, num, den: int) -> "FieldElement":
+    """The element num/den (den > 0) in lowest terms: one gcd."""
+    g = gcd(den, *num)
+    if g != 1:
+        return FieldElement(field, tuple(n // g for n in num), den // g)
+    return FieldElement(field, tuple(num), den)
+
+
 class FieldElement:
-    """c0 + c1*rho + ... + c_{D-1}*rho^{D-1} with exact rational coefficients."""
+    """(n0 + n1*rho + ... + n_{D-1}*rho^{D-1}) / den, exact.
 
-    __slots__ = ("field", "coeffs")
+    num holds the int numerators n_i and den is a positive int, kept
+    canonical: gcd(den, n_0, ..., n_{D-1}) = 1, so zero is (0, ..., 0)/1
+    and equal elements have equal (num, den).  The constructor trusts
+    its caller to pass that form; `NumberField.element` builds it from
+    rational coefficients.  `coeffs` gives the Fractions n_i / den.
+    """
 
-    def __init__(self, field: NumberField, coeffs: tuple):
+    __slots__ = ("field", "num", "den", "_coeffs")
+
+    def __init__(self, field: NumberField, num: tuple, den: int):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+        self._coeffs = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients n_i / den in the power basis."""
+        if self._coeffs is None:
+            self._coeffs = tuple(Fraction(n, self.den) for n in self.num)
+        return self._coeffs
 
     # -- ring operations -----------------------------------------------
     def _check(self, other) -> "FieldElement":
@@ -472,12 +515,16 @@ class FieldElement:
 
     def __add__(self, other):
         other = self._check(other)
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        if da == db:
+            return _reduced(self.field, [a + b for a, b in zip(self.num, other.num)], da)
+        return _reduced(self.field, [a * db + b * da for a, b in zip(self.num, other.num)],
+                        da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coeffs))
+        return FieldElement(self.field, tuple(-a for a in self.num), self.den)
 
     def __sub__(self, other):
         return self + (-self._check(other))
@@ -487,12 +534,14 @@ class FieldElement:
 
     def __mul__(self, other):
         other = self._check(other)
-        return FieldElement(self.field, self.field._mul(self.coeffs, other.coeffs))
+        field = self.field
+        return _reduced(field, field._mul(self.num, other.num),
+                        self.den * other.den * field._scale)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._inverse(self.coeffs))
+        return self.field.element(self.field._inverse(self.coeffs))
 
     def __truediv__(self, other):
         return self * self._check(other).inverse()
@@ -514,25 +563,26 @@ class FieldElement:
 
     # -- predicates -------------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise FieldError("element is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field is other.field and self.coeffs == other.coeffs
+            return (self.field is other.field and self.den == other.den
+                    and self.num == other.num)
         if isinstance(other, (int, Fraction)):
-            return self.is_rational() and self.coeffs[0] == other
+            return self.is_rational() and self.num[0] == other * self.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def compare(self, other) -> int:
         """-1/0/+1 against another element, exact (real embedding only)."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .field import FieldElement, NumberField
 from .intervals import RatInterval, RectInterval, sqrt_interval
@@ -78,11 +79,14 @@ def identity_matrix(field: NumberField, d: int):
                  for i in range(d))
 
 
-def _int_coeffs(coeffs):
+def _int_coeffs(el: FieldElement):
+    """(numerator, denominator) of each coefficient of el in lowest terms, flat."""
+    den = el.den
     out = []
-    for c in coeffs:
-        out.append(c.numerator)
-        out.append(c.denominator)
+    for n in el.num:
+        g = gcd(n, den)
+        out.append(n // g)
+        out.append(den // g)
     return tuple(out)
 
 
@@ -116,8 +120,8 @@ class Similitude:
         self._lin_ident = lin_ident
         # keys are flat int tuples: cheap to hash, compare and sort
         self._key = (exponent,
-                     tuple(_int_coeffs(c.coeffs) for row in linear for c in row),
-                     tuple(_int_coeffs(c.coeffs) for c in translation))
+                     tuple(_int_coeffs(c) for row in linear for c in row),
+                     tuple(_int_coeffs(c) for c in translation))
 
     @property
     def dim(self) -> int:

@@ -255,6 +255,16 @@ def test_cli_spectrum_reports_integer_q_fallback(tmp_path, capsys):
     assert len(rows) == 3 and rows[2].split(",")[4] == "finite-n"
 
 
+def test_cli_spectrum_integer_q_exact_skips_q_zero(tmp_path, capsys):
+    # tau(0) is a curve row; the certified integer rows are for q > 0 only
+    assert cli.main(["spectrum", "--config", "bundled:cantor-1-3", "--q-grid", "0:2:1/2",
+                     "--integer-q-exact", "--out", str(tmp_path)]) == 0
+    rows = [r.split(",") for r in
+            (tmp_path / "cantor-1-3-spectrum.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0.0", "0.5", "1.0", "1.5", "2.0", "1.0", "2.0"]
+    assert all(r[4] != "finite-n" for r in rows[5:])
+
+
 def test_cli_spectrum_reports_extra_terminal_components(tmp_path, capsys, monkeypatch):
     args = ["spectrum", "--config", "bundled:commensurable-osc", "--q-grid", "1.5:2.5:0.5"]
     assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0

@@ -1,11 +1,12 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
 
 from selfsim.field import (FieldError, NumberField, RootBox, _is_irreducible, _isolate_roots,
-                           check_pisot, format_rational, parse_rational)
+                           check_pisot, format_rational, parse_rational, poly_eval)
 from selfsim.intervals import RatInterval, RectInterval, sqrt_interval
 
 
@@ -387,3 +388,83 @@ def test_canonical_form(ca, cb):
 
 
 _GOLDEN = NumberField([-1, 1, 1], RootBox(RatInterval(0, 1)))
+
+
+# -- the int-over-denominator form against the Fraction arithmetic ------------
+
+_FIELDS = {
+    "golden": _GOLDEN,
+    # its reduction table rho^2 = rho - 1/2 has a denominator
+    "dragon": NumberField([F(1, 2), -1, 1], RootBox(RatInterval(0, 1), RatInterval(F(1, 4), 1)),
+                          complex_embedding=True),
+    "tribonacci": NumberField([-1, 1, 1, 1], RootBox(RatInterval(0, 1))),
+}
+
+
+def _fraction_powers(K):
+    """rho^D .. rho^(2D-2) in the power basis, as Fractions."""
+    d = K.degree
+    powers = [[-c for c in K.min_poly[:d]]]
+    for _ in range(d - 2):
+        prev = powers[-1]
+        powers.append([s + prev[-1] * p for s, p in zip([F(0)] + prev[:-1], powers[0])])
+    return powers
+
+
+def _fraction_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _fraction_mul(K, a, b):
+    """The product on Fraction coefficients: convolve, then replace each
+    rho^k with k >= D by its row of the reduction table."""
+    d = K.degree
+    conv = [F(0)] * (2 * d - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            conv[i + j] += ai * bj
+    out = conv[:d]
+    for ck, row in zip(conv[d:], _fraction_powers(K)):
+        out = [o + ck * t for o, t in zip(out, row)]
+    return tuple(out)
+
+
+def _assert_canonical(x):
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert x.coeffs == tuple(F(n, x.den) for n in x.num)
+    assert x.is_zero() == (not any(x.coeffs)) == (x.num == (0,) * len(x.num) and x.den == 1)
+    assert x.is_rational() == (not any(x.coeffs[1:]))
+
+
+_coeff = st.fractions(min_value=-6, max_value=6, max_denominator=30)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_FIELDS)), st.data())
+def test_int_arithmetic_matches_fraction_arithmetic(name, data):
+    K = _FIELDS[name]
+    # short lists pad with zeros, so rational elements and zero come up often
+    ca, cb = (data.draw(st.lists(_coeff, min_size=1, max_size=K.degree)) for _ in range(2))
+    a, b = K.element(ca), K.element(cb)
+    A, B = a.coeffs, b.coeffs
+    assert A == tuple(ca) + (F(0),) * (K.degree - len(ca))
+    total, diff, prod = a + b, a - b, a * b
+    assert total.coeffs == _fraction_add(A, B)
+    assert diff.coeffs == _fraction_add(A, tuple(-y for y in B))
+    assert prod.coeffs == _fraction_mul(K, A, B)
+    for x in (a, b, total, diff, prod, -a, a - a, K.zero, K.one, K.gen):
+        _assert_canonical(x)
+    assert (a == b) == (A == B)
+    again = total - b  # a by another route
+    assert again == a and hash(again) == hash(a) and K.element(A) == a
+    if a.is_rational():
+        assert a == A[0] and a.as_rational() == A[0]
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_canonical(inv)
+        assert _fraction_mul(K, A, inv.coeffs) == K.one.coeffs
+        assert a * inv == K.one
+    # Horner on the int numerators over den is Horner on the Fractions
+    root = K._root if K.complex_embedding else K._root.re
+    assert K._eval_at_root(prod) == poly_eval(prod.coeffs, root)

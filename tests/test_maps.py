@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import BUNDLED
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval, RectInterval
 from selfsim.maps import IFS, MapError, ScaleBase, Similitude, dist_sq_interval
@@ -184,10 +185,18 @@ def complex_map(c, t, k=1):
     return Similitude(KC, ((c,),), (t,), k)
 
 
+def _flat(x):
+    # the per-coefficient Fraction (numerator, denominator) pairs of an element
+    return tuple(v for q in x.coeffs for v in (q.numerator, q.denominator))
+
+
 def _scalar_key(e, c, t):
-    def flat(x):
-        return tuple(v for q in x.coeffs for v in (q.numerator, q.denominator))
-    return (e, flat(c), flat(t))
+    return (e, _flat(c), _flat(t))
+
+
+def _fraction_key(s):
+    return (s.exponent, tuple(_flat(c) for row in s.linear for c in row),
+            tuple(_flat(c) for c in s.translation))
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,6 +219,7 @@ def test_complex_map_matches_scalar_formulas(c1, t1, c2, t2, z):
                 min_size=2, max_size=8))
 def test_complex_map_key_sorts_like_scalar_key(specs):
     maps = [complex_map(c, t, e) for e, c, t in specs]
+    assert all(m.key() == _fraction_key(m) for m in maps)
     by_key = sorted(range(len(maps)), key=lambda i: maps[i].key())
     by_scalar = sorted(range(len(maps)), key=lambda i: _scalar_key(*specs[i]))
     assert by_key == by_scalar
@@ -251,3 +261,17 @@ def test_dragon_maps_are_one_by_one(dragon):
     for s in maps:
         assert len(s.linear) == 1 and len(s.linear[0]) == 1
         assert len(s.translation) == 1
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_map_key_is_the_fraction_key(pipelines, name):
+    # the key orders Gamma, the DOT numbering and the automaton's canonical
+    # states, so it must stay the Fraction pairs whatever the element form
+    pipe = pipelines(name)
+    maps = list(pipe.decider.gamma_maps())
+    for st_ in pipe.automaton.states:
+        maps.extend(st_.umaps)
+        maps.append(st_.rmap)
+    assert len(maps) > len(pipe.automaton.states)
+    for s in maps:
+        assert s.key() == _fraction_key(s)
