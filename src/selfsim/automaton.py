@@ -16,6 +16,7 @@ measure pass and are pruned there; nothing downstream consumes them.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -83,11 +84,12 @@ def root_state(ifs: IFS) -> AtomState:
 
 
 class _ChildRec:
-    __slots__ = ("map", "tag", "order_key", "parents", "has_v", "forbidden")
+    __slots__ = ("map", "tag", "item", "order_key", "parents", "has_v", "forbidden")
 
     def __init__(self, smap, tag, order_key):
         self.map = smap
         self.tag = tag
+        self.item = None  # (map id, tag) for the decider's id-level queries
         self.order_key = order_key
         self.parents = []  # (u_position, letters, probability)
         self.has_v = False
@@ -122,6 +124,9 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
             else:
                 rec.forbidden = True
     out = sorted(recs.values(), key=lambda r: r.order_key)
+    # ids only once every map is composed: a compose may empty the decider's tables
+    for rec, i in zip(out, decider.ids([r.map for r in out])):
+        rec.item = (i, rec.tag)
     return out
 
 
@@ -131,7 +136,8 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
     Enumerates candidate covering signatures (subsets of allowed child
     maps that cover every V entry and pass the exact tuple-intersection
     test), then reads off the child's touching set and the transition
-    matrix from the recorded (parent, bridge) pairs.
+    matrix from the recorded (parent, bridge) pairs.  Every intersection
+    query goes to the decider as (map id, tag) items.
     """
     recs = _child_records(state, ifs, decider)
     allowed = [r for r in recs if r.has_v and not r.forbidden]
@@ -145,21 +151,20 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
     if not allowed or any(not s for s in cover_sets):
         return out  # provably no children: the state carries no mass
 
+    found = []
     for members in _signatures(allowed, cover_sets, decider):
-        mmaps = [allowed[i].map for i in members]
-        mtags = [allowed[i].tag for i in members]
-        nlist = []
-        for idx, rec in enumerate(recs):
-            if rec.has_v and not rec.forbidden and any(allowed[i] is rec for i in members):
-                nlist.append(rec)
-            elif decider.tuple_intersects(mmaps + [rec.map], mtags + [rec.tag]):
-                nlist.append(rec)
-        h1 = mmaps[0]
+        member_recs = {allowed[i] for i in members}
+        mitems = [r.item for r in member_recs]
+        found.append((members, member_recs,
+                      [r for r in recs if r in member_recs
+                       or decider.tuple_ids(tuple(sorted(mitems + [r.item])))]))
+    # composes only after the id-level queries: a compose may empty the decider's tables
+    for members, member_recs, nlist in found:
+        h1 = allowed[members[0]].map
         h1_inv = h1.inverse()
         umaps = tuple(decider.compose(h1_inv, r.map) for r in nlist)
         utags = tuple(r.tag for r in nlist)
-        member_maps = {allowed[i].map for i in members}
-        vpos = tuple(i for i, r in enumerate(nlist) if r.map in member_maps)
+        vpos = tuple(i for i, r in enumerate(nlist) if r in member_recs)
         child = AtomState(umaps, utags, vpos, h1)
         tmat = _edge_matrix(state, allowed, members)
         out.append((child, tmat))
@@ -196,17 +201,10 @@ def _signatures(allowed, cover_sets, decider: NeighborDecider):
         if uncovered_after(i):
             return
         # include allowed[i] if the running tuple still intersects
-        ok = True
-        cur = allowed[i]
-        for c in chosen:
-            prev = allowed[c]
-            if not decider.pair_of(prev.map, prev.tag, cur.map, cur.tag):
-                ok = False
-                break
-        if ok and chosen:
-            maps = [allowed[c].map for c in chosen] + [cur.map]
-            tags = [allowed[c].tag for c in chosen] + [cur.tag]
-            ok = decider.tuple_intersects(maps, tags)
+        cur = allowed[i].item
+        ok = all(decider.pair_ids(allowed[c].item, cur) for c in chosen)
+        if ok and len(chosen) > 1:
+            ok = decider.tuple_ids(tuple(sorted([allowed[c].item for c in chosen] + [cur])))
         if ok:
             chosen.append(i)
             for k in covers[i]:
@@ -296,13 +294,14 @@ class Automaton:
         return "\n".join(lines)
 
     def to_json_dict(self) -> dict:
+        name = functools.cache(str)  # one string per distinct map
         states = []
         for st in self.states:
             states.append({
-                "U": [str(m) for m in st.umaps],
+                "U": [name(m) for m in st.umaps],
                 "tags": list(st.utags),
                 "vpos": list(st.vpos),
-                "r": str(st.rmap),
+                "r": name(st.rmap),
             })
         edges = []
         for i, es in enumerate(self.edges):

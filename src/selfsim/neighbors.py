@@ -9,17 +9,27 @@ pair; a tuple is explored on the product graph of canonical tuple states
 and decided by the same rule, with its sub-pair states answered by the
 pruned closure.  Everything is exact: an ambiguous ball test keeps the
 candidate, which never changes a verdict, only the amount of work.
+
+Under the finite type condition the pruned closure is finite, so
+`NeighborDecider` compiles it once into int tables: one node id per
+surviving (relative map, tag, tag), the children of each node per bridge
+pair, and, filled lazily, the node of h_i^{-1} h_j for two nodes.  A tuple
+state is a sorted tuple of node ids, refined and re-pivoted by table
+lookups; no map is composed inside a tuple decision.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from fractions import Fraction
 
 from .intervals import RatInterval, sqrt_interval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
 
 _BALL_BITS = 96  # bits of the certified enclosures behind the ball tests
+_MAX_MAPS = 200_000    # interned maps before the decider empties every table
+_MAX_MEMO = 2_000_000  # memo entries, all memos together, before they are emptied
 
 
 class BudgetExceeded(RuntimeError):
@@ -64,6 +74,12 @@ def bounding_ball(ifs: IFS) -> BoundingBall:
 
 
 class NeighborNode:
+    """A relative map with its scale tags, and its refinements.
+
+    succ holds one entry per bridge pair, pivot bridge major: the key of
+    the child node, or None where the ball test rules the child out.
+    """
+
     __slots__ = ("map", "tags", "succ", "alive")
 
     def __init__(self, smap: Similitude, tags: tuple):
@@ -161,9 +177,7 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000) -> NeighborGraph:
         for bf_inv, tf in inv_bridges:
             left = bf_inv.compose(node.map)
             for bg in g_bridges:
-                child = add(left.compose(bg.map), (tf, bg.new_tag))
-                if child is not None:
-                    node.succ.append(child)
+                node.succ.append(add(left.compose(bg.map), (tf, bg.new_tag)))
     return graph
 
 
@@ -204,17 +218,35 @@ def prune(graph: NeighborGraph) -> NeighborGraph:
 class NeighborDecider:
     """Exact intersection oracle for same-level cylinder maps and tuples.
 
-    Under the finite type condition the relative maps and the bridge maps
-    form a finite set, so every map the decider meets is interned: `_ids`
-    takes a Similitude (equal maps over one field) to a small int id and
-    `_maps` takes the id back.  Ids are per decider, handed out in order of
-    first sight.  The compose and inverse tables, the pair, tuple and raw
-    memos and the surviving closure nodes are all keyed by ids, and a tuple
-    state is a sorted tuple of (id, tag).  Its canonical form is the least
-    such tuple over the left renormalizations, so it follows id order: a
-    fixed total order for the life of the decider.  A verdict does not
-    depend on it, because a common left composition moves every cylinder
-    of the tuple together and keeps their intersection empty or not.
+    Under the finite type condition the relative maps form a finite set
+    (Ngai and Wang, J. Lond. Math. Soc. 63, 2001), so the decider runs on
+    two kinds of small int ids.
+
+    Map ids intern the cylinder maps that callers pass: `_ids` takes a
+    Similitude (equal maps over one field) to an id and `_maps` takes the
+    id back, handed out in order of first sight.  The compose memo and the
+    pair and raw memos are keyed by them; an item is a (map id, tag) pair.
+
+    Node ids number the surviving closure nodes (relative map, tag, tag),
+    compiled once from the pruned closure:
+    - `_child[n][i]`: the distinct surviving children of node n = (h, a, b)
+      under pivot bridge i of tag a, that is the nodes of b_i^{-1} h b'_j
+      over the bridges b'_j of tag b; a dead child is left out;
+    - `_rr[i][j]`, filled lazily: the node of h_i^{-1} h_j for two nodes
+      with one first tag, or -1 when the pair does not meet.
+
+    A tuple state is the sorted tuple of the node ids of its cylinders
+    relative to one of them, the pivot, whose own node is the identity
+    with the pivot tag twice; every pair of a state meets.  `_expand`
+    reads the refinements off `_child` and `_canonical` re-pivots through
+    `_rr`, keeping the least tuple.  That is a fixed total order for the
+    life of the decider; a verdict does not depend on it, because a common
+    left composition moves every cylinder of the tuple together and keeps
+    their intersection empty or not.
+
+    The tables that grow with queries are bounded between public calls:
+    past `_MAX_MAPS` interned maps every table is emptied and map ids
+    restart, past `_MAX_MEMO` memo entries the memos are emptied.
     """
 
     def __init__(self, ifs: IFS, max_nodes: int = 20000, tuple_budget: int = 200000):
@@ -222,24 +254,32 @@ class NeighborDecider:
         self.max_nodes = max_nodes
         self.tuple_budget = tuple_budget
         self._graph: NeighborGraph | None = None
+        self._node_id: dict | None = None  # (map key, tags) -> node id, once compiled
         self._reset()
 
     def _reset(self):
-        """Empty every id-keyed table together; ids restart from 0."""
-        self._ids: dict = {}             # Similitude -> id
-        self._maps: list = []            # id -> interned Similitude
-        self._inv: list = []             # id -> id of the inverse, or None
-        self._compose_memo: dict = {}    # (id, id) -> id
-        self._bridge_ids: dict = {}      # tag -> ((bridge id, new tag), ...)
-        self._alive: set | None = None   # (relative id, tag, tag) of survivors
-        self._pair_memo: dict = {}
-        self._tuple_memo: dict = {}
-        self._raw_memo: dict = {}
+        """Empty the intern table and the memos together; map ids restart from 0."""
+        self._ids: dict = {}             # Similitude -> map id
+        self._maps: list = []            # map id -> interned Similitude
+        self._clear_memos()
 
-    def _bound_memory(self):
-        # only between public calls, never inside a tuple decision
-        if len(self._maps) > 200_000 or len(self._raw_memo) > 2_000_000:
+    def _clear_memos(self):
+        """Empty every memo; map ids and the compiled node tables stay valid."""
+        self._compose_memo: dict = {}    # (map id, map id) -> map id
+        self._pair_memo: dict = {}       # (item, item) -> node id or -1
+        self._raw_memo: dict = {}        # sorted distinct items -> verdict
+        self._tuple_memo: dict = {}      # canonical tuple state -> verdict
+        self._rr = defaultdict(dict)     # node id -> {node id: node id or -1}
+        self._rr_size = 0
+
+    def _bound_memory(self, keep_ids: bool = False):
+        # only between public calls, never inside a tuple decision; keep_ids
+        # where a caller may hold map ids from an earlier call
+        if not keep_ids and len(self._maps) > _MAX_MAPS:
             self._reset()
+        elif (len(self._compose_memo) + len(self._pair_memo) + len(self._raw_memo)
+              + len(self._tuple_memo) + self._rr_size) > _MAX_MEMO:
+            self._clear_memos()
 
     @property
     def graph(self) -> NeighborGraph:
@@ -254,7 +294,7 @@ class NeighborDecider:
     def gamma_maps(self):
         return self.graph.gamma_maps()
 
-    # -- the intern table --------------------------------------------------
+    # -- the intern table and the compiled closure ----------------------------
     def _intern(self, smap: Similitude) -> int:
         i = self._ids.get(smap)
         if i is None:
@@ -263,42 +303,53 @@ class NeighborDecider:
             i = len(self._maps)
             self._ids[smap] = i
             self._maps.append(smap)
-            self._inv.append(None)
         return i
 
-    def _compose_id(self, a: int, b: int) -> int:
-        c = self._compose_memo.get((a, b))
-        if c is None:
-            c = self._intern(self._maps[a].compose(self._maps[b]))
-            self._compose_memo[(a, b)] = c
+    def _compile(self) -> dict:
+        """Number the surviving closure nodes and tabulate their children."""
+        if self._node_id is None:
+            graph, ifs = self.graph, self.ifs
+            keys = [k for k, n in graph.nodes.items() if n.alive]
+            node_id = {k: i for i, k in enumerate(keys)}
+            nodes = [graph.nodes[k] for k in keys]
+            self._node_maps = [n.map for n in nodes]
+            self._node_tags = [n.tags for n in nodes]
+            self._child = []
+            for n in nodes:
+                # succ holds one entry per bridge pair, pivot bridge major
+                width = len(ifs.bridges(n.tags[1]))
+                kids = [node_id.get(s, -1) for s in n.succ]
+                self._child.append(tuple(
+                    tuple(c for c in dict.fromkeys(kids[i:i + width]) if c >= 0)
+                    for i in range(0, len(kids), width)))
+            ident = ifs.identity_map().key()
+            self._ident = {a: i for i, (k, (a, b)) in enumerate(keys)
+                           if k == ident and a == b}
+            # the pivot's own child under bridge i is the identity with i's new tag
+            self._ident_child = {a: tuple(self._ident[br.new_tag] for br in ifs.bridges(a))
+                                 for a in self._ident}
+            self._node_id = node_id
+        return self._node_id
+
+    def _relative(self, i: int, j: int) -> int:
+        """Node id of h_i^{-1} h_j for nodes i, j with one first tag, or -1."""
+        rel = self._node_maps[i].inverse().compose(self._node_maps[j])
+        c = self._node_id.get((rel.key(), (self._node_tags[i][1], self._node_tags[j][1])), -1)
+        self._rr[i][j] = c
+        self._rr_size += 1
         return c
 
-    def _inverse_id(self, a: int) -> int:
-        b = self._inv[a]
-        if b is None:
-            b = self._intern(self._maps[a].inverse())
-            self._inv[a] = b
-            self._inv[b] = a
-        return b
-
-    def _bridges_of(self, tag: int) -> tuple:
-        out = self._bridge_ids.get(tag)
-        if out is None:
-            out = tuple((self._intern(b.map), b.new_tag) for b in self.ifs.bridges(tag))
-            self._bridge_ids[tag] = out
-        return out
-
-    def _alive_nodes(self) -> set:
-        if self._alive is None:
-            self._alive = {(self._intern(n.map),) + n.tags
-                           for n in self.graph.nodes.values() if n.alive}
-        return self._alive
-
-    # -- public queries ----------------------------------------------------
+    # -- public queries on maps -------------------------------------------
     def compose(self, f: Similitude, g: Similitude) -> Similitude:
         """f.compose(g), memoized; equal results are one interned object."""
-        self._bound_memory()
-        return self._maps[self._compose_id(self._intern(f), self._intern(g))]
+        c = self._compose_memo.get((self._ids.get(f), self._ids.get(g)))
+        if c is None:
+            self._bound_memory()
+            pair = (self._intern(f), self._intern(g))
+            c = self._compose_memo.get(pair)
+            if c is None:
+                c = self._compose_memo[pair] = self._intern(f.compose(g))
+        return self._maps[c]
 
     def pair_of(self, s1: Similitude, t1: int, s2: Similitude, t2: int) -> bool:
         """Memoized intersection verdict for two tagged same-level maps.
@@ -307,21 +358,7 @@ class NeighborDecider:
         (t1, t2) exists and survived.
         """
         self._bound_memory()
-        p, q = (self._intern(s1), t1), (self._intern(s2), t2)
-        return self._pair(p, q) if p <= q else self._pair(q, p)
-
-    def _pair(self, p, q) -> bool:
-        """Pair verdict for (id, tag) items p <= q."""
-        hit = self._pair_memo.get((p, q))
-        if hit is None:
-            (a, ta), (b, tb) = p, q
-            if a == b:
-                hit = True
-            else:
-                rel = self._compose_id(self._inverse_id(a), b)
-                hit = (rel, ta, tb) in self._alive_nodes()
-            self._pair_memo[(p, q)] = hit
-        return hit
+        return self.pair_ids((self._intern(s1), t1), (self._intern(s2), t2))
 
     def intersects(self, f: Similitude, g: Similitude) -> bool:
         """Exact decision of f(K) meeting g(K) for same-level cylinder maps."""
@@ -331,9 +368,8 @@ class NeighborDecider:
         """Exact decision of a k-fold intersection of same-level cylinders.
 
         maps: list of Similitudes at one stopping level; tags, one per map,
-        default to exponent mod k_max.  Memoized on the sorted distinct
-        input; a failing pair decides it at once, and three or more
-        cylinders go to the product graph as one canonical state.
+        default to exponent mod k_max.  Decided by `tuple_ids` on the
+        sorted distinct items.
         """
         maps = list(maps)
         if tags is None:
@@ -347,42 +383,87 @@ class NeighborDecider:
                 raise MapError(f"tuple_intersects got {len(tags)} tags "
                                f"for {len(maps)} maps")
         self._bound_memory()
-        items = tuple(sorted(dict.fromkeys(zip(map(self._intern, maps), tags))))
-        if len(items) == 1:
+        return self.tuple_ids(tuple(sorted(dict.fromkeys(zip(map(self._intern, maps), tags)))))
+
+    # -- public queries on map ids ------------------------------------------
+    def ids(self, maps) -> list:
+        """The map ids of maps, for `pair_ids` and `tuple_ids`.
+
+        They stay valid until the next call that takes Similitudes, which
+        may empty the intern table; this call may empty it first.
+        """
+        self._bound_memory()
+        return [self._intern(m) for m in maps]
+
+    def pair_ids(self, p, q) -> bool:
+        """Memoized verdict for two (map id, tag) items."""
+        return p == q or (self._pair_node(p, q) if p < q else self._pair_node(q, p)) >= 0
+
+    def tuple_ids(self, items) -> bool:
+        """Memoized verdict for sorted distinct (map id, tag) items of one level.
+
+        A failing pair decides it at once; three or more cylinders become
+        one canonical tuple state, decided on the compiled tables.
+        """
+        if len(items) < 2:
             return True
         hit = self._raw_memo.get(items)
         if hit is None:
-            hit = self._pairwise_ok(items)
-            if hit and len(items) > 2:
-                hit = self._decide_tuple(self._canonical(items))
+            self._bound_memory(keep_ids=True)
+            first = items[0]
+            nodes = [self._pair_node(first, q) for q in items[1:]]
+            if min(nodes) < 0:
+                hit = False
+            elif len(nodes) == 1:
+                hit = True
+            else:
+                start = self._canonical([self._ident[first[1]]] + nodes)
+                hit = start is not None and self._decide_tuple(start)
             self._raw_memo[items] = hit
         return hit
 
-    def _canonical(self, items):
-        """Normalize a tuple state of distinct (id, tag) components.
+    def _pair_node(self, p, q) -> int:
+        """Node id of item q relative to item p < q, or -1 when they do not meet."""
+        node = self._pair_memo.get((p, q))
+        if node is None:
+            self._bound_memory(keep_ids=True)
+            (a, ta), (b, tb) = p, q
+            if a == b:
+                raise MapError("one map given with two scale tags")
+            rel = self._maps[a].inverse().compose(self._maps[b])
+            node = self._compile().get((rel.key(), (ta, tb)), -1)
+            self._pair_memo[(p, q)] = node
+        return node
 
-        Quotients by a common left composition: renormalizes by each
-        component in turn and keeps the least sorted representative.
+    # -- tuple states on node ids ---------------------------------------------
+    def _canonical(self, nodes):
+        """The canonical tuple state of distinct nodes relative to one pivot.
+
+        Re-pivots on each component j, taking every component k to the node
+        of h_j^{-1} h_k, and keeps the least sorted result; None when some
+        pair does not meet.
         """
-        compose = self._compose_id
+        rr = self._rr
         best = None
-        for pivot, _ in items:
-            inv = self._inverse_id(pivot)
-            rel = tuple(sorted([(compose(inv, s), t) for s, t in items]))
+        for j in nodes:
+            row = rr[j]
+            rel = [row.get(k) for k in nodes]
+            if None in rel:
+                rel = [self._relative(j, k) if c is None else c for k, c in zip(nodes, rel)]
+            if -1 in rel:
+                return None
+            rel.sort()
+            rel = tuple(rel)
             if best is None or rel < best:
                 best = rel
         return best
 
-    def _pairwise_ok(self, state) -> bool:
-        # state is sorted, so every pair comes in order
-        return all(self._pair(p, q) for p, q in itertools.combinations(state, 2))
-
     def _decide_tuple(self, start) -> bool:
         """Verdict for a canonical tuple state, memoized in `_tuple_memo`.
 
-        Explores the product graph from start.  States of one or two
-        components, and states with a failing pair, are decided directly;
-        the others are decided together by `greatest_fixed_point`.
+        Explores the product graph from start.  Every state met has all its
+        pairs meeting, so one of one or two components is True; the others
+        are decided together by `greatest_fixed_point`.
         """
         memo = self._tuple_memo
         succ: dict = {}
@@ -394,11 +475,11 @@ class NeighborDecider:
             if len(succ) > self.tuple_budget:
                 raise BudgetExceeded("tuple intersection state budget exceeded",
                                      node_count=len(succ))
-            if len(state) > 2 and self._pairwise_ok(state):
+            if len(state) > 2:
                 succ[state] = self._expand(state)
                 stack.extend(succ[state])
-            else:  # one or two components, or a failing pair
-                memo[state] = len(state) <= 2 and self._pairwise_ok(state)
+            else:
+                memo[state] = True
         alive = greatest_fixed_point(succ, memo)
         for state in succ:
             memo[state] = state in alive
@@ -407,15 +488,18 @@ class NeighborDecider:
     def _expand(self, state) -> list:
         """All simultaneous one-step refinements of a tuple state, canonical.
 
-        Each refinement is renormalized by its first bridge, which
-        `_canonical` would quotient out anyway; it keeps the composed maps
-        at the scale of the relative maps, where their arithmetic is cheaper.
+        Each refinement is taken relative to the pivot's refinement, so it
+        is read off `_child`.  A refinement with a pair that does not meet
+        is left out: it can feed no kept state.
         """
-        compose = self._compose_id
+        tag = self._node_tags[state[0]][0]
+        pivot = self._ident[tag]
+        child = self._child
+        others = [n for n in state if n != pivot]
         out = []
-        for combo in itertools.product(*(self._bridges_of(t) for _, t in state)):
-            base_inv = self._inverse_id(combo[0][0])
-            nxt = dict.fromkeys((compose(base_inv, compose(s, b)), nt)
-                                for (s, _), (b, nt) in zip(state, combo))
-            out.append(self._canonical(list(nxt)))
+        for i, new_pivot in enumerate(self._ident_child[tag]):
+            for combo in itertools.product(*(child[n][i] for n in others)):
+                nxt = self._canonical(list(dict.fromkeys((new_pivot,) + combo)))
+                if nxt is not None:
+                    out.append(nxt)
         return out

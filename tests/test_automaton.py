@@ -1,14 +1,19 @@
+import hashlib
+import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from selfsim import automaton as am
 from selfsim.automaton import NotAdmissible
+from selfsim.config import IfsConfig
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
 from selfsim.neighbors import NeighborDecider
 from selfsim.oracle import canonical_words
+from selfsim.pipeline import Pipeline
 
 
 def test_root_state(cantor):
@@ -168,3 +173,15 @@ def test_exports(golden):
     data = auto.to_json_dict()
     assert len(data["states"]) == len(auto.states)
     assert all("T" in e for e in data["edges"])
+
+
+def test_golden_gasket_3d_automaton():
+    # x -> lambda x + v with v in {0, e1, e2, e3}, lambda = (sqrt 5 - 1)/2:
+    # the paper's R^d setting; the mass solve is not part of this test
+    cfg = IfsConfig.load(Path(__file__).parent / "data" / "golden-gasket-3d.json")
+    auto = Pipeline(cfg).automaton
+    assert len(auto.states) == 7559
+    assert sum(len(es) for es in auto.edges) == 27406
+    digest = hashlib.sha256(
+        json.dumps(auto.to_json_dict(), sort_keys=True).encode()).hexdigest()
+    assert digest == "c4e634f41a5b7e869167e4d6e9239454e859edc29aba8d779e2134929062cee8"

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from selfsim import automaton as am
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, MapError, ScaleBase, Similitude
@@ -300,6 +301,44 @@ def test_answers_survive_clearing_the_id_tables(pipelines):
     assert answers() == before
 
 
+@pytest.mark.parametrize("name", ["golden-bernoulli", "commensurable-osc"])
+def test_answers_survive_the_memory_bound(pipelines, name, monkeypatch):
+    from selfsim import neighbors
+    p = pipelines(name)
+    ifs = p.ifs
+    k = ifs.k_max
+    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(2 * k)][:8]
+
+    def answers(d):
+        return ([d.compose(a, b) for a in ws[:3] for b in ws[:3]],
+                [d.pair_of(a, a.exponent % k, b, b.exponent % k) for a in ws for b in ws],
+                [d.tuple_intersects(c) for c in itertools.combinations(ws, 3)])
+
+    want = answers(NeighborDecider(ifs))
+    want_auto = p.automaton.to_json_dict()
+    resets = []
+
+    def counted(method):
+        orig = getattr(NeighborDecider, method)
+
+        def wrapper(self):
+            resets.append(method)
+            orig(self)
+        monkeypatch.setattr(NeighborDecider, method, wrapper)
+
+    counted("_reset")
+    counted("_clear_memos")
+    monkeypatch.setattr(neighbors, "_MAX_MAPS", 0)
+    monkeypatch.setattr(neighbors, "_MAX_MEMO", 0)
+    d = NeighborDecider(ifs)
+    resets.clear()
+    assert answers(d) == want
+    assert am.build(ifs, d).to_json_dict() == want_auto
+    # both limits fired: _reset calls _clear_memos too, so more _clear_memos
+    # calls than _reset calls mean the memo limit fired on its own
+    assert 0 < resets.count("_reset") < resets.count("_clear_memos")
+
+
 def test_tuple_intersects_needs_one_tag_per_map(pipelines):
     ifs = pipelines("golden-bernoulli").ifs
     ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(3)]
@@ -310,3 +349,14 @@ def test_tuple_intersects_needs_one_tag_per_map(pipelines):
         d.tuple_intersects([ws[0], ws[7]], [0])
     with pytest.raises(MapError):
         d.tuple_intersects([ws[0]], [0, 0])
+
+
+def test_one_map_with_two_tags_is_refused(pipelines):
+    ifs = pipelines("commensurable-osc").ifs
+    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(2)]
+    d = NeighborDecider(ifs)
+    assert d.pair_of(ws[0], 0, ws[0], 0)
+    with pytest.raises(MapError):
+        d.pair_of(ws[0], 0, ws[0], 1)
+    with pytest.raises(MapError):
+        d.tuple_intersects([ws[0], ws[0], ws[1]], [0, 1, 0])
