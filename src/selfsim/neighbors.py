@@ -2,12 +2,13 @@
 
 The candidate closure enumerates relative maps h = S_I^{-1} S_J of
 same-level cylinder pairs, filtered by a certified ball test.  Pairs and
-tuples of cylinders share one rule, `greatest_fixed_point`: keep the
-states with an infinite refinement chain, because an intersection point
-exists iff such a chain does.  Pruning the closure with it decides every
-pair; a tuple is explored on the product graph of canonical tuple states
-and decided by the same rule, with its sub-pair states answered by the
-pruned closure.  Everything is exact: an ambiguous ball test keeps the
+tuples of cylinders share one rule, `reaches_cycle`: a state meets iff
+its refinement chain reaches a cycle (or a state known to meet), because
+an intersection point exists iff an infinite chain does and the graph is
+finite.  `prune` runs it on every closure node, which decides every pair;
+a tuple runs it on the product graph of canonical tuple states, stopping
+at the first cycle, with its sub-pair states answered by the pruned
+closure.  Everything is exact: an ambiguous ball test keeps the
 candidate, which never changes a verdict, only the amount of work.
 
 Under the finite type condition the pruned closure is finite, so
@@ -33,7 +34,7 @@ _MAX_MEMO = 2_000_000  # memo entries, all memos together, before they are empti
 
 
 class BudgetExceeded(RuntimeError):
-    """Closure grew past its node budget: finite type not verified."""
+    """Closure past max_nodes (finite type not verified), or tuple query past tuple_budget."""
 
     def __init__(self, message, frontier_size=0, node_count=0):
         super().__init__(message)
@@ -181,34 +182,48 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000) -> NeighborGraph:
     return graph
 
 
-def greatest_fixed_point(succ: dict, known: dict) -> set:
-    """The largest set of keys of `succ` each with a successor kept or True.
+def reaches_cycle(start, succ, known: dict, budget=None) -> bool:
+    """Whether start has an infinite chain under succ or a chain into a True state.
 
-    succ maps each undecided key to its successor keys; a successor that
-    is neither kept nor True in `known` is dead.  The kept keys are those
-    with an infinite refinement chain or a chain into a state known True.
+    An iterative depth-first search: a back edge to its path or a state
+    that `known` holds True marks the whole path True and stops it; a state
+    whose successors are all explored and none True is marked False.  Both
+    verdicts are final, so `known` stays a valid memo across calls.  A None
+    successor is dead; budget (the decider's tuple_budget) bounds the states
+    expanded by one call.
     """
-    alive = set(succ)
-    changed = True
-    while changed:
-        changed = False
-        for k in list(alive):
-            if not any(s in alive or known.get(s) is True for s in succ[k]):
-                alive.discard(k)
-                changed = True
-    return alive
+    hit = known.get(start)
+    if hit is not None:
+        return hit
+    path = {start: iter(succ(start))}  # the states on the path -> their successors left
+    expanded = 1
+    while path:
+        for s in next(reversed(path.values())):
+            if s in path or known.get(s):
+                known.update(dict.fromkeys(path, True))
+                return True
+            if s is not None and s not in known:
+                break
+        else:
+            known[path.popitem()[0]] = False
+            continue
+        if budget is not None and expanded > budget:
+            raise BudgetExceeded("tuple state budget exceeded", node_count=expanded)
+        expanded += 1
+        path[s] = iter(succ(s))
+    return False
 
 
 def prune(graph: NeighborGraph) -> NeighborGraph:
-    """Keep the closure nodes with an infinite refinement chain.
+    """Keep the closure nodes whose refinement chain reaches a cycle.
 
     Survivors are exactly the maps h with h(K) meeting K: an infinite
     feasible refinement chain forces a common point by compactness, and
-    a common point always refines.
+    a common point always refines.  One `known` memo serves every node.
     """
-    alive = greatest_fixed_point({k: n.succ for k, n in graph.nodes.items()}, {})
+    known: dict = {}
     for k, n in graph.nodes.items():
-        n.alive = k in alive
+        n.alive = reaches_cycle(k, lambda key: graph.nodes[key].succ, known)
     ident = graph.nodes.get((graph.ifs.identity_map().key(), (0, 0)))
     if ident is None or not ident.alive:
         raise MapError("identity map failed to survive pruning; inconsistent closure")
@@ -242,7 +257,9 @@ class NeighborDecider:
     `_rr`, keeping the least tuple.  That is a fixed total order for the
     life of the decider; a verdict does not depend on it, because a common
     left composition moves every cylinder of the tuple together and keeps
-    their intersection empty or not.
+    their intersection empty or not.  `reaches_cycle` walks the states
+    from a query until the first cycle, so a True verdict explores one
+    chain, not the whole reachable product graph.
 
     The tables that grow with queries are bounded between public calls:
     past `_MAX_MAPS` interned maps every table is emptied and map ids
@@ -461,36 +478,19 @@ class NeighborDecider:
     def _decide_tuple(self, start) -> bool:
         """Verdict for a canonical tuple state, memoized in `_tuple_memo`.
 
-        Explores the product graph from start.  Every state met has all its
-        pairs meeting, so one of one or two components is True; the others
-        are decided together by `greatest_fixed_point`.
+        True iff its refinements reach a cycle of tuple states or a state
+        of one or two components, which `_expand` marks True; decided by
+        `reaches_cycle` within `tuple_budget` expanded states.
         """
-        memo = self._tuple_memo
-        succ: dict = {}
-        stack = [start]
-        while stack:
-            state = stack.pop()
-            if state in succ or state in memo:
-                continue
-            if len(succ) > self.tuple_budget:
-                raise BudgetExceeded("tuple intersection state budget exceeded",
-                                     node_count=len(succ))
-            if len(state) > 2:
-                succ[state] = self._expand(state)
-                stack.extend(succ[state])
-            else:
-                memo[state] = True
-        alive = greatest_fixed_point(succ, memo)
-        for state in succ:
-            memo[state] = state in alive
-        return memo[start]
+        return reaches_cycle(start, self._expand, self._tuple_memo, self.tuple_budget)
 
     def _expand(self, state) -> list:
         """All simultaneous one-step refinements of a tuple state, canonical.
 
         Each refinement is taken relative to the pivot's refinement, so it
         is read off `_child`.  A refinement with a pair that does not meet
-        is left out: it can feed no kept state.
+        is left out; one of one or two components meets, so it goes into
+        `_tuple_memo` as True.
         """
         tag = self._node_tags[state[0]][0]
         pivot = self._ident[tag]
@@ -501,5 +501,7 @@ class NeighborDecider:
             for combo in itertools.product(*(child[n][i] for n in others)):
                 nxt = self._canonical(list(dict.fromkeys((new_pivot,) + combo)))
                 if nxt is not None:
+                    if len(nxt) < 3:
+                        self._tuple_memo[nxt] = True
                     out.append(nxt)
         return out

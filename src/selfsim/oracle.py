@@ -548,33 +548,35 @@ def _cycle_certificate(ifs: IFS, u: Similitude, a_letters, b_letters) -> bool:
 # word enumeration
 # ----------------------------------------------------------------------
 
-def level_map_weights(ifs: IFS, level: int, budget: int = 2_000_000) -> dict:
-    """Map key -> (map, sum of p_I) over stopping words at the level."""
+def _stopping_walk(ifs: IFS, level: int, budget: int) -> dict:
+    """Map key -> (map, sum of p_I, least I) over the stopping words I at the level."""
     threshold = level * ifs.k_max
     ident = ifs.identity_map()
     if threshold == 0:
-        return {ident.key(): (ident, Fraction(1))}
-    frontier = {ident.key(): (ident, Fraction(1), 0)}
+        return {ident.key(): (ident, Fraction(1), ())}
+    frontier = {ident.key(): (ident, Fraction(1), (), 0)}
     done: dict = {}
     while frontier:
         nxt: dict = {}
-        for _key, (smap, w, expo) in frontier.items():
+        for smap, w, letters, expo in frontier.values():
             for i, gen in enumerate(ifs.maps):
                 child = smap.compose(gen)
                 e2 = expo + ifs.exponents[i]
-                w2 = w * ifs.probabilities[i]
-                if e2 >= threshold:
-                    k2 = child.key()
-                    prev = done.get(k2)
-                    done[k2] = (child, w2 if prev is None else prev[1] + w2)
-                else:
-                    k2 = (child.key(), e2)
-                    prev = nxt.get(k2)
-                    nxt[k2] = (child, w2 if prev is None else prev[1] + w2, e2)
+                w2, word = w * ifs.probabilities[i], letters + (i,)
+                table, k2 = (done, child.key()) if e2 >= threshold else (nxt, (child.key(), e2))
+                prev = table.get(k2)
+                if prev is not None:
+                    w2, word = prev[1] + w2, min(prev[2], word)
+                table[k2] = (child, w2, word, e2)
             if len(nxt) + len(done) > budget:
                 raise OracleError("word enumeration budget exceeded")
         frontier = nxt
     return done
+
+
+def level_map_weights(ifs: IFS, level: int, budget: int = 2_000_000) -> dict:
+    """Map key -> (map, sum of p_I) over stopping words at the level."""
+    return {k: v[:2] for k, v in _stopping_walk(ifs, level, budget).items()}
 
 
 def word_sum_entry(ifs: IFS, target: Similitude, level: int) -> Fraction:
@@ -585,28 +587,4 @@ def word_sum_entry(ifs: IFS, target: Similitude, level: int) -> Fraction:
 
 def canonical_words(ifs: IFS, level: int, budget: int = 2_000_000) -> dict:
     """Map key -> lexicographically minimal stopping word realizing the map."""
-    threshold = level * ifs.k_max
-    ident = ifs.identity_map()
-    if threshold == 0:
-        return {ident.key(): ()}
-    frontier = {ident.key(): (ident, (), 0)}
-    done: dict = {}
-    while frontier:
-        nxt: dict = {}
-        for _key, (smap, letters, expo) in frontier.items():
-            for i, gen in enumerate(ifs.maps):
-                child = smap.compose(gen)
-                e2 = expo + ifs.exponents[i]
-                w2 = letters + (i,)
-                if e2 >= threshold:
-                    k2 = child.key()
-                    if k2 not in done or w2 < done[k2]:
-                        done[k2] = w2
-                else:
-                    k2 = (child.key(), e2)
-                    if k2 not in nxt or w2 < nxt[k2][1]:
-                        nxt[k2] = (child, w2, e2)
-            if len(nxt) + len(done) > budget:
-                raise OracleError("word enumeration budget exceeded")
-        frontier = nxt
-    return done
+    return {k: v[2] for k, v in _stopping_walk(ifs, level, budget).items()}

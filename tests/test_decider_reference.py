@@ -4,7 +4,11 @@
 tables: a tuple state is a sorted tuple of (map key, tag) relative to one
 of its cylinders, `_canonical` composes with the inverse of each pivot and
 keeps the least tuple, and `_expand` composes every bridge combination.
-Pairs are read off the same pruned closure.
+Pairs are read off the same pruned closure.  A tuple is decided by the
+earlier rule too: explore the whole reachable product graph, then keep its
+greatest fixed point, a private copy kept here so that the reference does
+not share `neighbors.reaches_cycle` with the decider; a fuzz checks the
+two rules against each other.
 """
 
 import itertools
@@ -16,8 +20,52 @@ from hypothesis import given, settings, strategies as st
 from conftest import BUNDLED
 from selfsim import automaton as am
 from selfsim.maps import IFS, ScaleBase, Similitude
-from selfsim.neighbors import BudgetExceeded, NeighborDecider, greatest_fixed_point
+from selfsim.neighbors import BudgetExceeded, NeighborDecider, reaches_cycle
 from test_pipeline_fuzz import H, K, _dyadic_ifs, dyadic_systems
+
+
+def _greatest_fixed_point(succ: dict, known: dict) -> set:
+    """The largest set of keys of `succ` each with a successor kept or True.
+
+    succ maps each undecided key to its successor keys; a successor that
+    is neither kept nor True in `known` is dead.  The kept keys are those
+    with an infinite refinement chain or a chain into a state known True.
+    """
+    alive = set(succ)
+    changed = True
+    while changed:
+        changed = False
+        for k in list(alive):
+            if not any(s in alive or known.get(s) is True for s in succ[k]):
+                alive.discard(k)
+                changed = True
+    return alive
+
+
+@st.composite
+def successor_graphs(draw):
+    """Successor lists on keys 0..n-1, None successors among them; the
+    other keys are known True, known False or never explored."""
+    n = draw(st.integers(1, 9))
+    kinds = draw(st.lists(st.sampled_from(["succ", "succ", "succ", True, False, "unexplored"]),
+                          min_size=n, max_size=n))
+    targets = st.one_of(st.none(), st.integers(0, n - 1))
+    succ = {k: draw(st.lists(targets, max_size=3)) for k in range(n) if kinds[k] == "succ"}
+    known = {k: kind for k, kind in enumerate(kinds) if isinstance(kind, bool)}
+    return succ, known, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(successor_graphs())
+def test_reaches_cycle_agrees_with_the_greatest_fixed_point(graph):
+    succ, known, order = graph
+    kept = _greatest_fixed_point(succ, known)
+    expected = {k: known.get(k, k in kept) for k in order}
+    step = lambda k: succ.get(k, [])  # an unexplored key has no successor
+    assert {k: reaches_cycle(k, step, dict(known)) for k in order} == expected
+    shared = dict(known)  # one memo across keys in a random order, as in `prune`
+    assert {k: reaches_cycle(k, step, shared) for k in order} == expected
+    assert all(shared[k] == expected[k] for k in shared)
 
 
 class ReferenceDecider:
@@ -80,7 +128,7 @@ class ReferenceDecider:
                 stack.extend(succ[state])
             else:
                 memo[state] = len(state) <= 2 and self._pairwise_ok(state)
-        alive = greatest_fixed_point(succ, memo)
+        alive = _greatest_fixed_point(succ, memo)
         for state in succ:
             memo[state] = state in alive
         return memo[start]

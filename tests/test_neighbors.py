@@ -8,7 +8,7 @@ from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, MapError, ScaleBase, Similitude
 from selfsim.neighbors import (BudgetExceeded, NeighborDecider, bounding_ball,
-                               candidate_closure, greatest_fixed_point, prune)
+                               candidate_closure, prune, reaches_cycle)
 
 
 def ifs_1d(coeffs, box, specs, probs, mode="equicontractive"):
@@ -95,22 +95,45 @@ def test_prune_keeps_successor_closed_set(golden_ifs):
     assert graph.nodes[(ident.key(), (0, 0))].alive
 
 
-def test_greatest_fixed_point_cases():
+def test_reaches_cycle_cases():
     known = {"T": True, "F": False}
     succ = {"a": ["b"], "b": ["a"],            # a cycle
             "c": ["d"], "d": ["e"], "e": [],   # a chain into a node with no successor
             "x": ["y"],                        # a chain into an unexplored key
             "t": ["T"], "u": ["t"],            # only successor decided True
             "f": ["F"],                        # only successor decided False
-            "m": ["F", "e", "a"]}              # one kept successor among dead ones
-    kept = greatest_fixed_point(succ, known)
-    assert {"a", "b"} <= kept
-    assert not kept & {"c", "d", "e", "x"}
-    assert {"t", "u"} <= kept
-    assert "f" not in kept
-    assert "m" in kept
+            "m": ["F", "e", "a"],              # one kept successor among dead ones
+            "n": [None, "f"]}                  # a successor the ball test ruled out
+    step = lambda s: succ.get(s, [])
+    kept = {k for k in succ if reaches_cycle(k, step, dict(known))}
     assert kept == {"a", "b", "t", "u", "m"}
-    assert greatest_fixed_point({}, known) == set()
+    shared = dict(known)
+    assert {k for k in succ if reaches_cycle(k, step, shared)} == kept
+    assert {k for k in succ if shared[k]} == kept  # every verdict is recorded
+    assert reaches_cycle("T", None, known) and not reaches_cycle("F", None, known)
+
+
+def test_reaches_cycle_budget_counts_expanded_states():
+    chain = lambda s: [s + 1]  # an infinite chain, never a cycle
+    with pytest.raises(BudgetExceeded) as exc:
+        reaches_cycle(0, chain, {}, budget=50)
+    assert exc.value.node_count == 51
+
+
+def test_plastic_tuple_decided_on_its_first_cycle():
+    # lambda^3 + lambda^2 = 1, maps lambda x and lambda x + 1: the whole reachable
+    # product graph of this tuple has 2224 states, its first cycle is a few steps away
+    K, ifs = ifs_1d([-1, 0, 1, 1], (0, 1),
+                    [(lambda K: K.gen, lambda K: K.zero, 1),
+                     (lambda K: K.gen, lambda K: K.one, 1)],
+                    [F(1, 2), F(1, 2)])
+    lam = K.gen
+    third = Similitude(K, ((lam,),), (lam + lam * lam,), 1)
+    decider = NeighborDecider(ifs, tuple_budget=100)
+    expand, calls = decider._expand, []
+    decider._expand = lambda state: calls.append(state) or expand(state)
+    assert decider.tuple_intersects([*ifs.maps, third])
+    assert 0 < len(calls) <= 20
 
 
 def test_budget_exceeded_reports():

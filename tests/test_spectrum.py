@@ -4,8 +4,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
+from scipy.sparse import csgraph
 
 from selfsim.measure import GlobalSystem
 from selfsim import spectrum
@@ -380,13 +381,30 @@ def block_systems(draw):
     return _block_system(dims, edges), q
 
 
+def _spectral_radius(matrix):
+    """rho of a dense nonnegative matrix, the largest over its strong components.
+
+    `numpy.linalg.eigvals` loses digits on a Jordan block at rho, which a
+    nonnegative matrix has when two components of spectral radius rho lie
+    on one chain (Rothblum's index theorem).  The Perron root of one
+    irreducible component is simple, so its eigenvalues are accurate.
+    """
+    count, labels = csgraph.connected_components(sparse.csr_matrix(matrix), connection="strong")
+    return max(max(abs(np.linalg.eigvals(matrix[np.ix_(part, part)])))
+               for part in (np.flatnonzero(labels == c) for c in range(count)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(block_systems())
+# the components {0, 1} and {2} of this block both have rho 2, so the lifted
+# matrix has a Jordan block at rho = 8, where eigvals was 1.4e-5 off
+@example((_block_system([1, 3, 1], {(1, 1): ((F(1), F(1), F(0)), (F(1), F(1), F(0)),
+                                             (F(0), F(1), F(2)))}), 3))
 def test_lifted_operator_fuzz_against_eigvals(spec):
     system, q = spec
-    rho = max(abs(np.linalg.eigvals(_kronecker_sum(system, q).toarray())))
+    rho = _spectral_radius(_kronecker_sum(system, q).toarray())
     lifted = _dense(lifted_operator(system, q))
-    rho_lifted = max(abs(np.linalg.eigvals(lifted)))
+    rho_lifted = _spectral_radius(lifted)
     tol = 1e-6 * max(1.0, rho)
     assert abs(rho_lifted - rho) <= tol
     lo, hi = _certified_rho(lifted, max_iter=2000)
