@@ -16,7 +16,9 @@ measure pass and are pruned there; nothing downstream consumes them.
 
 from __future__ import annotations
 
+import bisect
 import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -25,6 +27,7 @@ from .maps import IFS, Similitude, MapError, dist_sq_interval
 from .neighbors import NeighborDecider
 
 _WITNESS_DEPTH = 10  # ball-subdivision depth of the witness separation test
+_ZERO = Fraction(0)
 
 
 class NotAdmissible(KeyError):
@@ -84,16 +87,15 @@ def root_state(ifs: IFS) -> AtomState:
 
 
 class _ChildRec:
-    __slots__ = ("map", "tag", "item", "order_key", "parents", "has_v", "forbidden")
+    __slots__ = ("map", "tag", "item", "order_key", "vprob", "forbidden")
 
     def __init__(self, smap, tag, order_key):
         self.map = smap
         self.tag = tag
         self.item = None  # (map id, tag) for the decider's id-level queries
         self.order_key = order_key
-        self.parents = []  # (u_position, letters, probability)
-        self.has_v = False
-        self.forbidden = False
+        self.vprob = {}  # V position of a parent -> summed bridge probability
+        self.forbidden = False  # below a touching cylinder that is not in V
 
 
 def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
@@ -102,11 +104,13 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
     Order keys follow the concatenation rule: the canonical word of a
     child is the canonical word of its smallest U-parent extended by the
     smallest bridge word, so (parent position, bridge letters) sorts the
-    children in the global order.
+    children in the global order.  Each record sums its bridge
+    probabilities per V parent, the entries of the transition matrix.
     """
     recs: dict = {}
     vset = set(state.vpos)
     for j, (psi, tag) in enumerate(zip(state.umaps, state.utags)):
+        in_v = j in vset
         for br in ifs.bridges(tag):
             h = decider.compose(psi, br.map)  # interned: equal maps are one object
             rec = recs.get(h)
@@ -118,9 +122,9 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
                     raise MapError("inconsistent scale tag for a child map")
                 if (j, br.letters) < rec.order_key:
                     rec.order_key = (j, br.letters)
-            rec.parents.append((j, br.letters, br.probability))
-            if j in vset:
-                rec.has_v = True
+            if in_v:
+                p = rec.vprob.get(j)
+                rec.vprob[j] = br.probability if p is None else p + br.probability
             else:
                 rec.forbidden = True
     out = sorted(recs.values(), key=lambda r: r.order_key)
@@ -135,30 +139,32 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
 
     Enumerates candidate covering signatures (subsets of allowed child
     maps that cover every V entry and pass the exact tuple-intersection
-    test), then reads off the child's touching set and the transition
-    matrix from the recorded (parent, bridge) pairs.  Every intersection
-    query goes to the decider as (map id, tag) items.
+    test), then reads off the child's touching set, and the transition
+    matrix from the records' probabilities per V parent.  Every
+    intersection query goes to the decider as (map id, tag) items.
     """
     recs = _child_records(state, ifs, decider)
-    allowed = [r for r in recs if r.has_v and not r.forbidden]
-    vlist = list(state.vpos)
-    cover_sets = []
-    for vp in vlist:
-        s = frozenset(i for i, r in enumerate(allowed)
-                      if any(p[0] == vp for p in r.parents))
-        cover_sets.append(s)
-    out = []
-    if not allowed or any(not s for s in cover_sets):
-        return out  # provably no children: the state carries no mass
+    allowed = [r for r in recs if r.vprob and not r.forbidden]
+    # covers[i]: bit k set when allowed[i] lies below the k-th V entry
+    covers = [sum(1 << k for k, vp in enumerate(state.vpos) if vp in r.vprob)
+              for r in allowed]
+    if functools.reduce(operator.or_, covers, 0) != (1 << state.v_size) - 1:
+        return []  # provably no children: the state carries no mass
 
     found = []
-    for members in _signatures(allowed, cover_sets, decider):
+    for members in _signatures(allowed, covers, decider):
         member_recs = {allowed[i] for i in members}
-        mitems = [r.item for r in member_recs]
-        found.append((members, member_recs,
-                      [r for r in recs if r in member_recs
-                       or decider.tuple_ids(tuple(sorted(mitems + [r.item])))]))
+        mitems = sorted(r.item for r in member_recs)
+        nlist = []
+        for r in recs:
+            if r not in member_recs:
+                k = bisect.bisect(mitems, r.item)
+                if not decider.tuple_ids(tuple(mitems[:k] + [r.item] + mitems[k:])):
+                    continue
+            nlist.append(r)
+        found.append((members, member_recs, nlist))
     # composes only after the id-level queries: a compose may empty the decider's tables
+    out = []
     for members, member_recs, nlist in found:
         h1 = allowed[members[0]].map
         h1_inv = h1.inverse()
@@ -166,70 +172,59 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
         utags = tuple(r.tag for r in nlist)
         vpos = tuple(i for i, r in enumerate(nlist) if r in member_recs)
         child = AtomState(umaps, utags, vpos, h1)
-        tmat = _edge_matrix(state, allowed, members)
+        tmat = tuple(tuple(allowed[i].vprob.get(vp, _ZERO) for i in members)
+                     for vp in state.vpos)
         out.append((child, tmat))
     return out
 
 
-def _signatures(allowed, cover_sets, decider: NeighborDecider):
-    """DFS over subsets of the allowed child maps.
+def _signatures(allowed, covers, decider: NeighborDecider):
+    """The covering signatures of a state, as index tuples into allowed.
 
-    Prunes on pairwise and running tuple intersection (both exact and
-    monotone under adding maps) and on coverability of the remaining V
-    entries; yields index tuples in lexicographic order.
+    A depth-first search over subsets on an explicit stack, taking each
+    map before leaving it out, so the tuples come in lexicographic order
+    of their membership vectors (member before non-member).  It prunes on
+    pairwise and running tuple intersection (both exact and monotone under
+    adding maps) and on coverability: covers[i] is the bitmask of V
+    entries below allowed[i] (together they cover every V entry), and
+    need[i] the entries that no map from index i on covers, so a branch
+    whose covered mask misses a bit of need[i] is cut.
     """
     n = len(allowed)
-    nv = len(cover_sets)
-    covers = [[k for k, s in enumerate(cover_sets) if i in s] for i in range(n)]
-    # missing[i]: the V entries no allowed map from index i on can cover
-    missing = [list(range(nv))]
+    items = [r.item for r in allowed]
+    suffix = [0] * (n + 1)  # suffix[i]: the V entries below some map from i on
     for i in range(n - 1, -1, -1):
-        missing.append([k for k in missing[-1] if k not in covers[i]])
-    missing.reverse()
-
-    chosen: list[int] = []
-    count = [0] * nv  # chosen maps covering each V entry
-
-    def uncovered_after(i):
-        return any(not count[k] for k in missing[i])
-
-    def rec(i):
+        suffix[i] = suffix[i + 1] | covers[i]
+    need = [suffix[0] & ~x for x in suffix]
+    tested = [0] * n  # tested[i]: bit c set once the pair (c, i) is decided
+    meets = [0] * n  # meets[i]: bit c set when that pair meets
+    out = []
+    stack = [(0, (), 0, [], 0)]  # (index, chosen, chosen bits, sorted items, covered)
+    while stack:
+        i, chosen, bits, citems, covered = stack.pop()
+        if need[i] & ~covered:
+            continue
         if i == n:
-            if chosen and not uncovered_after(n):
-                yield tuple(chosen)
-            return
-        if uncovered_after(i):
-            return
-        # include allowed[i] if the running tuple still intersects
-        cur = allowed[i].item
-        ok = all(decider.pair_ids(allowed[c].item, cur) for c in chosen)
-        if ok and len(chosen) > 1:
-            ok = decider.tuple_ids(tuple(sorted([allowed[c].item for c in chosen] + [cur])))
-        if ok:
-            chosen.append(i)
-            for k in covers[i]:
-                count[k] += 1
-            yield from rec(i + 1)
-            for k in covers[i]:
-                count[k] -= 1
-            chosen.pop()
-        yield from rec(i + 1)
-
-    yield from rec(0)
-
-
-def _edge_matrix(state: AtomState, allowed, members):
-    rows = []
-    for vp in state.vpos:
-        row = []
-        for i in members:
-            t = Fraction(0)
-            for (j, _letters, prob) in allowed[i].parents:
-                if j == vp:
-                    t += prob
-            row.append(t)
-        rows.append(tuple(row))
-    return tuple(rows)
+            if chosen:
+                out.append(chosen)
+            continue
+        stack.append((i + 1, chosen, bits, citems, covered))  # leave i out, after
+        cur = items[i]
+        fresh = bits & ~tested[i]
+        while fresh:
+            low = fresh & -fresh
+            fresh ^= low
+            tested[i] |= low
+            if decider.pair_ids(items[low.bit_length() - 1], cur):
+                meets[i] |= low
+        if bits & ~meets[i]:
+            continue
+        k = bisect.bisect(citems, cur)
+        grown = citems[:k] + [cur] + citems[k:]
+        if len(grown) > 2 and not decider.tuple_ids(tuple(grown)):
+            continue
+        stack.append((i + 1, chosen + (i,), bits | 1 << i, grown, covered | covers[i]))
+    return out
 
 
 def walk_addresses(edges, depth: int, start: int = 0):

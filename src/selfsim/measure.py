@@ -8,8 +8,12 @@ Which components carry mass follows from the component graph alone: its
 strongly connected classes are solved exactly over the rationals in one
 pass, successors first, and a class without inflow keeps mass only when
 its block has spectral radius exactly 1 (Frobenius-Victory); all other
-null components get exact zeros.  No float enters the solve, and the
-result is verified entry by entry against the full system.
+null components get exact zeros.  Each row of the system is held as ints
+over one row denominator, and every class is solved by fraction-free
+sparse elimination with Markowitz pivots taken from a heap
+(`_nullspace_dim1`).  No float enters the solve, and the normalized
+result is verified entry by entry against the full system, on ints over
+one common denominator.
 
 Every exact read of the solved measure (`mass`, `u_vector`,
 `product_matrix`, `total_mass` and `GlobalSystem.mass_global`) is one walk
@@ -19,7 +23,9 @@ by `_row_times`.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from math import gcd, lcm
 
 from .automaton import Automaton, Edge, NotAdmissible, _frame, walk_addresses
 
@@ -33,22 +39,30 @@ class MeasureError(RuntimeError):
 # ----------------------------------------------------------------------
 
 def _component_edges(auto: Automaton):
-    """Sparse rows of the self-consistency operator over (state, V-index)."""
-    comp_index = {}
+    """Sparse rows of the self-consistency operator over (state, V-index).
+
+    Row c is (den, [(j, a), ...]) with int a: F[c, j] = a / den, one
+    common denominator per row.
+    """
     comps = []
+    base = []  # per state: its first component
     for sid, st in enumerate(auto.states):
-        for i in range(st.v_size):
-            comp_index[(sid, i)] = len(comps)
-            comps.append((sid, i))
+        base.append(len(comps))
+        comps.extend((sid, i) for i in range(st.v_size))
+    comp_index = {c: k for k, c in enumerate(comps)}
     rows = [[] for _ in comps]
-    for sid, st in enumerate(auto.states):
-        for e in auto.edges[sid]:
-            for i in range(st.v_size):
-                row = e.tmatrix[i]
-                for j, t in enumerate(row):
-                    if t:
-                        rows[comp_index[(sid, i)]].append((comp_index[(e.child, j)], t))
-    return comps, comp_index, rows
+    for sid, es in enumerate(auto.edges):
+        for e in es:
+            cb = base[e.child]
+            for i, trow in enumerate(e.tmatrix, base[sid]):
+                rows[i].extend((cb + j, t) for j, t in enumerate(trow) if t)
+    return comps, comp_index, [_int_row(r) for r in rows]
+
+
+def _int_row(row):
+    """A sparse row of Fractions [(j, t), ...] as (den, [(j, t * den), ...])."""
+    den = lcm(*(t.denominator for _j, t in row))
+    return den, [(j, t.numerator * (den // t.denominator)) for j, t in row]
 
 
 def _tarjan_scc(n, succ):
@@ -105,75 +119,91 @@ def _tarjan_scc(n, succ):
 
 
 def _nullspace_dim1(rows, n):
-    """The nullspace vector of a sparse rational matrix, or None.
+    """The nullspace vector of a sparse integer matrix, or None.
 
-    rows: list of dicts {col: Fraction}.  Sparse elimination with
-    Markowitz-style pivoting to limit fill-in.  Returns None unless the
-    nullspace is one-dimensional; the vector is signed so that it has no
-    negative entry when that is possible.
+    rows: list of dicts {col: int}.  The elimination is fraction-free: a
+    row with entry b in the pivot column of pivot a becomes (a/g) row -
+    (b/g) pivot row, g = gcd(a, b), and is then divided by the gcd of its
+    entries, which keeps the ints small where Bareiss divides by the
+    previous pivot.  Pivots come from a lazy Markowitz heap of
+    (cost, row, col), cost = (row length - 1) * (column count - 1): an
+    entry popped with a stale cost that has since risen goes back with its
+    current cost, and every fill entry is pushed when it appears.  Returns
+    None unless the nullspace is one-dimensional; the vector is of ints,
+    up to scale, signed so that it has no negative entry when that is
+    possible.
     """
     rows = [dict(r) for r in rows]
     col_rows: dict = {}
     for i, r in enumerate(rows):
         for c in r:
             col_rows.setdefault(c, set()).add(i)
-    alive = {i for i, r in enumerate(rows) if r}
+    heap = [((len(r) - 1) * (len(col_rows[c]) - 1), i, c)
+            for i, r in enumerate(rows) for c in r]
+    heapq.heapify(heap)
     pivot_order = []  # (col, row dict) in elimination order
 
-    while True:
-        best = None
-        for i in alive:
-            row = rows[i]
-            if not row:
-                continue
-            rlen = len(row)
-            for c in row:
-                cost = (rlen - 1) * (len(col_rows[c]) - 1)
-                if best is None or cost < best[0]:
-                    best = (cost, i, c)
-            if best and best[0] == 0:
-                break
-        if best is None:
-            break
-        _, pr, pc = best
+    while heap:
+        cost, pr, pc = heapq.heappop(heap)
         prow = rows[pr]
-        pv = prow[pc]
-        prow = {c: x / pv for c, x in prow.items()}
+        if pc not in prow:
+            continue  # the row was pivoted, or the entry cancelled
+        now = (len(prow) - 1) * (len(col_rows[pc]) - 1)
+        if now > cost:
+            heapq.heappush(heap, (now, pr, pc))
+            continue
         rows[pr] = {}
         for c in prow:
             col_rows[c].discard(pr)
-        alive.discard(pr)
-        for i in list(col_rows.get(pc, ())):
-            if i not in alive:
-                continue
+        p = prow[pc]
+        for i in col_rows.pop(pc):
             row = rows[i]
-            f = row.get(pc)
-            if f is None:
-                continue
+            g = gcd(p, row[pc])
+            a, b = p // g, row.pop(pc) // g
+            if a != 1:
+                for c in row:
+                    row[c] *= a
+            fill = []
             for c, x in prow.items():
-                nv = row.get(c, Fraction(0)) - f * x
-                if nv:
+                if c == pc:
+                    continue
+                y = row.get(c, 0) - b * x
+                if y:
                     if c not in row:
-                        col_rows.setdefault(c, set()).add(i)
-                    row[c] = nv
-                else:
-                    if c in row:
-                        del row[c]
-                        col_rows[c].discard(i)
+                        col_rows[c].add(i)
+                        fill.append(c)
+                    row[c] = y
+                elif c in row:
+                    del row[c]
+                    col_rows[c].discard(i)
+            if row:
+                content = gcd(*row.values())
+                if content != 1:
+                    for c in row:
+                        row[c] //= content
+            for c in fill:
+                heapq.heappush(heap, ((len(row) - 1) * (len(col_rows[c]) - 1), i, c))
         pivot_order.append((pc, prow))
 
     pivot_cols = {c for c, _ in pivot_order}
     free = [c for c in range(n) if c not in pivot_cols]
     if len(free) != 1:
         return None
-    vec = [Fraction(0)] * n
-    vec[free[0]] = Fraction(1)
+    # back-substitution on ints: vec is rescaled whenever a pivot does not
+    # divide its right-hand side
+    vec = [0] * n
+    vec[free[0]] = 1
     for pc, prow in reversed(pivot_order):
-        s = Fraction(0)
-        for c, x in prow.items():
-            if c != pc:
-                s += x * vec[c]
-        vec[pc] = -s
+        s = sum(x * vec[c] for c, x in prow.items())  # vec[pc] is still 0
+        if s:
+            p = prow[pc]
+            g = gcd(s, p)
+            num, den = -s // g, p // g
+            if den < 0:
+                num, den = -num, -den
+            if den != 1:
+                vec = [x * den for x in vec]
+            vec[pc] = num
     if any(x < 0 for x in vec):
         vec = [-x for x in vec]
     return vec
@@ -297,10 +327,11 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
         raise MeasureError("root received non-positive mass")
     v = [x / root_val for x in v]
 
-    # exact verification of the full system
-    for i in range(len(comps)):
-        rhs = sum((t * v[j] for j, t in rows[i]), Fraction(0))
-        if rhs != v[i]:
+    # exact verification of the full system, on ints over one denominator
+    common = lcm(*(x.denominator for x in v))
+    iv = [x.numerator * (common // x.denominator) for x in v]
+    for i, (den, row) in enumerate(rows):
+        if sum(a * iv[j] for j, a in row) != den * iv[i]:
             raise MeasureError(f"mass self-consistency violated at component {comps[i]}")
 
     return _assemble(auto, comps, comp_index, v, diagnostics={
@@ -310,15 +341,16 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
 def _solve_components(comps, rows):
     """A nonnegative solution of v = F v, up to scale, decided exactly.
 
-    The strongly connected classes of the component graph are walked in
-    reverse topological order, so every edge leaving a class C points at
-    solved values.  With nonzero inflow, (I - F_C) x = inflow has a unique
-    positive solution or the system is refused.  Without inflow, C carries
-    mass iff I - F_C has a positive null vector, i.e. the spectral radius
-    of F_C is exactly 1, and only one such class can be scaled by the root
-    normalization; every other class gets exact zeros (Frobenius-Victory).
+    rows are the int rows of `_component_edges`.  The strongly connected
+    classes of the component graph are walked in reverse topological
+    order, so every edge leaving a class C points at solved values.  With
+    nonzero inflow, (I - F_C) x = inflow has a unique positive solution or
+    the system is refused.  Without inflow, C carries mass iff I - F_C has
+    a positive null vector, i.e. the spectral radius of F_C is exactly 1,
+    and only one such class can be scaled by the root normalization; every
+    other class gets exact zeros (Frobenius-Victory).
     """
-    comp_of, ncomp = _tarjan_scc(len(comps), [[j for j, _t in r] for r in rows])
+    comp_of, ncomp = _tarjan_scc(len(comps), [[j for j, _a in r] for _den, r in rows])
     groups = [[] for _ in range(ncomp)]
     for c, cid in enumerate(comp_of):
         groups[cid].append(c)
@@ -328,30 +360,36 @@ def _solve_components(comps, rows):
     for group in groups:  # reverse topological: successors first
         gidx = {c: i for i, c in enumerate(group)}
         g = len(group)
-        # sparse rows of (I - F_C), inflow from solved successors in column g
+        # int rows of (I - F_C), inflow from solved successors in column g,
+        # each scaled by its row denominator and its inflow's denominator
         srows = []
         has_inflow = False
         for gi, c in enumerate(group):
-            row = {gi: Fraction(1)}
-            inflow = Fraction(0)
-            for j, t in rows[c]:
+            den, entries = rows[c]
+            row = {gi: den}
+            inflow = []
+            for j, a in entries:
                 gj = gidx.get(j)
                 if gj is None:
-                    inflow += t * v[j]
+                    if v[j]:
+                        inflow.append((a, v[j]))
                 else:
-                    row[gj] = row.get(gj, Fraction(0)) - t
-                    if row[gj] == 0:
-                        del row[gj]
+                    row[gj] = row.get(gj, 0) - a
+            row = {k: x for k, x in row.items() if x}
             if inflow:
-                row[g] = -inflow
-                has_inflow = True
+                vden = lcm(*(x.denominator for _a, x in inflow))
+                total = sum(a * x.numerator * (vden // x.denominator) for a, x in inflow)
+                if total:
+                    row = {k: x * vden for k, x in row.items()}
+                    row[g] = -total
+                    has_inflow = True
             srows.append(row)
         if has_inflow:
             # augmented nullspace: (x, 1) spans it iff (I-F)x = inflow uniquely
             vec = _nullspace_dim1(srows, g + 1)
             if vec is None or vec[g] == 0:
                 raise MeasureError("singular transient block in the mass solve")
-            sol = [x / vec[g] for x in vec[:g]]
+            sol = [Fraction(x, vec[g]) for x in vec[:g]]
             if any(x <= 0 for x in sol):
                 raise MeasureError("non-positive mass in back-substitution")
         else:
@@ -366,6 +404,7 @@ def _solve_components(comps, rows):
                     "self-consistency equations plus the root normalization "
                     "cannot fix the relative scale of independent classes")
             carrier = group
+            sol = [Fraction(x) for x in sol]
         for c, x in zip(group, sol):
             v[c] = x
     if carrier is None:

@@ -1,10 +1,14 @@
+import functools
 import hashlib
+import itertools
 import json
+import operator
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+from conftest import BUNDLED
 from selfsim import automaton as am
 from selfsim.automaton import NotAdmissible
 from selfsim.config import IfsConfig
@@ -175,13 +179,60 @@ def test_exports(golden):
     assert all("T" in e for e in data["edges"])
 
 
-def test_golden_gasket_3d_automaton():
+@pytest.fixture(scope="module")
+def gasket_3d():
     # x -> lambda x + v with v in {0, e1, e2, e3}, lambda = (sqrt 5 - 1)/2:
-    # the paper's R^d setting; the mass solve is not part of this test
-    cfg = IfsConfig.load(Path(__file__).parent / "data" / "golden-gasket-3d.json")
-    auto = Pipeline(cfg).automaton
+    # the paper's R^d setting, one pipeline for its automaton and its measure
+    return Pipeline(IfsConfig.load(Path(__file__).parent / "data" / "golden-gasket-3d.json"))
+
+
+def test_golden_gasket_3d_automaton(gasket_3d):
+    auto = gasket_3d.automaton
     assert len(auto.states) == 7559
     assert sum(len(es) for es in auto.edges) == 27406
     digest = hashlib.sha256(
         json.dumps(auto.to_json_dict(), sort_keys=True).encode()).hexdigest()
     assert digest == "c4e634f41a5b7e869167e4d6e9239454e859edc29aba8d779e2134929062cee8"
+
+
+def test_golden_gasket_3d_measure(gasket_3d):
+    # the exact mass solve on the automaton above
+    model = gasket_3d.measure
+    assert len(model.kept) == 1422
+    digest = hashlib.sha256(
+        json.dumps([[str(x) for x in vec] for vec in model.v]).encode()).hexdigest()
+    assert digest == "e5a2d413429d4d522bdff87cdc8f55eda4cd70a77a36458d330988e3a6136bf6"
+
+
+def _brute_signatures(allowed, covers, decider):
+    """Every subset of allowed, in lexicographic order of membership
+    vectors (member first), that covers V and whose maps meet pairwise
+    and as one tuple."""
+    full = functools.reduce(operator.or_, covers)
+    out = []
+    for member in itertools.product((True, False), repeat=len(allowed)):
+        idx = tuple(i for i, m in enumerate(member) if m)
+        if not idx or functools.reduce(operator.or_, (covers[i] for i in idx)) != full:
+            continue
+        items = sorted(allowed[i].item for i in idx)
+        if all(decider.pair_ids(p, q) for p, q in itertools.combinations(items, 2)) \
+                and decider.tuple_ids(tuple(items)):
+            out.append(idx)
+    return out
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_signatures_match_brute_force(pipelines, name):
+    p = pipelines(name)
+    searched = 0
+    for st in p.automaton.states:
+        recs = am._child_records(st, p.ifs, p.decider)
+        allowed = [r for r in recs if r.vprob and not r.forbidden]
+        covers = [sum(1 << k for k, vp in enumerate(st.vpos) if vp in r.vprob)
+                  for r in allowed]
+        if functools.reduce(operator.or_, covers, 0) != (1 << st.v_size) - 1:
+            continue  # `children` stops before the search: no child
+        assert am._signatures(allowed, covers, p.decider) == \
+            _brute_signatures(allowed, covers, p.decider)
+        searched += 1
+    assert searched

@@ -7,7 +7,7 @@ from selfsim.automaton import NotAdmissible
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
-from selfsim.measure import (GlobalSystem, MeasureError, _solve_components,
+from selfsim.measure import (GlobalSystem, MeasureError, _int_row, _solve_components,
                              compute_mass_vectors)
 from selfsim.neighbors import NeighborDecider
 from selfsim.oracle import word_sum_entry
@@ -200,7 +200,7 @@ def test_overlap_words_exist(golden):
 
 def _solve_rows(rows):
     """The one-pass solve on hand-written rows; component k is state k."""
-    return _solve_components([(k, 0) for k in range(len(rows))], rows)
+    return _solve_components([(k, 0) for k in range(len(rows))], [_int_row(r) for r in rows])
 
 
 @pytest.mark.parametrize("cycle", [
