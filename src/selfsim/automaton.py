@@ -128,7 +128,6 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
             else:
                 rec.forbidden = True
     out = sorted(recs.values(), key=lambda r: r.order_key)
-    # ids only once every map is composed: a compose may empty the decider's tables
     for rec, i in zip(out, decider.ids([r.map for r in out])):
         rec.item = (i, rec.tag)
     return out
@@ -151,30 +150,25 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
     if functools.reduce(operator.or_, covers, 0) != (1 << state.v_size) - 1:
         return []  # provably no children: the state carries no mass
 
-    found = []
+    out = []
     for members in _signatures(allowed, covers, decider):
         member_recs = {allowed[i] for i in members}
         mitems = sorted(r.item for r in member_recs)
-        nlist = []
+        h1 = allowed[members[0]].map
+        h1_inv = h1.inverse()
+        umaps, utags, vpos = [], [], []
         for r in recs:
-            if r not in member_recs:
+            if r in member_recs:
+                vpos.append(len(umaps))
+            else:
                 k = bisect.bisect(mitems, r.item)
                 if not decider.tuple_ids(tuple(mitems[:k] + [r.item] + mitems[k:])):
                     continue
-            nlist.append(r)
-        found.append((members, member_recs, nlist))
-    # composes only after the id-level queries: a compose may empty the decider's tables
-    out = []
-    for members, member_recs, nlist in found:
-        h1 = allowed[members[0]].map
-        h1_inv = h1.inverse()
-        umaps = tuple(decider.compose(h1_inv, r.map) for r in nlist)
-        utags = tuple(r.tag for r in nlist)
-        vpos = tuple(i for i, r in enumerate(nlist) if r in member_recs)
-        child = AtomState(umaps, utags, vpos, h1)
+            umaps.append(decider.compose(h1_inv, r.map))
+            utags.append(r.tag)
         tmat = tuple(tuple(allowed[i].vprob.get(vp, _ZERO) for i in members)
                      for vp in state.vpos)
-        out.append((child, tmat))
+        out.append((AtomState(umaps, utags, vpos, h1), tmat))
     return out
 
 
@@ -249,13 +243,6 @@ class Automaton:
         self.edges: list[list[Edge]] = []
         self.index: dict = {}
         self.anomalies: list[str] = []
-
-    @property
-    def root(self) -> int:
-        return 0
-
-    def successors(self, sid: int):
-        return self.edges[sid]
 
     def resolve(self, address):
         """Follow a state-id address from the root; raise NotAdmissible."""

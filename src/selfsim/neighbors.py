@@ -29,8 +29,6 @@ from .intervals import RatInterval, sqrt_interval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
 
 _BALL_BITS = 96  # bits of the certified enclosures behind the ball tests
-_MAX_MAPS = 200_000    # interned maps before the decider empties every table
-_MAX_MEMO = 2_000_000  # memo entries, all memos together, before they are emptied
 
 
 class BudgetExceeded(RuntimeError):
@@ -261,9 +259,14 @@ class NeighborDecider:
     from a query until the first cycle, so a True verdict explores one
     chain, not the whole reachable product graph.
 
-    The tables that grow with queries are bounded between public calls:
-    past `_MAX_MAPS` interned maps every table is emptied and map ids
-    restart, past `_MAX_MEMO` memo entries the memos are emptied.
+    Map ids and every memo live as long as the decider, and the tables
+    need no limit of their own.  In a build every U map is a surviving
+    closure map, and every other interned map is a U map composed with a
+    bridge, or the inverse of such a composition; so the intern table
+    stays within a bound set by the closure, which `max_nodes` budgets.
+    The memos grow with the automaton's queries, a few entries per state,
+    so `max_states` bounds them.  A caller that passes maps of its own
+    adds those maps and its queries, no more.
     """
 
     def __init__(self, ifs: IFS, max_nodes: int = 20000, tuple_budget: int = 200000):
@@ -272,31 +275,13 @@ class NeighborDecider:
         self.tuple_budget = tuple_budget
         self._graph: NeighborGraph | None = None
         self._node_id: dict | None = None  # (map key, tags) -> node id, once compiled
-        self._reset()
-
-    def _reset(self):
-        """Empty the intern table and the memos together; map ids restart from 0."""
         self._ids: dict = {}             # Similitude -> map id
         self._maps: list = []            # map id -> interned Similitude
-        self._clear_memos()
-
-    def _clear_memos(self):
-        """Empty every memo; map ids and the compiled node tables stay valid."""
         self._compose_memo: dict = {}    # (map id, map id) -> map id
         self._pair_memo: dict = {}       # (item, item) -> node id or -1
         self._raw_memo: dict = {}        # sorted distinct items -> verdict
         self._tuple_memo: dict = {}      # canonical tuple state -> verdict
         self._rr = defaultdict(dict)     # node id -> {node id: node id or -1}
-        self._rr_size = 0
-
-    def _bound_memory(self, keep_ids: bool = False):
-        # only between public calls, never inside a tuple decision; keep_ids
-        # where a caller may hold map ids from an earlier call
-        if not keep_ids and len(self._maps) > _MAX_MAPS:
-            self._reset()
-        elif (len(self._compose_memo) + len(self._pair_memo) + len(self._raw_memo)
-              + len(self._tuple_memo) + self._rr_size) > _MAX_MEMO:
-            self._clear_memos()
 
     @property
     def graph(self) -> NeighborGraph:
@@ -353,28 +338,26 @@ class NeighborDecider:
         rel = self._node_maps[i].inverse().compose(self._node_maps[j])
         c = self._node_id.get((rel.key(), (self._node_tags[i][1], self._node_tags[j][1])), -1)
         self._rr[i][j] = c
-        self._rr_size += 1
         return c
 
     # -- public queries on maps -------------------------------------------
     def compose(self, f: Similitude, g: Similitude) -> Similitude:
         """f.compose(g), memoized; equal results are one interned object."""
-        c = self._compose_memo.get((self._ids.get(f), self._ids.get(g)))
+        pair = (self._intern(f), self._intern(g))
+        c = self._compose_memo.get(pair)
         if c is None:
-            self._bound_memory()
-            pair = (self._intern(f), self._intern(g))
-            c = self._compose_memo.get(pair)
-            if c is None:
-                c = self._compose_memo[pair] = self._intern(f.compose(g))
+            c = self._compose_memo[pair] = self._intern(f.compose(g))
         return self._maps[c]
 
     def pair_of(self, s1: Similitude, t1: int, s2: Similitude, t2: int) -> bool:
         """Memoized intersection verdict for two tagged same-level maps.
 
         Read off the pruned closure: the node of s1^{-1} s2 with tags
-        (t1, t2) exists and survived.
+        (t1, t2) exists and survived.  The level of a map is its exponent
+        less its tag; two levels raise MapError.
         """
-        self._bound_memory()
+        if s1.exponent - t1 != s2.exponent - t2:
+            raise MapError("pair_of requires one stopping level")
         return self.pair_ids((self._intern(s1), t1), (self._intern(s2), t2))
 
     def intersects(self, f: Similitude, g: Similitude) -> bool:
@@ -384,32 +367,25 @@ class NeighborDecider:
     def tuple_intersects(self, maps, tags=None) -> bool:
         """Exact decision of a k-fold intersection of same-level cylinders.
 
-        maps: list of Similitudes at one stopping level; tags, one per map,
-        default to exponent mod k_max.  Decided by `tuple_ids` on the
-        sorted distinct items.
+        maps: list of Similitudes at one stopping level, that is with one
+        value of exponent less tag; tags, one per map, default to exponent
+        mod k_max.  Decided by `tuple_ids` on the sorted distinct items.
         """
         maps = list(maps)
         if tags is None:
-            k = self.ifs.k_max
-            if len({s.exponent // k for s in maps}) != 1:
-                raise MapError("tuple_intersects requires one stopping level")
-            tags = [s.exponent % k for s in maps]
+            tags = [s.exponent % self.ifs.k_max for s in maps]
         else:
             tags = list(tags)
             if len(tags) != len(maps):
                 raise MapError(f"tuple_intersects got {len(tags)} tags "
                                f"for {len(maps)} maps")
-        self._bound_memory()
+        if len({s.exponent - t for s, t in zip(maps, tags)}) != 1:
+            raise MapError("tuple_intersects requires one stopping level")
         return self.tuple_ids(tuple(sorted(dict.fromkeys(zip(map(self._intern, maps), tags)))))
 
     # -- public queries on map ids ------------------------------------------
     def ids(self, maps) -> list:
-        """The map ids of maps, for `pair_ids` and `tuple_ids`.
-
-        They stay valid until the next call that takes Similitudes, which
-        may empty the intern table; this call may empty it first.
-        """
-        self._bound_memory()
+        """The map ids of maps, for `pair_ids` and `tuple_ids`."""
         return [self._intern(m) for m in maps]
 
     def pair_ids(self, p, q) -> bool:
@@ -426,7 +402,6 @@ class NeighborDecider:
             return True
         hit = self._raw_memo.get(items)
         if hit is None:
-            self._bound_memory(keep_ids=True)
             first = items[0]
             nodes = [self._pair_node(first, q) for q in items[1:]]
             if min(nodes) < 0:
@@ -443,7 +418,6 @@ class NeighborDecider:
         """Node id of item q relative to item p < q, or -1 when they do not meet."""
         node = self._pair_memo.get((p, q))
         if node is None:
-            self._bound_memory(keep_ids=True)
             (a, ta), (b, tb) = p, q
             if a == b:
                 raise MapError("one map given with two scale tags")

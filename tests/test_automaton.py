@@ -204,6 +204,34 @@ def test_golden_gasket_3d_measure(gasket_3d):
     assert digest == "e5a2d413429d4d522bdff87cdc8f55eda4cd70a77a36458d330988e3a6136bf6"
 
 
+def _assert_interned_maps_within_the_closure(ifs, d):
+    """After a build, every interned map is a surviving closure map, one of
+    those composed with a bridge, or the inverse of such a composition."""
+    gamma = d.gamma_maps()
+    keys = {g.key() for g in gamma}
+    for g in gamma:
+        for tag in range(ifs.k_max):
+            for br in ifs.bridges(tag):
+                h = g.compose(br.map)
+                keys.update((h.key(), h.inverse().key()))
+    assert len(d._maps) <= len(keys)
+    assert {m.key() for m in d._maps} <= keys
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_interned_maps_stay_within_the_closure(pipelines, name):
+    # a decider of its own: other tests query the shared pipelines' deciders
+    ifs = pipelines(name).ifs
+    d = NeighborDecider(ifs)
+    am.build(ifs, d)
+    _assert_interned_maps_within_the_closure(ifs, d)
+
+
+def test_golden_gasket_3d_interned_maps(gasket_3d):
+    gasket_3d.automaton
+    _assert_interned_maps_within_the_closure(gasket_3d.ifs, gasket_3d.decider)
+
+
 def _brute_signatures(allowed, covers, decider):
     """Every subset of allowed, in lexicographic order of membership
     vectors (member first), that covers V and whose maps meet pairwise

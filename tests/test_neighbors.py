@@ -162,6 +162,11 @@ def test_intersects_level_mismatch(half_ifs):
     h1, h2 = half_ifs.maps
     with pytest.raises(MapError):
         d.intersects(h1, h2.compose(h1))
+    # h1 h1(K) lies inside h1(K): "they do not meet" would be a wrong answer
+    with pytest.raises(MapError):
+        d.pair_of(h1, 0, h1.compose(h1), 0)
+    with pytest.raises(MapError):
+        d.tuple_intersects([h1, h1.compose(h1)], [0, 0])
 
 
 def test_intersects_symmetric_reflexive(golden_ifs):
@@ -309,57 +314,19 @@ def test_map_over_another_field_is_refused(pipelines):
     assert all(x is y for x, y in zip(after[0], before[0]))
 
 
-def test_answers_survive_clearing_the_id_tables(pipelines):
-    ifs = pipelines("golden-gasket-conjugated").ifs
-    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(2)][:8]
-    d = NeighborDecider(ifs)
-
-    def answers():
-        return ([d.compose(a, b) for a in ws[:3] for b in ws[:3]],
-                [d.pair_of(a, 0, b, 0) for a in ws for b in ws],
-                [d.tuple_intersects(c) for c in itertools.combinations(ws, 3)])
-
-    before = answers()
-    d._reset()  # what the memory bound does between public calls
-    assert answers() == before
-
-
-@pytest.mark.parametrize("name", ["golden-bernoulli", "commensurable-osc"])
-def test_answers_survive_the_memory_bound(pipelines, name, monkeypatch):
-    from selfsim import neighbors
-    p = pipelines(name)
-    ifs = p.ifs
+def test_tags_set_the_level_of_a_cylinder(pipelines):
+    # commensurable-osc: one stopping level holds cylinders of two exponents,
+    # and the exponent less the tag is the same for all of them
+    ifs = pipelines("commensurable-osc").ifs
     k = ifs.k_max
-    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(2 * k)][:8]
-
-    def answers(d):
-        return ([d.compose(a, b) for a in ws[:3] for b in ws[:3]],
-                [d.pair_of(a, a.exponent % k, b, b.exponent % k) for a in ws for b in ws],
-                [d.tuple_intersects(c) for c in itertools.combinations(ws, 3)])
-
-    want = answers(NeighborDecider(ifs))
-    want_auto = p.automaton.to_json_dict()
-    resets = []
-
-    def counted(method):
-        orig = getattr(NeighborDecider, method)
-
-        def wrapper(self):
-            resets.append(method)
-            orig(self)
-        monkeypatch.setattr(NeighborDecider, method, wrapper)
-
-    counted("_reset")
-    counted("_clear_memos")
-    monkeypatch.setattr(neighbors, "_MAX_MAPS", 0)
-    monkeypatch.setattr(neighbors, "_MAX_MEMO", 0)
+    ws = [ifs.map_of_word(w.letters) for w in ifs.stopping_words(2 * k)]
+    assert len({w.exponent for w in ws}) > 1
     d = NeighborDecider(ifs)
-    resets.clear()
-    assert answers(d) == want
-    assert am.build(ifs, d).to_json_dict() == want_auto
-    # both limits fired: _reset calls _clear_memos too, so more _clear_memos
-    # calls than _reset calls mean the memo limit fired on its own
-    assert 0 < resets.count("_reset") < resets.count("_clear_memos")
+    for a, b in itertools.product(ws, ws):
+        assert d.pair_of(a, a.exponent % k, b, b.exponent % k) == d.intersects(a, b)
+        if a.exponent == b.exponent:
+            with pytest.raises(MapError):
+                d.pair_of(a, 0, b, 1)
 
 
 def test_tuple_intersects_needs_one_tag_per_map(pipelines):
