@@ -22,6 +22,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import format_rational
 from .intervals import RatInterval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
 from .neighbors import NeighborDecider
@@ -34,18 +35,14 @@ class NotAdmissible(KeyError):
     """Address walks an edge that does not exist."""
 
 
+@dataclass(frozen=True, slots=True)
 class AtomState:
-    """Normalized (V, U, r) triple with scale tags; hashable automaton state."""
+    """Normalized (V, U, r) triple with scale tags; a value, maps compared exactly."""
 
-    __slots__ = ("umaps", "utags", "vpos", "rmap", "_key")
-
-    def __init__(self, umaps, utags, vpos, rmap):
-        self.umaps = tuple(umaps)
-        self.utags = tuple(utags)
-        self.vpos = tuple(vpos)
-        self.rmap = rmap
-        self._key = (tuple(m.key() for m in self.umaps), self.utags,
-                     self.vpos, rmap.key())
+    umaps: tuple
+    utags: tuple
+    vpos: tuple
+    rmap: Similitude
 
     @property
     def vmaps(self):
@@ -58,15 +55,6 @@ class AtomState:
     @property
     def u_size(self):
         return len(self.umaps)
-
-    def key(self):
-        return self._key
-
-    def __eq__(self, other):
-        return isinstance(other, AtomState) and self._key == other._key
-
-    def __hash__(self):
-        return hash(self._key)
 
     def label(self) -> str:
         return f"(|V|={self.v_size},|U|={self.u_size},r={self.rmap})"
@@ -168,7 +156,7 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
             utags.append(r.tag)
         tmat = tuple(tuple(allowed[i].vprob.get(vp, _ZERO) for i in members)
                      for vp in state.vpos)
-        out.append((AtomState(umaps, utags, vpos, h1), tmat))
+        out.append((AtomState(tuple(umaps), tuple(utags), tuple(vpos), h1), tmat))
     return out
 
 
@@ -290,8 +278,7 @@ class Automaton:
             for e in es:
                 edges.append({
                     "src": i, "dst": e.child,
-                    "T": [[f"{t.numerator}/{t.denominator}" for t in row]
-                          for row in e.tmatrix],
+                    "T": [[format_rational(t) for t in row] for row in e.tmatrix],
                 })
         return {"states": states, "edges": edges}
 
@@ -302,7 +289,7 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
     root = root_state(ifs)
     auto.states.append(root)
     auto.edges.append([])
-    auto.index[root.key()] = 0
+    auto.index[root] = 0
     queue = [0]
     head = 0
     while head < len(queue):
@@ -314,11 +301,10 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
             auto.anomalies.append(f"state {sid} has no candidate children")
         seen_here = set()
         for child, tmat in kids:
-            ck = child.key()
-            if ck in seen_here:
+            if child in seen_here:
                 raise MapError("distinct signatures produced identical child states")
-            seen_here.add(ck)
-            cid = auto.index.get(ck)
+            seen_here.add(child)
+            cid = auto.index.get(child)
             if cid is None:
                 if len(auto.states) >= max_states:
                     raise MapError(f"automaton exceeded {max_states} states; "
@@ -326,7 +312,7 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
                 cid = len(auto.states)
                 auto.states.append(child)
                 auto.edges.append([])
-                auto.index[ck] = cid
+                auto.index[child] = cid
                 queue.append(cid)
             auto.edges[sid].append(Edge(cid, tmat))
     return auto

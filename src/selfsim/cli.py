@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .config import ConfigError, IfsConfig, load_bundled
-from .field import check_pisot, RootBox
+from .config import ConfigError, IfsConfig, check_budget, load_bundled
+from .field import check_pisot, format_rational, RootBox
 from .intervals import RatInterval
 from .maps import MapError
 from .measure import MeasureError
@@ -46,9 +46,9 @@ def _load_config(args) -> IfsConfig:
     else:
         cfg = IfsConfig.load(args.config)
     if args.max_states is not None:
-        cfg.budgets["max_states"] = args.max_states
+        cfg.budgets["max_states"] = check_budget("max_states", args.max_states)
     if getattr(args, "pressure_n", None) is not None:
-        cfg.budgets["pressure_n"] = args.pressure_n
+        cfg.budgets["pressure_n"] = check_budget("pressure_n", args.pressure_n)
     return cfg
 
 
@@ -105,7 +105,7 @@ def cmd_build(args) -> int:
     data["config_hash"] = cfg.config_hash()
     data["mass_positive_states"] = list(model.kept)
     data["mass_vectors"] = {
-        str(sid): [f"{x.numerator}/{x.denominator}" for x in model.v[sid]]
+        str(sid): [format_rational(x) for x in model.v[sid]]
         for sid in model.kept}
     (out / f"{cfg.name}-automaton.json").write_text(
         json.dumps(data, indent=2) + "\n")
@@ -134,7 +134,7 @@ def cmd_mass(args) -> int:
     except NotAdmissible as exc:
         print(f"address not admissible: {exc}")
         return EXIT_INVARIANT
-    print(f"mu(atom {args.address}) = {val.numerator}/{val.denominator} "
+    print(f"mu(atom {args.address}) = {format_rational(val)} "
           f"= {float(val):.12g}")
     return EXIT_OK
 

@@ -36,6 +36,17 @@ DEFAULT_BUDGETS = {
     "max_iterations": 10000,
     "subdivision_depth": 12,
 }
+# the smallest value of each budget that is read; 2 is the finite-n route's floor
+_BUDGET_FLOORS = {"max_neighbor_nodes": 1, "max_states": 1, "tuple_budget": 1,
+                  "pressure_n": 2, "kron_dim_budget": 1}
+
+
+def check_budget(key: str, value):
+    """value itself if it is an int (not a bool) at least the budget's floor."""
+    floor = _BUDGET_FLOORS[key]
+    if isinstance(value, bool) or not isinstance(value, int) or value < floor:
+        raise ConfigError(f"budget {key!r} must be an integer >= {floor}, got {value!r}")
+    return value
 
 
 def _rat(s, where: str) -> Fraction:
@@ -121,7 +132,7 @@ class IfsConfig:
         for k, v in data.get("budgets", {}).items():
             if k not in DEFAULT_BUDGETS:
                 raise ConfigError(f"unknown budget key {k!r}")
-            budgets[k] = v
+            budgets[k] = check_budget(k, v) if k in _BUDGET_FLOORS else v
         return IfsConfig(data["name"], backend, dim, mode, minpoly, box, base,
                          maps, probs, budgets)
 

@@ -27,22 +27,15 @@ from itertools import combinations
 from math import ceil, floor, gcd, lcm
 from typing import Sequence
 
-from .intervals import RatInterval, RectInterval
+from .intervals import RatInterval, RectInterval, _as_fraction
 
-Rat = Fraction
 _ROOT_BITS = 80  # _isolate_roots' boxes have width 2^-_ROOT_BITS
 _GUARD_BITS = 16  # _refine rounds to a grid this many bits finer than its target
 
 
-def _rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
-
-
 def parse_rational(s) -> Fraction:
     """Parse a 'num/den' string (or int) into an exact Fraction."""
-    return _rat(s)
+    return _as_fraction(s)
 
 
 def format_rational(q: Fraction) -> str:
@@ -81,7 +74,7 @@ def _is_irreducible(coeffs: Sequence[Fraction], boxes=None) -> bool:
     until every enclosure is narrower than 1.  Each S then leaves at most
     one integer candidate, and exact division decides it.
     """
-    p = [_rat(c) / coeffs[-1] for c in coeffs]
+    p = [_as_fraction(c) / coeffs[-1] for c in coeffs]
     if len(p) == 2:
         return True
     boxes = boxes or _isolate_roots(p)
@@ -199,7 +192,7 @@ def _isolate_roots(coeffs) -> list[RectInterval] | None:
     w = Fraction(1, 1 << (_ROOT_BITS + 1))
     boxes = []
     for z in np.roots([float(c) for c in reversed(coeffs)]):
-        re, im = _rat(z.real), _rat(z.imag)
+        re, im = _as_fraction(z.real), _as_fraction(z.imag)
         for _ in range(8):
             pr, pi = _complex_eval(coeffs, re, im)
             dr, di = _complex_eval(dcoeffs, re, im)
@@ -258,7 +251,7 @@ class NumberField:
     """Q(rho), rho the root of a monic rational polynomial inside a given box."""
 
     def __init__(self, min_poly: Sequence, root_box: RootBox, complex_embedding: bool = False):
-        coeffs = [_rat(c) for c in min_poly]
+        coeffs = [_as_fraction(c) for c in min_poly]
         if len(coeffs) < 2:
             raise FieldError("minimal polynomial must have degree >= 1")
         if coeffs[-1] != 1:
@@ -304,7 +297,7 @@ class NumberField:
 
     # -- element constructors --------------------------------------------
     def element(self, coeffs) -> "FieldElement":
-        cs = [_rat(c) for c in coeffs]
+        cs = [_as_fraction(c) for c in coeffs]
         if len(cs) > self.degree:
             raise FieldError(f"expected at most {self.degree} coefficients")
         cs += [Fraction(0)] * (self.degree - len(cs))
@@ -314,7 +307,7 @@ class NumberField:
         return FieldElement(self, tuple(c.numerator * (den // c.denominator) for c in cs), den)
 
     def from_rational(self, q) -> "FieldElement":
-        return self.element([_rat(q)])
+        return self.element([_as_fraction(q)])
 
     # -- arithmetic backend ----------------------------------------------
     def _mul(self, a, b):
@@ -692,7 +685,7 @@ def check_pisot(min_poly: Sequence, root_box: RootBox) -> PisotReport:
     still classified by the selected root and its cofactors.  The moduli
     reported are those of the reciprocals.
     """
-    coeffs = [_rat(c) for c in min_poly]
+    coeffs = [_as_fraction(c) for c in min_poly]
     if coeffs[0] == 0:
         raise FieldError("zero is a root; reciprocal undefined")
     is_alg_int = all((c / coeffs[0]).denominator == 1 for c in coeffs)

@@ -12,8 +12,6 @@ from __future__ import annotations
 from fractions import Fraction
 from math import isqrt
 
-Rat = Fraction
-
 
 def _as_fraction(x) -> Fraction:
     if isinstance(x, Fraction):
@@ -78,16 +76,6 @@ class RatInterval:
             return RatInterval(self.hi * self.hi, self.lo * self.lo)
         m = max(-self.lo, self.hi)
         return RatInterval(0, m * m)
-
-    def power(self, e: int) -> "RatInterval":
-        if e == 0:
-            return RatInterval.point(1)
-        if e < 0:
-            return self.power(-e).inverse()
-        out = self
-        for _ in range(e - 1):
-            out = out * self
-        return out
 
     # -- queries -------------------------------------------------------
     @property

@@ -40,20 +40,6 @@ def mat_vec(a, v):
     return tuple(_dot(row, v) for row in a)
 
 
-def mat_det(a) -> FieldElement:
-    d = len(a)
-    if d == 1:
-        return a[0][0]
-    if d == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    det = a[0][0].field.zero
-    for j in range(d):
-        minor = [row[:j] + row[j + 1:] for row in a[1:]]
-        term = a[0][j] * mat_det(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
-
-
 def mat_inv(a):
     """Inverse of a small matrix over the field, by Gaussian elimination."""
     d = len(a)
@@ -344,9 +330,6 @@ class IFS:
                 want = rk if i == j else self.field.zero
                 if prod[i][j] != want:
                     raise MapError(f"linear part of {s} is not r^k-orthogonal")
-        det = mat_det(s.linear)
-        if det * det != rk ** d:
-            raise MapError(f"linear part of {s} has |det| != r^(kd)")
 
     # -- stopping sets ---------------------------------------------------------
     def stopping_words(self, n: int) -> list[Word]:

@@ -28,6 +28,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .automaton import Automaton, Edge, NotAdmissible, _frame, walk_addresses
+from .field import format_rational
 
 
 class MeasureError(RuntimeError):
@@ -501,16 +502,14 @@ class GlobalSystem:
 
     def to_json_dict(self) -> dict:
         """Alphabet, star dimensions, block structure and weights, exact."""
-        def frac(x):
-            return f"{x.numerator}/{x.denominator}"
-
         blocks = []
         for i, sid in enumerate(self.alphabet):
             into = [{"from_position": k,
-                     "T": [[frac(t) for t in row] for row in tm]}
+                     "T": [[format_rational(t) for t in row] for row in tm]}
                     for k, tm in self.blocks_into[i]]
             blocks.append({"state": sid, "dim": self.dims[i], "column_blocks": into,
-                           "mass_vector": [frac(x) for x in self.model.v_star(sid)]})
+                           "mass_vector": [format_rational(x)
+                                           for x in self.model.v_star(sid)]})
         return {
             "alphabet": list(self.alphabet),
             "total_dimension": self.size,

@@ -141,8 +141,7 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000) -> NeighborGraph:
     """
     ball = bounding_ball(ifs)
     graph = NeighborGraph(ifs, ball)
-    level1 = [(ifs.map_of_word(w.letters), w.exponent - ifs.k_max)
-              for w in ifs.stopping_words(ifs.k_max)]
+    level1 = [(br.map, br.new_tag) for br in ifs.bridges(0)]
     queue = []
 
     def add(smap, tags):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -49,10 +48,6 @@ def _coeff_affine(ifs: IFS, smap: Similitude):
     return a, b
 
 
-def _lcm(a, b):
-    return a * b // math.gcd(a, b)
-
-
 class DiscreteMeasure:
     """Level-n discrete approximation: point masses p_I at S_I(x0).
 
@@ -70,18 +65,18 @@ class DiscreteMeasure:
         affines = [_coeff_affine(ifs, s) for s in ifs.maps]
         denoms = [c.denominator for a, b in affines for row in a for c in row]
         denoms += [c.denominator for _a, b in affines for c in b]
-        m = reduce(_lcm, denoms, 1)
+        m = math.lcm(*denoms)
         int_affines = []
         for a, b in affines:
             int_affines.append((tuple(tuple(int(c * m) for c in row) for row in a),
                                 tuple(int(c * m) for c in b)))
         x0 = _flatten_point(ifs.maps[0].fixed_point())
-        den0 = reduce(_lcm, (c.denominator for c in x0), 1)
+        den0 = math.lcm(*(c.denominator for c in x0))
         start = tuple(int(c * den0) for c in x0)
 
         threshold = level * ifs.k_max
         exps = ifs.exponents
-        pden = reduce(_lcm, (p.denominator for p in ifs.probabilities), 1)
+        pden = math.lcm(*(p.denominator for p in ifs.probabilities))
         probs = [p.numerator * (pden // p.denominator) for p in ifs.probabilities]
         # frontier: (point ints, exponent) -> weight; points at scale
         # den0*m^depth, weights as ints at scale pden^depth
@@ -379,7 +374,7 @@ def attractor_is_full_interval(ifs: IFS) -> bool:
         if b < a:
             a, b = b, a
         pieces.append((a, b))
-    pieces.sort(key=lambda p: _OrderKey(p[0]))
+    pieces.sort(key=lambda p: p[0])
     reach = lo
     for a, b in pieces:
         if a > reach:
@@ -417,7 +412,7 @@ class NetCensus:
             points[a.coeffs] = a
             points[b.coeffs] = b
         brk = list(points.values())
-        brk.sort(key=lambda el: _OrderKey(el))
+        brk.sort()
         self.breakpoints = brk
         self.piece_cover = []
         for i in range(len(brk) - 1):
@@ -435,16 +430,6 @@ class NetCensus:
 
     def breakpoint_floats(self):
         return np.array([float(b) for b in self.breakpoints])
-
-
-class _OrderKey:
-    __slots__ = ("el",)
-
-    def __init__(self, el):
-        self.el = el
-
-    def __lt__(self, other):
-        return self.el < other.el
 
 
 # ----------------------------------------------------------------------

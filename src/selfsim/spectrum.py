@@ -59,7 +59,8 @@ def essential_class(model: MeasureModel) -> EssentialClass:
 
     Ties between several terminal components are broken by the smallest
     member state id; extra terminal components are reported in the
-    diagnostics.  Closure and communication are verified explicitly.
+    diagnostics.  A terminal component is closed by definition;
+    communication is verified explicitly.
     """
     ids = list(model.kept)
     pos = {sid: k for k, sid in enumerate(ids)}
@@ -77,12 +78,6 @@ def essential_class(model: MeasureModel) -> EssentialClass:
     terminal.sort(key=lambda c: min(ids[k] for k in members[c]))
     chosen = sorted(ids[k] for k in members[terminal[0]])
     diagnostics = {"terminal_components": len(terminal)}
-
-    chosen_set = set(chosen)
-    for sid in chosen:
-        for e in model.successors(sid):
-            if e.child not in chosen_set:
-                raise SpectrumError("essential class is not closed")
     _verify_communication(model, chosen)
     return EssentialClass(model, chosen, diagnostics)
 

@@ -67,7 +67,7 @@ def test_build_deterministic(golden):
     ifs = golden.ifs
     a1 = am.build(ifs, NeighborDecider(ifs))
     a2 = am.build(ifs, NeighborDecider(ifs))
-    assert [s.key() for s in a1.states] == [s.key() for s in a2.states]
+    assert a1.states == a2.states
     assert [[e.child for e in es] for es in a1.edges] == \
            [[e.child for e in es] for es in a2.edges]
 
@@ -88,7 +88,7 @@ def test_sibling_distinctness(pipelines):
                  "commensurable-osc"):
         auto = pipelines(name).automaton
         for es in auto.edges:
-            kids = [auto.states[e.child].key() for e in es]
+            kids = [auto.states[e.child] for e in es]
             assert len(kids) == len(set(kids))
 
 

@@ -75,6 +75,31 @@ def test_validation_messages():
         IfsConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("key,value", [
+    ("max_states", "abc"), ("max_states", -1), ("max_states", 0), ("pressure_n", 1.5),
+    ("pressure_n", 1), ("kron_dim_budget", "x"), ("tuple_budget", 0),
+    ("max_neighbor_nodes", True),
+])
+def test_budget_values_are_validated(key, value):
+    bad = _golden_dict()
+    bad["budgets"][key] = value
+    with pytest.raises(ConfigError, match=f"budget '{key}'"):
+        IfsConfig.from_dict(bad)
+
+
+@pytest.mark.parametrize("argv", [[], ["--max-states", "0"], ["--pressure-n", "1"]])
+def test_cli_bad_budget_is_a_config_error(tmp_path, capsys, argv):
+    cfg = _golden_dict()
+    if not argv:
+        cfg["budgets"]["max_states"] = "abc"
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["build", "--config", str(path), "--out", str(tmp_path)] + argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: budget ") and err.count("\n") == 1
+
+
 def test_cli_check_ftc(tmp_path, capsys):
     rc = cli.main(["check-ftc", "--config", "bundled:golden-bernoulli",
                    "--out", str(tmp_path)])

@@ -138,6 +138,23 @@ def test_rotation_orthogonality():
     assert comp.linear[0][0] == KD.from_rational(F(-1, 4))
 
 
+def test_orthogonality_check_in_the_plane():
+    # r diag(1, -1) is a reflection (det < 0) and passes; a shear and r^2 R
+    # for a rotation R (ratio r^2 at exponent 1) are each refused on their own
+    KD = NumberField([F(-1, 2), 1], RootBox(RatInterval(0, 1)))
+    h, z = KD.gen, KD.zero
+    shift = Similitude(KD, ((h, z), (z, h)), (KD.one, z), 1)
+
+    def system(linear):
+        return IFS(KD, [Similitude(KD, linear, (z, z), 1), shift],
+                   [F(1, 2), F(1, 2)], ScaleBase(KD, ratio=h))
+
+    assert system(((h, z), (z, -h))).dim == 2
+    for linear in (((h, h), (z, h)), ((z, -h * h), (h * h, z))):
+        with pytest.raises(MapError, match="not r\\^k-orthogonal"):
+            system(linear)
+
+
 letters = st.lists(st.integers(0, 1), min_size=0, max_size=6)
 
 

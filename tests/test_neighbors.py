@@ -245,8 +245,7 @@ def test_second_children_pass_composes_nothing(pipelines, name, monkeypatch):
     monkeypatch.setattr(Similitude, "compose", counted)
     second = [am.children(st, p.ifs, p.decider) for st in auto.states]
     assert calls == []
-    assert [[(c.key(), t) for c, t in kids] for kids in second] == \
-        [[(c.key(), t) for c, t in kids] for kids in first]
+    assert second == first
 
 
 @pytest.mark.parametrize("name", SMALL + ["golden-gasket-conjugated"])
