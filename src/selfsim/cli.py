@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .config import ConfigError, IfsConfig, check_budget, load_bundled
-from .field import check_pisot, format_rational, RootBox
+from .field import FieldError, check_pisot, format_rational, RootBox
 from .intervals import RatInterval
 from .maps import MapError
 from .measure import MeasureError
@@ -71,9 +71,12 @@ def cmd_check_ftc(args) -> int:
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
     box = cfg.root_box
-    report = check_pisot(cfg.min_poly,
-                         RootBox(RatInterval(*box["real"]),
-                                 RatInterval(*box["imag"]) if "imag" in box else None))
+    try:
+        report = check_pisot(cfg.min_poly,
+                             RootBox(RatInterval(*box["real"]),
+                                     RatInterval(*box["imag"]) if "imag" in box else None))
+    except FieldError as exc:
+        raise ConfigError(f"field: {exc}") from exc
     print(f"pisot advisory: 1/rho is {report.kind} "
           f"(|1/rho| = {report.selected_modulus:.6f}, "
           f"algebraic integer: {report.is_algebraic_integer})")

@@ -56,6 +56,19 @@ def _rat(s, where: str) -> Fraction:
         raise ConfigError(f"{where}: bad rational {s!r}: {exc}") from exc
 
 
+def _interval(pair, where: str) -> tuple:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise ConfigError(f"{where} must be a list of two rationals, got {pair!r}")
+    lo, hi = (_rat(x, where) for x in pair)
+    if lo > hi:
+        raise ConfigError(f"{where}: empty interval [{lo}, {hi}]")
+    return lo, hi
+
+
+def _positive_int(value) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= 1
+
+
 def _element_literal(entry, where: str):
     if not isinstance(entry, list) or not entry:
         raise ConfigError(f"{where}: field element literal must be a non-empty list")
@@ -89,7 +102,7 @@ class IfsConfig:
         if mode not in ("equicontractive", "commensurable"):
             raise ConfigError(f"mode must be 'equicontractive' or 'commensurable', got {mode!r}")
         dim = data["dimension"]
-        if not isinstance(dim, int) or dim < 1:
+        if not _positive_int(dim):
             raise ConfigError("dimension must be a positive integer")
         if backend == "complex" and dim != 1:
             raise ConfigError("complex backend fixes dimension 1 (maps act on C)")
@@ -100,9 +113,9 @@ class IfsConfig:
         boxd = fdesc["root_box"]
         if "real" not in boxd:
             raise ConfigError("root_box needs a 'real' interval")
-        box = {"real": tuple(_rat(x, "root_box.real") for x in boxd["real"])}
+        box = {"real": _interval(boxd["real"], "root_box.real")}
         if "imag" in boxd:
-            box["imag"] = tuple(_rat(x, "root_box.imag") for x in boxd["imag"])
+            box["imag"] = _interval(boxd["imag"], "root_box.imag")
         if backend == "complex" and "imag" not in box:
             raise ConfigError("complex backend needs an 'imag' part in root_box")
         base = _element_literal(data["base_ratio"], "base_ratio")
@@ -112,7 +125,7 @@ class IfsConfig:
             if "linear" not in mp or "translation" not in mp or "scale_exponent" not in mp:
                 raise ConfigError(f"{where}: needs linear, translation, scale_exponent")
             k = mp["scale_exponent"]
-            if not isinstance(k, int) or k < 1:
+            if not _positive_int(k):
                 raise ConfigError(f"{where}: scale_exponent must be a positive integer")
             if backend == "complex":
                 lin = _element_literal(mp["linear"], where + ".linear")
@@ -128,8 +141,11 @@ class IfsConfig:
                     raise ConfigError(f"{where}: translation must have {dim} entries")
             maps.append({"linear": lin, "translation": tr, "scale_exponent": k})
         probs = [_rat(p, "probabilities") for p in data["probabilities"]]
+        given = data.get("budgets", {})
+        if not isinstance(given, dict):
+            raise ConfigError(f"budgets must be an object, got {given!r}")
         budgets = dict(DEFAULT_BUDGETS)
-        for k, v in data.get("budgets", {}).items():
+        for k, v in given.items():
             if k not in DEFAULT_BUDGETS:
                 raise ConfigError(f"unknown budget key {k!r}")
             budgets[k] = check_budget(k, v) if k in _BUDGET_FLOORS else v

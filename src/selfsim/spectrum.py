@@ -12,8 +12,10 @@ products over admissible words of the essential class.  Three routes:
   matrix with entries raised to the q-th power, for any real q > 0;
 * finite n: exact dynamic programming over words, giving rigorous
   upper/lower bounds a_n/n and a_n/n - C/n plus a difference-quotient
-  point estimate.  The DP runs on integer vectors at scale D^n, D the
-  lcm of the block denominators, and divides by D^n only when it
+  point estimate.  The DP holds a level as numpy columns: end states,
+  integer vectors at scale D^n (D the lcm of the block denominators;
+  int64 below 2^53, Python ints past it) and word counts, with merged
+  entries in first-occurrence order.  It divides by D^n only when it
   reduces a vector to its float norm (see `word_norm_levels`).
 
 `kron_dim_budget` bounds L^q, the dimension of the unlifted Kronecker
@@ -416,6 +418,8 @@ class PressureEngine:
 
 # entries beyond which the word DP trades its exact vectors for floats
 _DP_MAX_EXACT_ENTRIES = 400000
+# int64 columns below this are exact as float64, so x / D^k rounds once
+_EXACT = 2 ** 53
 
 
 def _scaled(x: Fraction, scale: int) -> int:
@@ -431,71 +435,107 @@ def word_norm_levels(system, n: int):
     end state, the multiset of exact vectors; sharing collapses words
     with equal vectors, which keeps the multisets polynomial in practice.
 
-    With D the lcm of all block denominators, every block is scaled to
-    integers once, so the level-k vectors are int tuples at scale D^k:
-    equal vectors stay equal keys, and x / D^k is float(Fraction(x, D^k))
-    bit for bit (both round the same rational correctly).  A level with
-    more than _DP_MAX_EXACT_ENTRIES vectors is coarsened to floats, and
-    the DP continues in floats with float(T) weights; `coarsened` says so.
-    Reads only `blocks_into`.
+    A level is three arrays: each entry's end state, its vector (padded
+    with zeros to the largest block size) and its word count.  With D the
+    lcm of all block denominators, every block is scaled to integers once,
+    so the level-k vectors are integers at scale D^k.  A step repeats each
+    row once per out-edge of its state, adds the block columns and merges
+    equal (state, vector) rows, in the order of their first rows: the
+    order a dict keyed by (state, vector) would keep.  The columns are
+    int64 while the entries, D^k and the word count stay below 2^53, where
+    x / D^k in float64 is float(Fraction(x, D^k)) bit for bit; past that
+    they hold Python ints, which round the same quotient once.  A level
+    with more than _DP_MAX_EXACT_ENTRIES vectors is coarsened to floats,
+    and the DP continues in float64 with float(T) weights; `coarsened`
+    says so.  Reads only `blocks_into`.
     """
     blocks_into = system.blocks_into
     t = len(blocks_into)
     scale = reduce(math.lcm, (x.denominator for into in blocks_into
                               for _k, tm in into for row in tm for x in row), 1)
+    # edges grouped by source state, each source's in the order i, then blocks_into[i]
+    edges = sorted(((k, i, tm) for i in range(t) for k, tm in blocks_into[i]),
+                   key=lambda e: e[0])
+    dmax = max((max(len(tm), len(tm[0])) for _k, _i, tm in edges), default=1)
+    weights = np.zeros((len(edges), dmax, dmax), dtype=object)
+    for e, (_k, _i, tm) in enumerate(edges):
+        for a, row in enumerate(tm):
+            weights[e, a, :len(row)] = [_scaled(x, scale) for x in row]
+    dst = np.array([i for _k, i, _tm in edges], dtype=np.intp)
+    out_deg = np.bincount([k for k, _i, _tm in edges], minlength=t)
+    first_edge = np.cumsum(out_deg) - out_deg
+    # (a, b) with a nonzero weight on some edge; floats add up in row order a
+    pairs = [(a, b) for b in range(dmax) for a in range(dmax) if weights[:, a, b].any()]
+    # every partial sum of a step's entries is at most max|x| * w_max
+    w_max = int(np.abs(weights).sum(axis=1).max(initial=0))
     # initial vectors r(i) = sum_k e(eta_k) T(eta_k, eta_i), at scale D
-    start = {}
-    for i in range(t):
-        acc = None
-        for k, tm in blocks_into[i]:
-            col = tuple(sum(_scaled(row[j], scale) for row in tm) for j in range(len(tm[0])))
-            acc = col if acc is None else tuple(a + b for a, b in zip(acc, col))
-        if acc is not None:
-            start[(i, acc)] = 1
-    # succ[k]: (i, columns of D T(k, i) as (row, weight) lists without zeros)
-    succ = [[] for _ in range(t)]
-    for i in range(t):
-        for k, tm in blocks_into[i]:
-            cols = tuple([(a, _scaled(tm[a][b], scale)) for a in range(len(tm)) if tm[a][b]]
-                         for b in range(len(tm[0])))
-            succ[k].append((i, cols))
+    vecs = np.zeros((t, dmax), dtype=object)
+    np.add.at(vecs, dst, weights.sum(axis=1))
+    states = np.flatnonzero(np.bincount(dst, minlength=t))
+    vecs, counts, w = vecs[states], np.ones(len(states), dtype=np.int64), weights
+    if max(int(np.abs(vecs).max(initial=0)), w_max, scale) < _EXACT:
+        vecs, w = vecs.astype(np.int64), weights.astype(np.int64)
     level_scale = scale
-    snapshots = [None, _aggregate(start, level_scale)]
-    cur = start
+    snapshots = [None, _aggregate(vecs, counts, level_scale)]
     coarsened = False
     for _step in range(2, n + 1):
-        nxt: dict = {}
-        for (i, vec), cnt in cur.items():
-            for j, cols in succ[i]:
-                key = (j, tuple([sum([vec[a] * w for a, w in col]) for col in cols]))
-                nxt[key] = nxt.get(key, 0) + cnt
+        if vecs.dtype == np.int64 and max(int(np.abs(vecs).max(initial=0)) * w_max,
+                                          level_scale * scale) >= _EXACT:
+            vecs, w = vecs.astype(object), weights
+        if counts.dtype == np.int64 and int(counts.sum()) * int(out_deg.max()) >= _EXACT:
+            counts = counts.astype(object)
+        deg = out_deg[states]
+        rep = np.repeat(np.arange(len(states)), deg)
+        edge = np.arange(len(rep)) + np.repeat(first_edge[states] - np.cumsum(deg) + deg, deg)
+        rows = vecs[rep]
+        vecs = np.zeros_like(rows)
+        for a, b in pairs:
+            vecs[:, b] += rows[:, a] * w[edge, a, b]
+        states = dst[edge]
+        first, counts = _merge([*vecs.T, states], counts[rep])
+        states, vecs = states[first], vecs[first]
         level_scale *= scale
-        if len(nxt) > _DP_MAX_EXACT_ENTRIES and not coarsened:
+        if len(states) > _DP_MAX_EXACT_ENTRIES and not coarsened:
             coarsened = True
-            floats: dict = {}
-            for (i, vec), c in nxt.items():
-                key = (i, tuple(x / level_scale for x in vec))
-                floats[key] = floats.get(key, 0) + c
-            nxt = floats
-            level_scale = 1
+            vecs = _true_div(vecs, level_scale)
+            first, counts = _merge([*vecs.T, states], counts)
+            states, vecs = states[first], vecs[first]
             # the vectors now hold true values, so the weights become float(T)
-            succ = [[(i, tuple([(a, w / scale) for a, w in col] for col in cols))
-                     for i, cols in out] for out in succ]
-            scale = 1
-        cur = nxt
-        snapshots.append(_aggregate(cur, level_scale))
+            w = _true_div(weights, scale)
+            level_scale = scale = 1
+        snapshots.append(_aggregate(vecs, counts, level_scale))
     return snapshots, coarsened
 
 
-def _aggregate(dist: dict, scale) -> dict:
-    """Collapse (state, vector at `scale`) multiplicities to (float norm -> count)."""
-    out: dict = {}
-    for (_i, vec), cnt in dist.items():
-        s = 0.0
-        for x in vec:
-            s += x / scale
-        out[s] = out.get(s, 0) + cnt
-    return out
+def _true_div(a, scale):
+    """a / scale in float64, rounded once as float(Fraction) rounds: int64
+    entries and a scale below 2^53 convert exactly, Python ints divide so."""
+    return (a / scale).astype(float)
+
+
+def _merge(keys, counts):
+    """Rows with equal keys, in order of first occurrence: the index of
+    each group's first row and the group's summed count."""
+    order = np.lexsort(keys)
+    new = np.zeros(len(order), dtype=bool)
+    new[:1] = True
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    starts = np.flatnonzero(new)
+    first = order[starts]
+    perm = np.argsort(first)
+    return first[perm], np.add.reduceat(counts[order], starts)[perm]
+
+
+def _aggregate(vecs, counts, scale) -> dict:
+    """Collapse rows of vectors at `scale` and their counts to (float norm
+    -> count), summing each row's quotients left to right."""
+    norms = np.zeros(len(vecs))
+    for col in vecs.T:
+        norms += _true_div(col, scale)
+    first, sums = _merge([norms], counts)
+    return dict(zip(norms[first].tolist(), sums.tolist()))
 
 
 def _log_moment(norms: dict, q: float) -> float:

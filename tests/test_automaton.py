@@ -18,6 +18,7 @@ from selfsim.maps import IFS, ScaleBase, Similitude
 from selfsim.neighbors import NeighborDecider
 from selfsim.oracle import canonical_words
 from selfsim.pipeline import Pipeline
+from selfsim.spectrum import word_norm_levels
 
 
 def test_root_state(cantor):
@@ -202,6 +203,25 @@ def test_golden_gasket_3d_measure(gasket_3d):
     digest = hashlib.sha256(
         json.dumps([[str(x) for x in vec] for vec in model.v]).encode()).hexdigest()
     assert digest == "e5a2d413429d4d522bdff87cdc8f55eda4cd70a77a36458d330988e3a6136bf6"
+
+
+def test_golden_gasket_3d_word_dp(gasket_3d):
+    # the word DP on the essential class of the measure above, bit for bit
+    # and in insertion order, level by level
+    snaps, coarsened = word_norm_levels(gasket_3d.engine.ess.system, 8)
+    assert not coarsened
+    digests = [hashlib.sha256(json.dumps([(v.hex(), c) for v, c in level.items()]).encode())
+               .hexdigest() for level in snaps[1:]]
+    assert digests == [
+        "04c5c22791777397f7f15495710af33b7dd7232c62ee71802a9086b2c002eee2",
+        "7c1dbf3358ab739fbd6679f71b35a5d56ad34704e3ac19f48945c97f3f4699b9",
+        "2f7a265d4552ac6cbc51ac786ba3a0dd8afa56a2f87e75ddefabddbd250663cc",
+        "26331d5c07272bb5ba5a984ce3e6304a66b0b195625bf2f1f3e282106e801aee",
+        "be394e3bafff06465903b4251eca1e668dbd55ff04e92424aebac7a4b4e5498d",
+        "2bbaff97a912a2490b002669eba883e41b4e9012cc379b3e6c3c880198feff13",
+        "be744d277a7ce71d9809cd4da6fef05d0cc46ecae80a449bc377c7c27d358b68",
+        "a0da4d4c06d654975a9e8f7ec5a511162578a3756d9dc9b12090010b3380ce15",
+    ]
 
 
 def _assert_interned_maps_within_the_closure(ifs, d):

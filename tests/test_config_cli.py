@@ -213,6 +213,31 @@ def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["build", "check-ftc"])
+@pytest.mark.parametrize("keys, value", [
+    pytest.param(("field", "root_box", "real"), ["0/1"], id="real-box-one-end"),
+    pytest.param(("field", "root_box", "real"), ["1", "0"], id="real-box-reversed"),
+    pytest.param(("field", "root_box", "imag"), ["0/1", "1/1", "2/1"], id="imag-box-three-ends"),
+    pytest.param(("budgets",), [1], id="budgets-list"),
+    pytest.param(("dimension",), True, id="dimension-bool"),
+    pytest.param(("maps", 0, "scale_exponent"), True, id="scale-exponent-bool"),
+    pytest.param(("field", "root_box", "real"), ["5", "6"], id="box-without-root"),
+])
+def test_cli_malformed_config_is_one_config_error_line(tmp_path, capsys, command, keys, value):
+    cfg = json.loads(resources.files("selfsim.configs").joinpath("cantor-1-3.json").read_text())
+    *parents, last = keys
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
 def test_cli_build_and_spectrum_deterministic(tmp_path, capsys):
     outs = []
     for run in ("a", "b"):

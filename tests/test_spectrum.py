@@ -606,11 +606,30 @@ def test_word_dp_bit_identical_on_mixed_denominators(spec):
     _assert_same_levels(snaps, _fraction_word_norms(system, n))
 
 
+def test_word_dp_exact_past_float_precision():
+    # one word per level: 35^k at scale 36^k, both past 2**53 from k = 11,
+    # where the columns leave int64 for Python ints
+    system = _block_system([1], {(0, 0): ((F(35, 36),),)})
+    snaps, coarsened = spectrum.word_norm_levels(system, 16)
+    assert not coarsened
+    _assert_same_levels(snaps, _fraction_word_norms(system, 16))
+
+
+def test_word_dp_counts_past_int64():
+    # 2^k words of norm 2 at level k: the counts pass 2**63 before k = 70
+    system = _block_system([1, 1], {(k, i): ((F(1),),) for k in range(2) for i in range(2)})
+    snaps, coarsened = spectrum.word_norm_levels(system, 70)
+    assert not coarsened
+    assert all(snaps[k] == {2.0: 2 ** k} for k in range(1, 71))
+
+
 @given(st.integers(0, 10 ** 40), st.integers(1, 10 ** 30))
 def test_aggregate_rounds_once(x, scale):
     # one correctly rounded division, as float(Fraction) does, even where
-    # x and scale are past 2**53 and float(x) / float(scale) rounds twice
-    (value, count), = spectrum._aggregate({(0, (x,)): 1}, scale).items()
+    # x and scale are past 2**53 and float(x) / float(scale) rounds twice;
+    # the DP's columns are int64 below 2**53 and Python ints past it
+    vecs = np.array([[x]], dtype=np.int64 if max(x, scale) < 2 ** 53 else object)
+    (value, count), = spectrum._aggregate(vecs, np.array([1]), scale).items()
     assert value.hex() == float(F(x, scale)).hex() and count == 1
 
 
