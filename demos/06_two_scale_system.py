@@ -23,10 +23,10 @@ for n in (1, 2, 3):
 
 print("\nbridges from scale tag 0 (one full level of refinement):")
 for b in ifs.bridges(0):
-    print(f"  word {b.letters}: weight {b.probability}, next tag {b.new_tag}")
+    print(f"  word {b.letters}: weight {F(b.weight, ifs.den)}, next tag {b.new_tag}")
 print("bridges from scale tag 1 (half a level still pending):")
 for b in ifs.bridges(1):
-    print(f"  word {b.letters}: weight {b.probability}, next tag {b.new_tag}")
+    print(f"  word {b.letters}: weight {F(b.weight, ifs.den)}, next tag {b.new_tag}")
 
 model = pipe.measure
 print("\nimages are disjoint, so atoms are cylinders; masses at depth 2:")

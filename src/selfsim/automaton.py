@@ -28,7 +28,6 @@ from .maps import IFS, Similitude, MapError, dist_sq_interval
 from .neighbors import NeighborDecider
 
 _WITNESS_DEPTH = 10  # ball-subdivision depth of the witness separation test
-_ZERO = Fraction(0)
 
 
 class NotAdmissible(KeyError):
@@ -66,7 +65,7 @@ class AtomState:
 @dataclass
 class Edge:
     child: int
-    tmatrix: tuple  # Fractions; rows: parent V entries, cols: child V entries (star in measure)
+    tnum: tuple  # ints over IFS.den; rows: parent V entries, cols: child V entries (star in measure)
 
 
 def root_state(ifs: IFS) -> AtomState:
@@ -75,14 +74,14 @@ def root_state(ifs: IFS) -> AtomState:
 
 
 class _ChildRec:
-    __slots__ = ("map", "tag", "item", "order_key", "vprob", "forbidden")
+    __slots__ = ("map", "tag", "item", "order_key", "vweight", "forbidden")
 
     def __init__(self, smap, tag, order_key):
         self.map = smap
         self.tag = tag
         self.item = None  # (map id, tag) for the decider's id-level queries
         self.order_key = order_key
-        self.vprob = {}  # V position of a parent -> summed bridge probability
+        self.vweight = {}  # V position of a parent -> summed bridge weight
         self.forbidden = False  # below a touching cylinder that is not in V
 
 
@@ -92,8 +91,8 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
     Order keys follow the concatenation rule: the canonical word of a
     child is the canonical word of its smallest U-parent extended by the
     smallest bridge word, so (parent position, bridge letters) sorts the
-    children in the global order.  Each record sums its bridge
-    probabilities per V parent, the entries of the transition matrix.
+    children in the global order.  Each record sums its bridge weights
+    per V parent, the entries of the transition matrix over `IFS.den`.
     """
     recs: dict = {}
     vset = set(state.vpos)
@@ -111,8 +110,7 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
                 if (j, br.letters) < rec.order_key:
                     rec.order_key = (j, br.letters)
             if in_v:
-                p = rec.vprob.get(j)
-                rec.vprob[j] = br.probability if p is None else p + br.probability
+                rec.vweight[j] = rec.vweight.get(j, 0) + br.weight
             else:
                 rec.forbidden = True
     out = sorted(recs.values(), key=lambda r: r.order_key)
@@ -127,13 +125,13 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
     Enumerates candidate covering signatures (subsets of allowed child
     maps that cover every V entry and pass the exact tuple-intersection
     test), then reads off the child's touching set, and the transition
-    matrix from the records' probabilities per V parent.  Every
+    matrix from the records' weights per V parent.  Every
     intersection query goes to the decider as (map id, tag) items.
     """
     recs = _child_records(state, ifs, decider)
-    allowed = [r for r in recs if r.vprob and not r.forbidden]
+    allowed = [r for r in recs if r.vweight and not r.forbidden]
     # covers[i]: bit k set when allowed[i] lies below the k-th V entry
-    covers = [sum(1 << k for k, vp in enumerate(state.vpos) if vp in r.vprob)
+    covers = [sum(1 << k for k, vp in enumerate(state.vpos) if vp in r.vweight)
               for r in allowed]
     if functools.reduce(operator.or_, covers, 0) != (1 << state.v_size) - 1:
         return []  # provably no children: the state carries no mass
@@ -154,7 +152,7 @@ def children(state: AtomState, ifs: IFS, decider: NeighborDecider):
                     continue
             umaps.append(decider.compose(h1_inv, r.map))
             utags.append(r.tag)
-        tmat = tuple(tuple(allowed[i].vprob.get(vp, _ZERO) for i in members)
+        tmat = tuple(tuple(allowed[i].vweight.get(vp, 0) for i in members)
                      for vp in state.vpos)
         out.append((AtomState(tuple(umaps), tuple(utags), tuple(vpos), h1), tmat))
     return out
@@ -265,6 +263,7 @@ class Automaton:
 
     def to_json_dict(self) -> dict:
         name = functools.cache(str)  # one string per distinct map
+        entry = functools.cache(lambda n: format_rational(Fraction(n, self.ifs.den)))
         states = []
         for st in self.states:
             states.append({
@@ -278,7 +277,7 @@ class Automaton:
             for e in es:
                 edges.append({
                     "src": i, "dst": e.child,
-                    "T": [[format_rational(t) for t in row] for row in e.tmatrix],
+                    "T": [[entry(n) for n in row] for row in e.tnum],
                 })
         return {"states": states, "edges": edges}
 

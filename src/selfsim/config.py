@@ -119,10 +119,12 @@ class IfsConfig:
         if backend == "complex" and "imag" not in box:
             raise ConfigError("complex backend needs an 'imag' part in root_box")
         base = _element_literal(data["base_ratio"], "base_ratio")
+        if not isinstance(data["maps"], list) or not data["maps"]:
+            raise ConfigError(f"maps must be a non-empty list, got {data['maps']!r}")
         maps = []
         for i, mp in enumerate(data["maps"]):
             where = f"maps[{i}]"
-            if "linear" not in mp or "translation" not in mp or "scale_exponent" not in mp:
+            if not isinstance(mp, dict) or not {"linear", "translation", "scale_exponent"} <= mp.keys():
                 raise ConfigError(f"{where}: needs linear, translation, scale_exponent")
             k = mp["scale_exponent"]
             if not _positive_int(k):
@@ -131,15 +133,18 @@ class IfsConfig:
                 lin = _element_literal(mp["linear"], where + ".linear")
                 tr = _element_literal(mp["translation"], where + ".translation")
             else:
-                lin = [[_element_literal(e, where + ".linear") for e in row]
-                       for row in mp["linear"]]
-                if len(lin) != dim or any(len(row) != dim for row in lin):
+                rows = mp["linear"]
+                if not isinstance(rows, list) or len(rows) != dim or any(
+                        not isinstance(row, list) or len(row) != dim for row in rows):
                     raise ConfigError(f"{where}: linear part must be {dim}x{dim}")
+                lin = [[_element_literal(e, where + ".linear") for e in row] for row in rows]
                 tr = [_element_literal(e, where + ".translation")
                       for e in mp["translation"]]
                 if len(tr) != dim:
                     raise ConfigError(f"{where}: translation must have {dim} entries")
             maps.append({"linear": lin, "translation": tr, "scale_exponent": k})
+        if not isinstance(data["probabilities"], list):
+            raise ConfigError(f"probabilities must be a list, got {data['probabilities']!r}")
         probs = [_rat(p, "probabilities") for p in data["probabilities"]]
         given = data.get("budgets", {})
         if not isinstance(given, dict):

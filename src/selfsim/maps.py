@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .field import FieldElement, NumberField
 from .intervals import RatInterval, RectInterval, sqrt_interval
@@ -268,7 +268,7 @@ class Word:
 class Bridge:
     """One refinement step from a cylinder at one stopping level to the next."""
     letters: tuple
-    probability: Fraction
+    weight: int  # the word's probability as an int over IFS.den
     map: Similitude
     new_tag: int
 
@@ -285,10 +285,13 @@ class IFS:
         self.mode = mode
         self.m = len(self.maps)
         self.exponents = [s.exponent for s in self.maps]
+        self._validate()
         self.k_max = max(self.exponents)
         self.dim = self.maps[0].dim
         self._bridge_cache: dict[int, tuple] = {}
-        self._validate()
+        # the one denominator of every bridge weight, over all scale tags
+        self.den = lcm(*(w.probability.denominator for budget in range(1, self.k_max + 1)
+                         for w in self.stopping_words(budget)))
 
     # -- validation (exact) --------------------------------------------------
     def _validate(self):
@@ -375,7 +378,8 @@ class IFS:
         out = []
         for w in words:
             smap = self.map_of_word(w.letters)
-            out.append(Bridge(w.letters, w.probability, smap, tag + w.exponent - self.k_max))
+            weight = (w.probability * self.den).numerator
+            out.append(Bridge(w.letters, weight, smap, tag + w.exponent - self.k_max))
         out = tuple(out)
         self._bridge_cache[tag] = out
         return out

@@ -8,21 +8,22 @@ Which components carry mass follows from the component graph alone: its
 strongly connected classes are solved exactly over the rationals in one
 pass, successors first, and a class without inflow keeps mass only when
 its block has spectral radius exactly 1 (Frobenius-Victory); all other
-null components get exact zeros.  Each row of the system is held as ints
-over one row denominator, and every class is solved by fraction-free
-sparse elimination with Markowitz pivots taken from a heap
-(`_nullspace_dim1`).  No float enters the solve, and the normalized
-result is verified entry by entry against the full system, on ints over
-one common denominator.
+null components get exact zeros.  The edge matrices are ints over the
+IFS's one denominator D (`Edge.tnum`), so the rows of the system are
+those ints, over D, and every class is solved by fraction-free sparse
+elimination with Markowitz pivots taken from a heap (`_nullspace_dim1`).
+No float enters the solve, and the normalized result is verified entry
+by entry against the full system, on ints over one common denominator.
 
 Every exact read of the solved measure (`mass`, `u_vector`,
 `product_matrix`, `total_mass` and `GlobalSystem.mass_global`) is one walk
 of row vectors over one edge table, a child -> T dict per state, stepped
-by `_row_times`.
+by `_row_times`.  Its T are Fraction views, one per distinct int matrix.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 from fractions import Fraction
 from math import gcd, lcm
@@ -42,8 +43,7 @@ class MeasureError(RuntimeError):
 def _component_edges(auto: Automaton):
     """Sparse rows of the self-consistency operator over (state, V-index).
 
-    Row c is (den, [(j, a), ...]) with int a: F[c, j] = a / den, one
-    common denominator per row.
+    Row c is [(j, a), ...] with int a: F[c, j] = a / D, D = `IFS.den`.
     """
     comps = []
     base = []  # per state: its first component
@@ -55,15 +55,9 @@ def _component_edges(auto: Automaton):
     for sid, es in enumerate(auto.edges):
         for e in es:
             cb = base[e.child]
-            for i, trow in enumerate(e.tmatrix, base[sid]):
-                rows[i].extend((cb + j, t) for j, t in enumerate(trow) if t)
-    return comps, comp_index, [_int_row(r) for r in rows]
-
-
-def _int_row(row):
-    """A sparse row of Fractions [(j, t), ...] as (den, [(j, t * den), ...])."""
-    den = lcm(*(t.denominator for _j, t in row))
-    return den, [(j, t.numerator * (den // t.denominator)) for j, t in row]
+            for i, trow in enumerate(e.tnum, base[sid]):
+                rows[i].extend((cb + j, a) for j, a in enumerate(trow) if a)
+    return comps, comp_index, rows
 
 
 def _tarjan_scc(n, succ):
@@ -224,7 +218,9 @@ class MeasureModel:
         self.kept = kept              # sorted state ids with nonzero mass
         self.edges = edges            # per state id: list[Edge] over star entries (kept only)
         self.diagnostics = diagnostics
-        self._table = [{e.child: e.tmatrix for e in es} for es in edges]  # child -> T
+        view = functools.cache(lambda t: tuple(tuple(Fraction(a, auto.ifs.den) for a in row)
+                                               for row in t))
+        self._table = [{e.child: view(e.tnum) for e in es} for es in edges]  # child -> T
 
     # -- basic accessors ----------------------------------------------------
     def v_star(self, sid: int):
@@ -322,7 +318,8 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
     to mass 1 at the root, and the full system is verified entry by entry.
     """
     comps, comp_index, rows = _component_edges(auto)
-    v = _solve_components(comps, rows)
+    den = auto.ifs.den
+    v = _solve_components(comps, rows, den)
     root_val = v[comp_index[(0, 0)]]
     if root_val <= 0:
         raise MeasureError("root received non-positive mass")
@@ -331,7 +328,7 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
     # exact verification of the full system, on ints over one denominator
     common = lcm(*(x.denominator for x in v))
     iv = [x.numerator * (common // x.denominator) for x in v]
-    for i, (den, row) in enumerate(rows):
+    for i, row in enumerate(rows):
         if sum(a * iv[j] for j, a in row) != den * iv[i]:
             raise MeasureError(f"mass self-consistency violated at component {comps[i]}")
 
@@ -339,10 +336,10 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
         "null_components": sum(1 for y in v if y == 0)})
 
 
-def _solve_components(comps, rows):
+def _solve_components(comps, rows, den):
     """A nonnegative solution of v = F v, up to scale, decided exactly.
 
-    rows are the int rows of `_component_edges`.  The strongly connected
+    rows are `_component_edges` rows, over den.  The strongly connected
     classes of the component graph are walked in reverse topological
     order, so every edge leaving a class C points at solved values.  With
     nonzero inflow, (I - F_C) x = inflow has a unique positive solution or
@@ -351,7 +348,7 @@ def _solve_components(comps, rows):
     and only one such class can be scaled by the root normalization; every
     other class gets exact zeros (Frobenius-Victory).
     """
-    comp_of, ncomp = _tarjan_scc(len(comps), [[j for j, _a in r] for _den, r in rows])
+    comp_of, ncomp = _tarjan_scc(len(comps), [[j for j, _a in r] for r in rows])
     groups = [[] for _ in range(ncomp)]
     for c, cid in enumerate(comp_of):
         groups[cid].append(c)
@@ -362,14 +359,13 @@ def _solve_components(comps, rows):
         gidx = {c: i for i, c in enumerate(group)}
         g = len(group)
         # int rows of (I - F_C), inflow from solved successors in column g,
-        # each scaled by its row denominator and its inflow's denominator
+        # each scaled by den and by its inflow's denominator
         srows = []
         has_inflow = False
         for gi, c in enumerate(group):
-            den, entries = rows[c]
             row = {gi: den}
             inflow = []
-            for j, a in entries:
+            for j, a in rows[c]:
                 gj = gidx.get(j)
                 if gj is None:
                     if v[j]:
@@ -431,7 +427,7 @@ def _assemble(auto: Automaton, comps, comp_index, v, diagnostics) -> MeasureMode
                 continue
             rs = star[sid]
             cs = star[e.child]
-            tm = tuple(tuple(e.tmatrix[i][j] for j in cs) for i in rs)
+            tm = tuple(tuple(e.tnum[i][j] for j in cs) for i in rs)
             for col in range(len(cs)):
                 if all(tm[r][col] == 0 for r in range(len(rs))):
                     raise MeasureError(
@@ -455,6 +451,7 @@ class GlobalSystem:
     M_i carries the transition matrices T(.,eta_i) in block column i;
     w_i holds the mass vector of eta_i in block i and ones elsewhere.
     Products against the first unit vector evaluate atom masses exactly.
+    The blocks are held as ints over `den`, the IFS's one denominator.
     """
 
     def __init__(self, model: MeasureModel, alphabet=None):
@@ -470,25 +467,22 @@ class GlobalSystem:
             self.offsets.append(off)
             off += d
         self.size = off
-        # admissible block pairs: position j -> list of (position k, T),
-        # and the same blocks as a (k, j) -> T lookup for mass_global
+        self.den = model.automaton.ifs.den
+        # admissible block pairs: position j -> list of (position k, int T)
         self.blocks_into: list[list] = [[] for _ in self.alphabet]
-        self._block = {}
         for k, sid in enumerate(self.alphabet):
             for e in model.successors(sid):
                 j = self.position.get(e.child)
                 if j is not None:
-                    self.blocks_into[j].append((k, e.tmatrix))
-                    self._block[(k, j)] = e.tmatrix
+                    self.blocks_into[j].append((k, e.tnum))
 
     def matrix_dense(self, i: int):
         """M_i as a dense tuple-of-tuples of Fractions (for export/tests)."""
         rows = [[Fraction(0)] * self.size for _ in range(self.size)]
         for k, t in self.blocks_into[i]:
             ro, co = self.offsets[k], self.offsets[i]
-            for a in range(len(t)):
-                for b in range(len(t[0])):
-                    rows[ro + a][co + b] = t[a][b]
+            for a, row in enumerate(t):
+                rows[ro + a][co:co + len(row)] = [Fraction(n, self.den) for n in row]
         return tuple(tuple(r) for r in rows)
 
     def weight_vector(self, i: int):
@@ -502,10 +496,10 @@ class GlobalSystem:
 
     def to_json_dict(self) -> dict:
         """Alphabet, star dimensions, block structure and weights, exact."""
+        entry = functools.cache(lambda n: format_rational(Fraction(n, self.den)))
         blocks = []
         for i, sid in enumerate(self.alphabet):
-            into = [{"from_position": k,
-                     "T": [[format_rational(t) for t in row] for row in tm]}
+            into = [{"from_position": k, "T": [[entry(n) for n in row] for row in tm]}
                     for k, tm in self.blocks_into[i]]
             blocks.append({"state": sid, "dim": self.dims[i], "column_blocks": into,
                            "mass_vector": [format_rational(x)
@@ -534,7 +528,7 @@ class GlobalSystem:
             i = self.position.get(sid)
             if i is None:
                 raise NotAdmissible(f"state {sid} not in the alphabet")
-            t = self._block.get((last, i))
+            t = self.model._table[self.alphabet[last]].get(sid)
             vec = [Fraction(0)] * self.dims[i] if t is None else _row_times(vec, t)
             last = i
         return _dot(vec, self.model.v_star(self.alphabet[last]))

@@ -13,7 +13,7 @@ products over admissible words of the essential class.  Three routes:
 * finite n: exact dynamic programming over words, giving rigorous
   upper/lower bounds a_n/n and a_n/n - C/n plus a difference-quotient
   point estimate.  The DP holds a level as numpy columns: end states,
-  integer vectors at scale D^n (D the lcm of the block denominators;
+  integer vectors at scale D^n (D the one denominator of the blocks;
   int64 below 2^53, Python ints past it) and word counts, with merged
   entries in first-occurrence order.  It divides by D^n only when it
   reduces a vector to its float norm (see `word_norm_levels`).
@@ -117,7 +117,8 @@ def lifted_operator(system, q):
     rho(PXP) for the projection P onto the block-diagonal tensors, and
     PXP restricted to them is this operator.  With all blocks 1x1 the
     entries are raised to the q-th power, for any real q > 0; otherwise q
-    must be a positive integer.  Reads only `dims` and `blocks_into`.
+    must be a positive integer.  Reads only `dims`, `blocks_into` and
+    `den`: each block's floats are n / den, rounded once.
     """
     scalar = all(d == 1 for d in system.dims)
     if not scalar and q != int(q):
@@ -127,7 +128,7 @@ def lifted_operator(system, q):
     rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
     for i, into in enumerate(system.blocks_into):
         for k, t in into:
-            m = np.array(t, dtype=float)
+            m = np.array(t, dtype=float) / system.den
             block = m ** q if scalar else reduce(np.kron, [m] * q)
             r, c = np.nonzero(block)
             rows.append(r + offsets[k])
@@ -166,10 +167,10 @@ def irreducibility_check(ess: EssentialClass):
 def min_positive_entry_sum_powers(ess: EssentialClass, r: int) -> float:
     """delta: the smallest positive entry of sum_{i<=r} H^i (float).
 
-    delta is computed in floats from the `float(Fraction)` entries of H,
-    so it is not certified.  Each next power is the dense previous one
-    times the sparse H: column c gains power[:, a] * H[a, c] over the
-    nonzeros (a, c) in row order.  The powers are held transposed.
+    delta is computed in floats from the entries n / D of H, so it is
+    not certified.  Each next power is the dense previous one times the
+    sparse H: column c gains power[:, a] * H[a, c] over the nonzeros
+    (a, c) in row order.  The powers are held transposed.
     """
     n, rows, cols, vals = lifted_operator(ess.system, 1)
     power = np.zeros((n, n))
@@ -318,14 +319,15 @@ class PressureEngine:
         return self._certified(q, "kronecker", q)
 
     def _pressure_one(self) -> PressureEstimate:
-        # H w = w exactly for the concatenated mass vector, so P(1) = 0
+        # H w = w exactly for the concatenated mass vector, so P(1) = 0:
+        # N w = D w for the int blocks N of H over D
         w = [self.model.v_star(sid) for sid in self.ess.ids]
-        hw = [[Fraction(0)] * len(v) for v in w]
+        nw = [[Fraction(0)] * len(v) for v in w]
         for i, into in enumerate(self.ess.system.blocks_into):
             for k, t in into:
                 for a, row in enumerate(t):
-                    hw[k][a] += sum((x * y for x, y in zip(row, w[i])), Fraction(0))
-        if any(tuple(h) != v for h, v in zip(hw, w)):
+                    nw[k][a] += sum((n * y for n, y in zip(row, w[i])), Fraction(0))
+        if any(h != [self.ess.system.den * x for x in v] for h, v in zip(nw, w)):
             raise SpectrumError("mass vector is not an exact eigenvector of H")
         return PressureEstimate(1.0, 0.0, 0.0, 0.0, "eigenvector-exact", 0)
 
@@ -422,10 +424,6 @@ _DP_MAX_EXACT_ENTRIES = 400000
 _EXACT = 2 ** 53
 
 
-def _scaled(x: Fraction, scale: int) -> int:
-    return x.numerator * (scale // x.denominator)
-
-
 def word_norm_levels(system, n: int):
     """Aggregated (norm, count) pairs of all admissible words of length 1..n.
 
@@ -436,31 +434,29 @@ def word_norm_levels(system, n: int):
     with equal vectors, which keeps the multisets polynomial in practice.
 
     A level is three arrays: each entry's end state, its vector (padded
-    with zeros to the largest block size) and its word count.  With D the
-    lcm of all block denominators, every block is scaled to integers once,
-    so the level-k vectors are integers at scale D^k.  A step repeats each
-    row once per out-edge of its state, adds the block columns and merges
-    equal (state, vector) rows, in the order of their first rows: the
-    order a dict keyed by (state, vector) would keep.  The columns are
-    int64 while the entries, D^k and the word count stay below 2^53, where
-    x / D^k in float64 is float(Fraction(x, D^k)) bit for bit; past that
-    they hold Python ints, which round the same quotient once.  A level
-    with more than _DP_MAX_EXACT_ENTRIES vectors is coarsened to floats,
-    and the DP continues in float64 with float(T) weights; `coarsened`
-    says so.  Reads only `blocks_into`.
+    with zeros to the largest block size) and its word count.  The blocks
+    are integers over D = `den`, so the level-k vectors are integers at
+    scale D^k.  A step repeats each row once per out-edge of its state,
+    adds the block columns and merges equal (state, vector) rows, in the
+    order of their first rows: the order a dict keyed by (state, vector)
+    would keep.  The columns are int64 while the entries, D^k and the
+    word count stay below 2^53, where x / D^k in float64 is
+    float(Fraction(x, D^k)) bit for bit; past that they hold Python ints,
+    which round the same quotient once.  A level with more than
+    _DP_MAX_EXACT_ENTRIES vectors is coarsened to floats, and the DP
+    continues in float64 with float(T) weights; `coarsened` says so.
+    Reads only `blocks_into` and `den`.
     """
     blocks_into = system.blocks_into
     t = len(blocks_into)
-    scale = reduce(math.lcm, (x.denominator for into in blocks_into
-                              for _k, tm in into for row in tm for x in row), 1)
+    scale = system.den
     # edges grouped by source state, each source's in the order i, then blocks_into[i]
     edges = sorted(((k, i, tm) for i in range(t) for k, tm in blocks_into[i]),
                    key=lambda e: e[0])
     dmax = max((max(len(tm), len(tm[0])) for _k, _i, tm in edges), default=1)
     weights = np.zeros((len(edges), dmax, dmax), dtype=object)
     for e, (_k, _i, tm) in enumerate(edges):
-        for a, row in enumerate(tm):
-            weights[e, a, :len(row)] = [_scaled(x, scale) for x in row]
+        weights[e, :len(tm), :len(tm[0])] = tm
     dst = np.array([i for _k, i, _tm in edges], dtype=np.intp)
     out_deg = np.bincount([k for k, _i, _tm in edges], minlength=t)
     first_edge = np.cumsum(out_deg) - out_deg

@@ -95,13 +95,14 @@ def test_sibling_distinctness(pipelines):
 
 def test_refinement_no_cylinder_lost(cantor, commensurable):
     # on separated systems every allowed child map appears in exactly one
-    # signature, so column sums of the edge matrices add to one per row
+    # signature, so the entries of the edge matrices add to one per row:
+    # to den, over which they are held
     for pipe in (cantor, commensurable):
         auto = pipe.automaton
         for sid, st in enumerate(auto.states):
             for i in range(st.v_size):
-                total = sum(t for e in auto.edges[sid] for t in e.tmatrix[i])
-                assert total == 1
+                total = sum(n for e in auto.edges[sid] for n in e.tnum[i])
+                assert total == auto.ifs.den
 
 
 def test_order_matches_recomputed_words(golden, lebesgue):
@@ -275,8 +276,8 @@ def test_signatures_match_brute_force(pipelines, name):
     searched = 0
     for st in p.automaton.states:
         recs = am._child_records(st, p.ifs, p.decider)
-        allowed = [r for r in recs if r.vprob and not r.forbidden]
-        covers = [sum(1 << k for k, vp in enumerate(st.vpos) if vp in r.vprob)
+        allowed = [r for r in recs if r.vweight and not r.forbidden]
+        covers = [sum(1 << k for k, vp in enumerate(st.vpos) if vp in r.vweight)
                   for r in allowed]
         if functools.reduce(operator.or_, covers, 0) != (1 << st.v_size) - 1:
             continue  # `children` stops before the search: no child

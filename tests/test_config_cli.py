@@ -222,6 +222,11 @@ def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
     pytest.param(("dimension",), True, id="dimension-bool"),
     pytest.param(("maps", 0, "scale_exponent"), True, id="scale-exponent-bool"),
     pytest.param(("field", "root_box", "real"), ["5", "6"], id="box-without-root"),
+    pytest.param(("maps",), [], id="maps-empty"),
+    pytest.param(("maps",), 5, id="maps-not-a-list"),
+    pytest.param(("maps",), [5, 6], id="maps-not-objects"),
+    pytest.param(("probabilities",), 5, id="probabilities-not-a-list"),
+    pytest.param(("maps", 0, "linear"), [5], id="linear-row-not-a-list"),
 ])
 def test_cli_malformed_config_is_one_config_error_line(tmp_path, capsys, command, keys, value):
     cfg = json.loads(resources.files("selfsim.configs").joinpath("cantor-1-3.json").read_text())

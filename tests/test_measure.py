@@ -7,10 +7,10 @@ from selfsim.automaton import NotAdmissible
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
-from selfsim.measure import (GlobalSystem, MeasureError, _int_row, _solve_components,
-                             compute_mass_vectors)
+from selfsim.measure import GlobalSystem, MeasureError, _solve_components, compute_mass_vectors
 from selfsim.neighbors import NeighborDecider
 from selfsim.oracle import word_sum_entry
+from test_solve_reference import _int_rows
 
 
 def test_root_mass_is_one(pipelines):
@@ -22,8 +22,10 @@ def test_root_mass_is_one(pipelines):
 
 def test_cantor_masses(cantor):
     model = cantor.measure
+    assert cantor.ifs.den == 2
     for e in model.edges[0]:
-        assert e.tmatrix == ((F(1, 2),),)
+        assert e.tnum == ((1,),)
+        assert model.transition_matrix(0, e.child) == ((F(1, 2),),)
     for addr in model.addresses(3):
         assert model.mass(addr) == F(1, 8)
 
@@ -35,7 +37,7 @@ def test_cantor_biased_probabilities():
                   Similitude(K, ((r,),), (K.from_rational(F(2, 3)),), 1)],
               [F(1, 3), F(2, 3)], ScaleBase(K, ratio=r))
     model = compute_mass_vectors(am.build(ifs, NeighborDecider(ifs)))
-    mats = sorted(e.tmatrix[0][0] for e in model.edges[0])
+    mats = sorted(model.transition_matrix(0, e.child)[0][0] for e in model.edges[0])
     assert mats == [F(1, 3), F(2, 3)]
     assert model.total_mass(6) == 1
 
@@ -72,8 +74,9 @@ def test_self_consistency_of_vectors(pipelines):
             acc = [F(0)] * model.star_dim(sid)
             for e in model.edges[sid]:
                 vs = model.v_star(e.child)
+                t = model.transition_matrix(sid, e.child)
                 for i in range(len(acc)):
-                    acc[i] += sum(e.tmatrix[i][j] * vs[j] for j in range(len(vs)))
+                    acc[i] += sum(t[i][j] * vs[j] for j in range(len(vs)))
             assert tuple(acc) == model.v_star(sid)
 
 
@@ -90,9 +93,9 @@ def test_restricted_columns_positive(pipelines):
         model = pipelines(name).measure
         for sid in model.kept:
             for e in model.edges[sid]:
-                cols = len(e.tmatrix[0])
+                cols = len(e.tnum[0])
                 for j in range(cols):
-                    assert any(e.tmatrix[i][j] > 0 for i in range(len(e.tmatrix)))
+                    assert any(e.tnum[i][j] > 0 for i in range(len(e.tnum)))
 
 
 def test_u_vectors_positive(golden):
@@ -200,7 +203,8 @@ def test_overlap_words_exist(golden):
 
 def _solve_rows(rows):
     """The one-pass solve on hand-written rows; component k is state k."""
-    return _solve_components([(k, 0) for k in range(len(rows))], [_int_row(r) for r in rows])
+    den, int_rows = _int_rows(rows)
+    return _solve_components([(k, 0) for k in range(len(rows))], int_rows, den)
 
 
 @pytest.mark.parametrize("cycle", [
@@ -224,3 +228,22 @@ def test_two_incomparable_unit_classes_underdetermined():
             [(2, F(1))]]
     with pytest.raises(MeasureError, match="underdetermined"):
         _solve_rows(rows)
+
+
+@pytest.mark.parametrize("name, den", [
+    ("cantor-1-3", 2), ("lebesgue-1-2", 2), ("golden-bernoulli", 2),
+    ("golden-gasket-conjugated", 3), ("complex-pisot-demo", 2), ("commensurable-osc", 9),
+])
+def test_edge_matrices_are_ints_over_one_denominator(pipelines, name, den):
+    pipe = pipelines(name)
+    ifs, model = pipe.ifs, pipe.measure
+    assert ifs.den == den
+    for tag in range(ifs.k_max):
+        for br in ifs.bridges(tag):
+            assert type(br.weight) is int
+            assert ifs.word(br.letters).probability * den == br.weight
+    for sid in model.kept:
+        for e in model.edges[sid]:
+            t = model.transition_matrix(sid, e.child)
+            assert all(type(n) is int for row in e.tnum for n in row)
+            assert t == tuple(tuple(F(n, den) for n in row) for row in e.tnum)

@@ -10,6 +10,7 @@ on the automata of the bundled configs, on the dyadic systems of
 """
 
 from fractions import Fraction as F
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import BUNDLED
 from selfsim import automaton as am
 from selfsim import measure
-from selfsim.measure import MeasureError, _component_edges, _int_row, _tarjan_scc
+from selfsim.measure import MeasureError, _component_edges, _tarjan_scc
 from selfsim.neighbors import NeighborDecider
 from test_pipeline_fuzz import _dyadic_ifs, dyadic_systems
 
@@ -143,6 +144,12 @@ def _reference_solve(comps, rows):
     return v
 
 
+def _int_rows(rows):
+    """Sparse Fraction rows [(j, t), ...] as (den, int rows over den)."""
+    den = lcm(*(t.denominator for row in rows for _j, t in row))
+    return den, [[(j, (t * den).numerator) for j, t in row] for row in rows]
+
+
 def _positive_multiple(new, ref, strict):
     """new = c * ref for one c > 0 (any c != 0 unless strict)."""
     p = next(k for k, x in enumerate(ref) if x)
@@ -193,7 +200,7 @@ def sparse_matrices(draw):
 def test_integer_nullspace_matches_the_fraction_reference(matrix):
     rows, n = matrix
     ref = _reference_nullspace(rows, n)
-    new = measure._nullspace_dim1([dict(_int_row(r.items())[1]) for r in rows], n)
+    new = measure._nullspace_dim1([dict(_int_rows([r.items()])[1][0]) for r in rows], n)
     assert (new is None) == (ref is None)
     if ref is not None:
         assert all(type(x) is int for x in new)
@@ -206,28 +213,29 @@ def test_integer_nullspace_matches_the_fraction_reference(matrix):
 # the whole solve against the reference
 # ----------------------------------------------------------------------
 
-def _fraction_rows(rows):
-    return [[(j, F(a, den)) for j, a in r] for den, r in rows]
+def _fraction_rows(rows, den):
+    return [[(j, F(a, den)) for j, a in r] for r in rows]
 
 
-def _assert_solves_agree(comps, rows):
+def _assert_solves_agree(comps, rows, den):
     """Equal up to a positive scale, or refused with the same message."""
     try:
-        ref = _reference_solve(comps, _fraction_rows(rows))
+        ref = _reference_solve(comps, _fraction_rows(rows, den))
     except MeasureError as exc:
         with pytest.raises(MeasureError) as info:
-            measure._solve_components(comps, rows)
+            measure._solve_components(comps, rows, den)
         assert str(info.value) == str(exc)
         return
-    new = measure._solve_components(comps, rows)
+    new = measure._solve_components(comps, rows, den)
     assert all(type(x) is F for x in new)
     assert _positive_multiple(new, ref, strict=True)
 
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_solve_matches_the_reference_on_bundled_configs(pipelines, name):
-    comps, _index, rows = _component_edges(pipelines(name).automaton)
-    _assert_solves_agree(comps, rows)
+    auto = pipelines(name).automaton
+    comps, _index, rows = _component_edges(auto)
+    _assert_solves_agree(comps, rows, auto.ifs.den)
 
 
 @settings(max_examples=12, deadline=None)
@@ -235,7 +243,7 @@ def test_solve_matches_the_reference_on_bundled_configs(pipelines, name):
 def test_solve_matches_the_reference_on_dyadic_systems(sys_spec):
     ifs = _dyadic_ifs(*sys_spec)
     comps, _index, rows = _component_edges(am.build(ifs, NeighborDecider(ifs), max_states=5000))
-    _assert_solves_agree(comps, rows)
+    _assert_solves_agree(comps, rows, ifs.den)
 
 
 @st.composite
@@ -252,8 +260,9 @@ def component_graphs(draw):
         if row and draw(st.integers(0, 3)):
             total = sum(t for _j, t in row)
             row = [(j, t / total) for j, t in row]
-        rows.append(_int_row(row))
-    return [(k, 0) for k in range(n)], rows
+        rows.append(row)
+    den, rows = _int_rows(rows)
+    return [(k, 0) for k in range(n)], rows, den
 
 
 @settings(max_examples=400, deadline=None)

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from math import lcm
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,14 +16,26 @@ from selfsim.spectrum import (PressureEngine, SpectrumError, essential_class,
                               min_positive_entry_sum_powers, spectral_radius_bounds)
 
 
-def _block_system(dims, edges):
-    """A stand-in for GlobalSystem: edges maps (k, i) to the block T(k, i)."""
+def _block_system(dims, edges, den=None):
+    """A stand-in for GlobalSystem: edges maps (k, i) to the block T(k, i),
+    given in Fractions and held as ints over den, by default the lcm of
+    the entries' denominators."""
+    if den is None:
+        den = lcm(*(x.denominator for t in edges.values() for row in t for x in row))
     blocks_into = [[] for _ in dims]
     for (k, i), t in edges.items():
-        blocks_into[i].append((k, t))
+        scaled = [[x * den for x in row] for row in t]
+        assert all(x.denominator == 1 for row in scaled for x in row)
+        blocks_into[i].append((k, tuple(tuple(x.numerator for x in row) for row in scaled)))
     offsets = [sum(dims[:k]) for k in range(len(dims))]
-    return SimpleNamespace(dims=list(dims), blocks_into=blocks_into,
+    return SimpleNamespace(dims=list(dims), blocks_into=blocks_into, den=den,
                            offsets=offsets, size=sum(dims))
+
+
+def _fraction_blocks(system):
+    """blocks_into with each int block as its Fractions over den."""
+    return [[(k, tuple(tuple(F(n, system.den) for n in row) for row in t)) for k, t in into]
+            for into in system.blocks_into]
 
 
 def _dense(op):
@@ -117,7 +130,7 @@ def _dense_min_positive_entry(ess, r):
 def _exact_min_positive_entry(system, r):
     """Reference: the least positive entry of sum_{i<=r} H^i in Fractions."""
     h = [{} for _ in range(system.size)]
-    for i, into in enumerate(system.blocks_into):
+    for i, into in enumerate(_fraction_blocks(system)):
         for k, t in into:
             for a, row in enumerate(t):
                 out = h[system.offsets[k] + a]
@@ -321,10 +334,10 @@ def test_certified_routes_converge_before_stall(pipelines, monkeypatch):
 
 
 def test_lifted_operator_coo_sorted_with_repeated_edges_summed():
-    # two edges 0 -> 1 put their blocks on the same positions
-    system = SimpleNamespace(dims=[1, 2], blocks_into=[
-        [(1, ((F(1, 2),), (F(1, 4),)))],
-        [(0, ((F(1, 4), F(0)),)), (0, ((F(1, 4), F(1, 5)),)), (1, ((F(0), F(1)), (F(1), F(0))))],
+    # two edges 0 -> 1 put their blocks on the same positions; ints over 20
+    system = SimpleNamespace(dims=[1, 2], den=20, blocks_into=[
+        [(1, ((10,), (5,)))],
+        [(0, ((5, 0),)), (0, ((5, 4),)), (1, ((0, 20), (20, 0)))],
     ])
     dim, rows, cols, vals = lifted_operator(system, 1)
     assert dim == 3
@@ -522,17 +535,18 @@ def test_dragon_tau_planar(dragon):
 def _fraction_word_norms(system, n):
     """Reference: the word DP in exact Fraction arithmetic, never coarsened."""
     t = len(system.dims)
+    blocks_into = _fraction_blocks(system)
     start = {}
     for i in range(t):
         acc = None
-        for k, tm in system.blocks_into[i]:
+        for k, tm in blocks_into[i]:
             col = tuple(sum((row[j] for row in tm), F(0)) for j in range(len(tm[0])))
             acc = col if acc is None else tuple(a + b for a, b in zip(acc, col))
         if acc is not None:
             start[(i, acc)] = 1
     succ = [[] for _ in range(t)]
     for i in range(t):
-        for k, tm in system.blocks_into[i]:
+        for k, tm in blocks_into[i]:
             succ[k].append((i, tm))
 
     def aggregate(dist):
@@ -593,12 +607,18 @@ def mixed_denominator_systems(draw):
                                           for _ in range(dims[i]))
                                     for _ in range(dims[k]))
     # one state keeps a single word per level, so it can run long enough
-    # for the vectors at scale 36^n to pass 2**53
-    return _block_system(dims, edges), draw(st.integers(2, 16 if t == 1 else 7))
+    # for the vectors at scale 36^n to pass 2**53; den may be a proper
+    # multiple of the entries' lcm, as the IFS's one denominator is
+    den = lcm(*(x.denominator for b in edges.values() for row in b for x in row))
+    den *= draw(st.sampled_from([1, 1, 2, 5]))
+    return _block_system(dims, edges, den), draw(st.integers(2, 16 if t == 1 else 7))
 
 
 @settings(max_examples=40, deadline=None)
 @given(mixed_denominator_systems())
+# weights 1/6, 1/3 and 1/2 give den 6, while these blocks need only 2
+@example((_block_system([1, 2], {(0, 1): ((F(1, 2), F(1, 2)),), (1, 0): ((F(1),), (F(1, 2),)),
+                                 (1, 1): ((F(0), F(1, 2)), (F(1, 2), F(0)))}, 6), 12))
 def test_word_dp_bit_identical_on_mixed_denominators(spec):
     system, n = spec
     snaps, coarsened = spectrum.word_norm_levels(system, n)
