@@ -1,8 +1,9 @@
 """Command-line surface: check-ftc, build, mass, spectrum, oracle.
 
-Exit codes: 0 success, 1 invalid config, 2 finite type not verified
-within budget, 3 internal invariant violation.  Every output artifact
-embeds the config hash; runs are deterministic given config and seed.
+Exit codes: 0 success, 1 invalid config or usage, 2 finite type not
+verified within budget, 3 internal invariant violation.  Every output
+artifact embeds the config hash; runs are deterministic given config
+and seed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INVARIANT = 3
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are config errors (exit 1), not exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
 
 
 def _common(sub):
@@ -70,6 +78,7 @@ def _parse_grid(spec: str):
 def cmd_check_ftc(args) -> int:
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
+    pipe.field  # refuses a malformed polynomial or root box before the advisory reads them
     box = cfg.root_box
     try:
         report = check_pisot(cfg.min_poly,
@@ -86,9 +95,8 @@ def cmd_check_ftc(args) -> int:
         print(f"INCONCLUSIVE: {exc} (nodes={exc.node_count}, frontier={exc.frontier_size})")
         return EXIT_INCONCLUSIVE
     gamma = graph.gamma_maps()
-    alive = sum(1 for n in graph.nodes.values() if n.alive)
     print(f"finite type verified: |Gamma| = {len(gamma)} maps "
-          f"({alive} tagged nodes alive of {len(graph.nodes)} candidates)")
+          f"({sum(graph.alive)} tagged nodes alive of {len(graph.nodes)} candidates)")
     for m in gamma:
         print(f"  {m}")
     out = Path(args.out)
@@ -234,7 +242,7 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="selfsim",
         description="Neighbor automata, exact atom masses and L^q spectra "
                     "for finite-type self-similar measures")
@@ -268,10 +276,10 @@ def main(argv=None) -> int:
     s.add_argument("--hi", default="1/2")
     s.add_argument("--samples", type=int, default=100000)
 
-    args = parser.parse_args(argv)
     handlers = {"check-ftc": cmd_check_ftc, "build": cmd_build, "mass": cmd_mass,
                 "spectrum": cmd_spectrum, "oracle": cmd_oracle}
     try:
+        args = parser.parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 from .field import NumberField, RootBox, FieldError, format_rational
 from .intervals import RatInterval
@@ -46,6 +47,22 @@ def check_budget(key: str, value):
     floor = _BUDGET_FLOORS[key]
     if isinstance(value, bool) or not isinstance(value, int) or value < floor:
         raise ConfigError(f"budget {key!r} must be an integer >= {floor}, got {value!r}")
+    return value
+
+
+_SHAPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _get(obj, key: str, shape=None, where: str = ""):
+    """obj[key], for obj a JSON object at path where and a value of the given shape."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where or 'the config'} must be an object, got {obj!r}")
+    if key not in obj:
+        raise ConfigError(f"missing config key {path!r}")
+    value = obj[key]
+    if shape is not None and not isinstance(value, shape):
+        raise ConfigError(f"{path} must be {_SHAPES[shape]}, got {value!r}")
     return value
 
 
@@ -91,70 +108,61 @@ class IfsConfig:
     # -- parsing -------------------------------------------------------------
     @staticmethod
     def from_dict(data: dict) -> "IfsConfig":
-        for key in ("name", "backend", "dimension", "mode", "field",
-                    "base_ratio", "maps", "probabilities"):
-            if key not in data:
-                raise ConfigError(f"missing config key {key!r}")
-        backend = data["backend"]
+        name = _get(data, "name", str)
+        if not name or name == ".." or "\0" in name or Path(name).name != name:
+            raise ConfigError(f"name must be a file name, without a directory, got {name!r}")
+        backend = _get(data, "backend")
         if backend not in ("real", "complex"):
             raise ConfigError(f"backend must be 'real' or 'complex', got {backend!r}")
-        mode = data["mode"]
+        mode = _get(data, "mode")
         if mode not in ("equicontractive", "commensurable"):
             raise ConfigError(f"mode must be 'equicontractive' or 'commensurable', got {mode!r}")
-        dim = data["dimension"]
+        dim = _get(data, "dimension")
         if not _positive_int(dim):
             raise ConfigError("dimension must be a positive integer")
         if backend == "complex" and dim != 1:
             raise ConfigError("complex backend fixes dimension 1 (maps act on C)")
-        fdesc = data["field"]
-        if "minimal_polynomial" not in fdesc or "root_box" not in fdesc:
-            raise ConfigError("field needs 'minimal_polynomial' and 'root_box'")
-        minpoly = [_rat(c, "minimal_polynomial") for c in fdesc["minimal_polynomial"]]
-        boxd = fdesc["root_box"]
-        if "real" not in boxd:
-            raise ConfigError("root_box needs a 'real' interval")
-        box = {"real": _interval(boxd["real"], "root_box.real")}
+        fdesc = _get(data, "field")
+        minpoly = [_rat(c, "minimal_polynomial")
+                   for c in _get(fdesc, "minimal_polynomial", list, "field")]
+        boxd = _get(fdesc, "root_box", where="field")
+        box = {"real": _interval(_get(boxd, "real", where="field.root_box"), "root_box.real")}
         if "imag" in boxd:
             box["imag"] = _interval(boxd["imag"], "root_box.imag")
         if backend == "complex" and "imag" not in box:
             raise ConfigError("complex backend needs an 'imag' part in root_box")
-        base = _element_literal(data["base_ratio"], "base_ratio")
-        if not isinstance(data["maps"], list) or not data["maps"]:
-            raise ConfigError(f"maps must be a non-empty list, got {data['maps']!r}")
+        base = _element_literal(_get(data, "base_ratio"), "base_ratio")
+        maps_in = _get(data, "maps", list)
+        if not maps_in:
+            raise ConfigError("maps must be a non-empty list")
         maps = []
-        for i, mp in enumerate(data["maps"]):
+        for i, mp in enumerate(maps_in):
             where = f"maps[{i}]"
-            if not isinstance(mp, dict) or not {"linear", "translation", "scale_exponent"} <= mp.keys():
-                raise ConfigError(f"{where}: needs linear, translation, scale_exponent")
-            k = mp["scale_exponent"]
+            k = _get(mp, "scale_exponent", where=where)
             if not _positive_int(k):
                 raise ConfigError(f"{where}: scale_exponent must be a positive integer")
+            rows = _get(mp, "linear", list, where)
+            tr = _get(mp, "translation", list, where)
             if backend == "complex":
-                lin = _element_literal(mp["linear"], where + ".linear")
-                tr = _element_literal(mp["translation"], where + ".translation")
+                lin = _element_literal(rows, where + ".linear")
+                tr = _element_literal(tr, where + ".translation")
             else:
-                rows = mp["linear"]
-                if not isinstance(rows, list) or len(rows) != dim or any(
+                if len(rows) != dim or any(
                         not isinstance(row, list) or len(row) != dim for row in rows):
                     raise ConfigError(f"{where}: linear part must be {dim}x{dim}")
                 lin = [[_element_literal(e, where + ".linear") for e in row] for row in rows]
-                tr = [_element_literal(e, where + ".translation")
-                      for e in mp["translation"]]
+                tr = [_element_literal(e, where + ".translation") for e in tr]
                 if len(tr) != dim:
                     raise ConfigError(f"{where}: translation must have {dim} entries")
             maps.append({"linear": lin, "translation": tr, "scale_exponent": k})
-        if not isinstance(data["probabilities"], list):
-            raise ConfigError(f"probabilities must be a list, got {data['probabilities']!r}")
-        probs = [_rat(p, "probabilities") for p in data["probabilities"]]
-        given = data.get("budgets", {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"budgets must be an object, got {given!r}")
+        probs = [_rat(p, "probabilities") for p in _get(data, "probabilities", list)]
+        given = _get(data, "budgets", dict) if "budgets" in data else {}
         budgets = dict(DEFAULT_BUDGETS)
         for k, v in given.items():
             if k not in DEFAULT_BUDGETS:
                 raise ConfigError(f"unknown budget key {k!r}")
             budgets[k] = check_budget(k, v) if k in _BUDGET_FLOORS else v
-        return IfsConfig(data["name"], backend, dim, mode, minpoly, box, base,
+        return IfsConfig(name, backend, dim, mode, minpoly, box, base,
                          maps, probs, budgets)
 
     @staticmethod

@@ -44,20 +44,20 @@ def _component_edges(auto: Automaton):
     """Sparse rows of the self-consistency operator over (state, V-index).
 
     Row c is [(j, a), ...] with int a: F[c, j] = a / D, D = `IFS.den`.
+    State sid owns the components from base[sid] on, so the root's is 0.
     """
     comps = []
     base = []  # per state: its first component
     for sid, st in enumerate(auto.states):
         base.append(len(comps))
         comps.extend((sid, i) for i in range(st.v_size))
-    comp_index = {c: k for k, c in enumerate(comps)}
     rows = [[] for _ in comps]
     for sid, es in enumerate(auto.edges):
         for e in es:
             cb = base[e.child]
             for i, trow in enumerate(e.tnum, base[sid]):
                 rows[i].extend((cb + j, a) for j, a in enumerate(trow) if a)
-    return comps, comp_index, rows
+    return comps, base, rows
 
 
 def _tarjan_scc(n, succ):
@@ -317,10 +317,10 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
     The classes are solved in one pass (`_solve_components`), normalized
     to mass 1 at the root, and the full system is verified entry by entry.
     """
-    comps, comp_index, rows = _component_edges(auto)
+    comps, base, rows = _component_edges(auto)
     den = auto.ifs.den
     v = _solve_components(comps, rows, den)
-    root_val = v[comp_index[(0, 0)]]
+    root_val = v[0]
     if root_val <= 0:
         raise MeasureError("root received non-positive mass")
     v = [x / root_val for x in v]
@@ -332,7 +332,7 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
         if sum(a * iv[j] for j, a in row) != den * iv[i]:
             raise MeasureError(f"mass self-consistency violated at component {comps[i]}")
 
-    return _assemble(auto, comps, comp_index, v, diagnostics={
+    return _assemble(auto, base, v, diagnostics={
         "null_components": sum(1 for y in v if y == 0)})
 
 
@@ -409,13 +409,12 @@ def _solve_components(comps, rows, den):
     return v
 
 
-def _assemble(auto: Automaton, comps, comp_index, v, diagnostics) -> MeasureModel:
+def _assemble(auto: Automaton, base, v, diagnostics) -> MeasureModel:
     nstates = len(auto.states)
     vvecs = []
     star = []
     for sid in range(nstates):
-        st = auto.states[sid]
-        vec = tuple(v[comp_index[(sid, i)]] for i in range(st.v_size))
+        vec = tuple(v[base[sid]:base[sid] + auto.states[sid].v_size])
         vvecs.append(vec)
         star.append(tuple(i for i, x in enumerate(vec) if x > 0))
     kept = [sid for sid in range(nstates) if star[sid]]

@@ -11,12 +11,12 @@ at the first cycle, with its sub-pair states answered by the pruned
 closure.  Everything is exact: an ambiguous ball test keeps the
 candidate, which never changes a verdict, only the amount of work.
 
-Under the finite type condition the pruned closure is finite, so
-`NeighborDecider` compiles it once into int tables: one node id per
-surviving (relative map, tag, tag), the children of each node per bridge
-pair, and, filled lazily, the node of h_i^{-1} h_j for two nodes.  A tuple
-state is a sorted tuple of node ids, refined and re-pivoted by table
-lookups; no map is composed inside a tuple decision.
+Under the finite type condition the pruned closure is finite.  It is one
+table, `NeighborGraph`: an id per (relative map, tag, tag), numbered once
+in order of discovery, and lists indexed by it.  `NeighborDecider` reads
+that table: a tuple state is a sorted tuple of node ids, refined by table
+lookups and re-pivoted through a memo of the node of h_i^{-1} h_j, so a
+map is composed at most once per pair of nodes.
 """
 
 from __future__ import annotations
@@ -72,52 +72,53 @@ def bounding_ball(ifs: IFS) -> BoundingBall:
     return BoundingBall(center, r_up, r_up * r_up)
 
 
-class NeighborNode:
-    """A relative map with its scale tags, and its refinements.
-
-    succ holds one entry per bridge pair, pivot bridge major: the key of
-    the child node, or None where the ball test rules the child out.
-    """
-
-    __slots__ = ("map", "tags", "succ", "alive")
-
-    def __init__(self, smap: Similitude, tags: tuple):
-        self.map = smap
-        self.tags = tags
-        self.succ: list = []
-        self.alive = True
-
-
 class NeighborGraph:
-    """Candidate relative maps with refinement edges and survivor flags."""
+    """The neighbour closure as one table, its nodes numbered once in discovery order.
+
+    `nodes` takes (map key, tags) to a node id; `maps`, `tags` and `succ`
+    are indexed by it.  succ[n] holds one entry per bridge pair, pivot
+    bridge major: the child's id, or None where the ball test rules the
+    child out.  `prune` fills the rest: `alive[n]`, whether node n
+    survives; `child[n][i]`, the distinct surviving children of n under
+    pivot bridge i; and `ident[a]`, the identity node with tags (a, a).
+    """
 
     def __init__(self, ifs: IFS, ball: BoundingBall):
         self.ifs = ifs
         self.ball = ball
-        self.nodes: dict = {}  # (map key, tags) -> NeighborNode
+        self.nodes: dict = {}  # (map key, tags) -> node id
+        self.maps: list = []   # node id -> relative map
+        self.tags: list = []   # node id -> (tag, tag)
+        self.succ: list = []   # node id -> child ids, None where ruled out
+        self.alive, self.child, self.ident = [], [], {}  # filled by `prune`
+
+    def live(self, smap: Similitude, tags: tuple) -> int:
+        """The id of the surviving node (smap, tags), or -1."""
+        n = self.nodes.get((smap.key(), tags), -1)
+        return n if n >= 0 and self.alive[n] else -1
 
     def gamma_maps(self) -> list:
         """The surviving relative maps (the finite set the FTC asserts)."""
         seen = {}
-        for n in self.nodes.values():
-            if n.alive:
-                seen.setdefault(n.map.key(), n.map)
+        for smap, alive in zip(self.maps, self.alive):
+            if alive:
+                seen.setdefault(smap.key(), smap)
         return [seen[k] for k in sorted(seen)]
 
     def to_dot(self) -> str:
         lines = ["digraph neighbors {"]
-        ids = {}
-        for i, (key, n) in enumerate(sorted(self.nodes.items())):
-            ids[key] = i
-            style = "solid" if n.alive else "dashed"
-            label = str(n.map).replace('"', "'")
+        order = sorted(self.nodes.items())
+        dot = {n: i for i, (_key, n) in enumerate(order)}
+        for i, (_key, n) in enumerate(order):
+            style = "solid" if self.alive[n] else "dashed"
+            label = str(self.maps[n]).replace('"', "'")
             if self.ifs.k_max > 1:
-                label += f" tags={n.tags}"
+                label += f" tags={self.tags[n]}"
             lines.append(f'  n{i} [label="{label}", style={style}];')
-        for key, n in sorted(self.nodes.items()):
-            for sk in n.succ:
-                if sk in ids:
-                    lines.append(f"  n{ids[key]} -> n{ids[sk]};")
+        for _key, n in order:
+            for c in self.succ[n]:
+                if c is not None:
+                    lines.append(f"  n{dot[n]} -> n{dot[c]};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -135,47 +136,46 @@ def candidate_closure(ifs: IFS, max_nodes: int = 20000) -> NeighborGraph:
 
     Seeds are all pairs of first-level stopping cylinders; each node
     (h, (a, b)) refines through every bridge pair allowed by its scale
-    tags.  A finite closure verifies the finite type condition with the
-    surviving maps as the witness set; exceeding the budget raises
-    BudgetExceeded and decides nothing.
+    tags; the nodes from `head` on are the frontier, not yet taken up.  A
+    finite closure verifies the finite type condition with the surviving
+    maps as the witness set; exceeding the budget raises BudgetExceeded
+    and decides nothing.
     """
     ball = bounding_ball(ifs)
     graph = NeighborGraph(ifs, ball)
     level1 = [(br.map, br.new_tag) for br in ifs.bridges(0)]
-    queue = []
+    head = 0
 
     def add(smap, tags):
         key = (smap.key(), tags)
-        node = graph.nodes.get(key)
-        if node is None:
+        n = graph.nodes.get(key)
+        if n is None:
             if not _ball_feasible(ball, ifs, smap):
                 return None
-            if len(graph.nodes) >= max_nodes:
+            n = len(graph.maps)
+            if n >= max_nodes:
                 raise BudgetExceeded(
                     f"neighbor closure exceeded {max_nodes} nodes; finite type not verified",
-                    frontier_size=len(queue), node_count=len(graph.nodes))
-            node = NeighborNode(smap, tags)
-            graph.nodes[key] = node
-            queue.append(key)
-        return key
+                    frontier_size=n - head, node_count=n)
+            graph.nodes[key] = n
+            graph.maps.append(smap)
+            graph.tags.append(tags)
+        return n
 
     for sf, af in level1:
         sf_inv = sf.inverse()
         for sg, ag in level1:
             add(sf_inv.compose(sg), (af, ag))
 
-    head = 0
-    while head < len(queue):
-        key = queue[head]
+    while head < len(graph.maps):
+        smap, (af, ag) = graph.maps[head], graph.tags[head]
         head += 1
-        node = graph.nodes[key]
-        af, ag = node.tags
-        inv_bridges = [(bf.map.inverse(), bf.new_tag) for bf in ifs.bridges(af)]
-        g_bridges = ifs.bridges(ag)
-        for bf_inv, tf in inv_bridges:
-            left = bf_inv.compose(node.map)
-            for bg in g_bridges:
-                node.succ.append(add(left.compose(bg.map), (tf, bg.new_tag)))
+        kids = []
+        for bf in ifs.bridges(af):
+            left = bf.map.inverse().compose(smap)
+            kids.extend(add(left.compose(bg.map), (bf.new_tag, bg.new_tag))
+                        for bg in ifs.bridges(ag))
+        graph.succ.append(kids)
     return graph
 
 
@@ -217,12 +217,24 @@ def prune(graph: NeighborGraph) -> NeighborGraph:
     Survivors are exactly the maps h with h(K) meeting K: an infinite
     feasible refinement chain forces a common point by compactness, and
     a common point always refines.  One `known` memo serves every node.
+    Then tabulates, for the decider, each node's surviving children per
+    pivot bridge and the identity node of each tag.
     """
     known: dict = {}
-    for k, n in graph.nodes.items():
-        n.alive = reaches_cycle(k, lambda key: graph.nodes[key].succ, known)
-    ident = graph.nodes.get((graph.ifs.identity_map().key(), (0, 0)))
-    if ident is None or not ident.alive:
+    succ = graph.succ
+    alive = graph.alive = [reaches_cycle(n, succ.__getitem__, known)
+                           for n in range(len(succ))]
+    ifs = graph.ifs
+    graph.child = []
+    for kids, (_a, b) in zip(succ, graph.tags):
+        width = len(ifs.bridges(b))
+        graph.child.append(tuple(
+            tuple(c for c in dict.fromkeys(kids[i:i + width]) if c is not None and alive[c])
+            for i in range(0, len(kids), width)))
+    ident = ifs.identity_map().key()
+    graph.ident = {a: n for (k, (a, b)), n in graph.nodes.items()
+                   if k == ident and a == b and alive[n]}
+    if 0 not in graph.ident:
         raise MapError("identity map failed to survive pruning; inconsistent closure")
     return graph
 
@@ -239,18 +251,17 @@ class NeighborDecider:
     id back, handed out in order of first sight.  The compose memo and the
     pair and raw memos are keyed by them; an item is a (map id, tag) pair.
 
-    Node ids number the surviving closure nodes (relative map, tag, tag),
-    compiled once from the pruned closure:
-    - `_child[n][i]`: the distinct surviving children of node n = (h, a, b)
-      under pivot bridge i of tag a, that is the nodes of b_i^{-1} h b'_j
-      over the bridges b'_j of tag b; a dead child is left out;
-    - `_rr[i][j]`, filled lazily: the node of h_i^{-1} h_j for two nodes
-      with one first tag, or -1 when the pair does not meet.
+    Node ids are those of the pruned closure, `NeighborGraph`, which
+    numbers its nodes once and tabulates the surviving children of each
+    node per pivot bridge (`child`) and the identity node of each tag
+    (`ident`).  The decider adds one memo over them, `_rr[i][j]`, filled
+    lazily: the node of h_i^{-1} h_j for two nodes with one first tag, or
+    -1 when the pair does not meet.
 
     A tuple state is the sorted tuple of the node ids of its cylinders
     relative to one of them, the pivot, whose own node is the identity
     with the pivot tag twice; every pair of a state meets.  `_expand`
-    reads the refinements off `_child` and `_canonical` re-pivots through
+    reads the refinements off `child` and `_canonical` re-pivots through
     `_rr`, keeping the least tuple.  That is a fixed total order for the
     life of the decider; a verdict does not depend on it, because a common
     left composition moves every cylinder of the tuple together and keeps
@@ -273,7 +284,6 @@ class NeighborDecider:
         self.max_nodes = max_nodes
         self.tuple_budget = tuple_budget
         self._graph: NeighborGraph | None = None
-        self._node_id: dict | None = None  # (map key, tags) -> node id, once compiled
         self._ids: dict = {}             # Similitude -> map id
         self._maps: list = []            # map id -> interned Similitude
         self._compose_memo: dict = {}    # (map id, map id) -> map id
@@ -295,7 +305,7 @@ class NeighborDecider:
     def gamma_maps(self):
         return self.graph.gamma_maps()
 
-    # -- the intern table and the compiled closure ----------------------------
+    # -- the intern table and the relative-node memo ---------------------------
     def _intern(self, smap: Similitude) -> int:
         i = self._ids.get(smap)
         if i is None:
@@ -306,37 +316,11 @@ class NeighborDecider:
             self._maps.append(smap)
         return i
 
-    def _compile(self) -> dict:
-        """Number the surviving closure nodes and tabulate their children."""
-        if self._node_id is None:
-            graph, ifs = self.graph, self.ifs
-            keys = [k for k, n in graph.nodes.items() if n.alive]
-            node_id = {k: i for i, k in enumerate(keys)}
-            nodes = [graph.nodes[k] for k in keys]
-            self._node_maps = [n.map for n in nodes]
-            self._node_tags = [n.tags for n in nodes]
-            self._child = []
-            for n in nodes:
-                # succ holds one entry per bridge pair, pivot bridge major
-                width = len(ifs.bridges(n.tags[1]))
-                kids = [node_id.get(s, -1) for s in n.succ]
-                self._child.append(tuple(
-                    tuple(c for c in dict.fromkeys(kids[i:i + width]) if c >= 0)
-                    for i in range(0, len(kids), width)))
-            ident = ifs.identity_map().key()
-            self._ident = {a: i for i, (k, (a, b)) in enumerate(keys)
-                           if k == ident and a == b}
-            # the pivot's own child under bridge i is the identity with i's new tag
-            self._ident_child = {a: tuple(self._ident[br.new_tag] for br in ifs.bridges(a))
-                                 for a in self._ident}
-            self._node_id = node_id
-        return self._node_id
-
     def _relative(self, i: int, j: int) -> int:
         """Node id of h_i^{-1} h_j for nodes i, j with one first tag, or -1."""
-        rel = self._node_maps[i].inverse().compose(self._node_maps[j])
-        c = self._node_id.get((rel.key(), (self._node_tags[i][1], self._node_tags[j][1])), -1)
-        self._rr[i][j] = c
+        g = self._graph
+        rel = g.maps[i].inverse().compose(g.maps[j])
+        self._rr[i][j] = c = g.live(rel, (g.tags[i][1], g.tags[j][1]))
         return c
 
     # -- public queries on maps -------------------------------------------
@@ -395,7 +379,7 @@ class NeighborDecider:
         """Memoized verdict for sorted distinct (map id, tag) items of one level.
 
         A failing pair decides it at once; three or more cylinders become
-        one canonical tuple state, decided on the compiled tables.
+        one canonical tuple state, decided on the closure's tables.
         """
         if len(items) < 2:
             return True
@@ -408,7 +392,7 @@ class NeighborDecider:
             elif len(nodes) == 1:
                 hit = True
             else:
-                start = self._canonical([self._ident[first[1]]] + nodes)
+                start = self._canonical([self._graph.ident[first[1]]] + nodes)
                 hit = start is not None and self._decide_tuple(start)
             self._raw_memo[items] = hit
         return hit
@@ -420,8 +404,7 @@ class NeighborDecider:
             (a, ta), (b, tb) = p, q
             if a == b:
                 raise MapError("one map given with two scale tags")
-            rel = self._maps[a].inverse().compose(self._maps[b])
-            node = self._compile().get((rel.key(), (ta, tb)), -1)
+            node = self.graph.live(self._maps[a].inverse().compose(self._maps[b]), (ta, tb))
             self._pair_memo[(p, q)] = node
         return node
 
@@ -461,17 +444,18 @@ class NeighborDecider:
         """All simultaneous one-step refinements of a tuple state, canonical.
 
         Each refinement is taken relative to the pivot's refinement, so it
-        is read off `_child`.  A refinement with a pair that does not meet
-        is left out; one of one or two components meets, so it goes into
-        `_tuple_memo` as True.
+        is read off the closure's `child`.  A refinement with a pair that
+        does not meet is left out; one of one or two components meets, so
+        it goes into `_tuple_memo` as True.
         """
-        tag = self._node_tags[state[0]][0]
-        pivot = self._ident[tag]
-        child = self._child
+        g = self._graph
+        tag = g.tags[state[0]][0]
+        pivot = g.ident[tag]
         others = [n for n in state if n != pivot]
         out = []
-        for i, new_pivot in enumerate(self._ident_child[tag]):
-            for combo in itertools.product(*(child[n][i] for n in others)):
+        for i, br in enumerate(self.ifs.bridges(tag)):
+            new_pivot = g.ident[br.new_tag]
+            for combo in itertools.product(*(g.child[n][i] for n in others)):
                 nxt = self._canonical(list(dict.fromkeys((new_pivot,) + combo)))
                 if nxt is not None:
                     if len(nxt) < 3:

@@ -109,6 +109,12 @@ def test_cli_check_ftc(tmp_path, capsys):
     assert (tmp_path / "golden-bernoulli-neighbors.dot").exists()
 
 
+def _inconclusive_counts(out):
+    line, = (ln for ln in out.splitlines() if ln.startswith("INCONCLUSIVE: "))
+    counts = dict(part.split("=") for part in line[line.rindex("(") + 1:-1].split(", "))
+    return int(counts["nodes"]), int(counts["frontier"])
+
+
 def test_cli_check_ftc_inconclusive(tmp_path, capsys):
     # ratio 2/3 with overlap: no finite type within a small budget
     cfg = _golden_dict()
@@ -125,6 +131,21 @@ def test_cli_check_ftc_inconclusive(tmp_path, capsys):
     path.write_text(IfsConfig.from_dict(cfg).canonical_json())
     rc = cli.main(["check-ftc", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
+    # the frontier is the discovered nodes not yet taken up for expansion
+    nodes, frontier = _inconclusive_counts(capsys.readouterr().out)
+    assert nodes == 200 and 0 < frontier < nodes
+
+
+def test_cli_check_ftc_budget_below_the_seed_pairs(tmp_path, capsys):
+    # golden-bernoulli has 2 x 2 seed pairs; the budget runs out while seeding
+    cfg = _golden_dict()
+    cfg["budgets"]["max_neighbor_nodes"] = 2
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    rc = cli.main(["check-ftc", "--config", str(path), "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.err == ""
+    assert _inconclusive_counts(captured.out) == (2, 2)
 
 
 # Runs in a fresh interpreter: prints, as JSON, which of sympy and scipy are
@@ -227,6 +248,19 @@ def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
     pytest.param(("maps",), [5, 6], id="maps-not-objects"),
     pytest.param(("probabilities",), 5, id="probabilities-not-a-list"),
     pytest.param(("maps", 0, "linear"), [5], id="linear-row-not-a-list"),
+    pytest.param(("field",), 5, id="field-not-an-object"),
+    pytest.param(("field", "minimal_polynomial"), 5, id="minimal-polynomial-not-a-list"),
+    pytest.param(("field", "root_box"), 5, id="root-box-not-an-object"),
+    pytest.param(("maps", 0, "translation"), 5, id="translation-not-a-list"),
+    pytest.param(("name",), "a/b", id="name-with-a-directory"),
+    pytest.param(("name",), "../escaped", id="name-outside-out"),
+    pytest.param(("name",), "..", id="name-parent"),
+    pytest.param(("name",), "", id="name-empty"),
+    pytest.param(("name",), 5, id="name-not-a-string"),
+    pytest.param(("name",), "a\0b", id="name-with-a-nul"),
+    pytest.param(("field", "minimal_polynomial"), [], id="minimal-polynomial-empty"),
+    pytest.param(("field", "minimal_polynomial"), ["1/1", "0/1"],
+                 id="minimal-polynomial-leading-zero"),
 ])
 def test_cli_malformed_config_is_one_config_error_line(tmp_path, capsys, command, keys, value):
     cfg = json.loads(resources.files("selfsim.configs").joinpath("cantor-1-3.json").read_text())
@@ -235,12 +269,37 @@ def test_cli_malformed_config_is_one_config_error_line(tmp_path, capsys, command
     for key in parents:
         node = node[key]
     node[last] = value
-    path = tmp_path / "cfg.json"
+    path = tmp_path / "in" / "cfg.json"
+    path.parent.mkdir()
     path.write_text(json.dumps(cfg))
-    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path)])
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]  # nothing written
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["build", "--config", "bundled:cantor-1-3", "--bogus"], id="unknown-flag"),
+    pytest.param(["build"], id="no-config"),
+    pytest.param(["build", "--config", "bundled:cantor-1-3", "--max-states", "abc"],
+                 id="max-states-not-an-int"),
+    pytest.param([], id="no-command"),
+    pytest.param(["no-such-command"], id="unknown-command"),
+])
+def test_cli_usage_error_is_one_config_error_line(capsys, argv):
+    # parsing fails before any file is read or written
+    rc = cli.main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "--help"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
 
 
 def test_cli_build_and_spectrum_deterministic(tmp_path, capsys):

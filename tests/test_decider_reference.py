@@ -72,7 +72,7 @@ class ReferenceDecider:
     def __init__(self, ifs, graph, tuple_budget=200000):
         self.ifs = ifs
         self.tuple_budget = tuple_budget
-        self.alive = {k for k, n in graph.nodes.items() if n.alive}  # (key, tags)
+        self.alive = {k for k, n in graph.nodes.items() if graph.alive[n]}  # (key, tags)
         self.maps: dict = {}          # key -> Similitude
         self.compose_memo: dict = {}  # (key, key) -> key
         self.tuple_memo: dict = {}

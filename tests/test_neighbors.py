@@ -87,12 +87,12 @@ def test_golden_closure_fixture(golden_ifs):
 
 def test_prune_keeps_successor_closed_set(golden_ifs):
     graph = prune(candidate_closure(golden_ifs))
-    alive = {k for k, n in graph.nodes.items() if n.alive}
-    for key in alive:
-        node = graph.nodes[key]
-        assert any(s in alive for s in node.succ)
+    alive = graph.alive
+    for n, kids in enumerate(graph.succ):
+        if alive[n]:
+            assert any(c is not None and alive[c] for c in kids)
     ident = golden_ifs.identity_map()
-    assert graph.nodes[(ident.key(), (0, 0))].alive
+    assert alive[graph.nodes[(ident.key(), (0, 0))]]
 
 
 def test_reaches_cycle_cases():

@@ -234,7 +234,7 @@ def _assert_solves_agree(comps, rows, den):
 @pytest.mark.parametrize("name", BUNDLED)
 def test_solve_matches_the_reference_on_bundled_configs(pipelines, name):
     auto = pipelines(name).automaton
-    comps, _index, rows = _component_edges(auto)
+    comps, _base, rows = _component_edges(auto)
     _assert_solves_agree(comps, rows, auto.ifs.den)
 
 
@@ -242,7 +242,7 @@ def test_solve_matches_the_reference_on_bundled_configs(pipelines, name):
 @given(dyadic_systems())
 def test_solve_matches_the_reference_on_dyadic_systems(sys_spec):
     ifs = _dyadic_ifs(*sys_spec)
-    comps, _index, rows = _component_edges(am.build(ifs, NeighborDecider(ifs), max_states=5000))
+    comps, _base, rows = _component_edges(am.build(ifs, NeighborDecider(ifs), max_states=5000))
     _assert_solves_agree(comps, rows, ifs.den)
 
 
