@@ -289,13 +289,9 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
     auto.states.append(root)
     auto.edges.append([])
     auto.index[root] = 0
-    queue = [0]
-    head = 0
-    while head < len(queue):
-        sid = queue[head]
-        head += 1
-        state = auto.states[sid]
-        kids = children(state, ifs, decider)
+    sid = 0  # states are numbered in discovery order, so the table is the BFS queue
+    while sid < len(auto.states):
+        kids = children(auto.states[sid], ifs, decider)
         if not kids:
             auto.anomalies.append(f"state {sid} has no candidate children")
         seen_here = set()
@@ -312,8 +308,8 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
                 auto.states.append(child)
                 auto.edges.append([])
                 auto.index[child] = cid
-                queue.append(cid)
             auto.edges[sid].append(Edge(cid, tmat))
+        sid += 1
     return auto
 
 
@@ -323,18 +319,21 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
 
 @dataclass
 class Witness:
+    """A point of a state's atom: inside every V cylinder, certified apart
+    from every other touching cylinder (`witness` returns no other kind)."""
+
     point: tuple            # absolute coordinates, exact field elements
-    separation_certified: bool
 
 
 def witness(auto: Automaton, sid: int):
-    """A point certified inside every V cylinder of the state's atom.
+    """A point certified inside the state's atom, or None (unknown).
 
     The point is the limit of the nested first-cylinder chain along an
     eventually periodic admissible continuation, so membership in all
     covering cylinders is structural.  Separation from the touching
     non-covering cylinders is checked by ball subdivision to depth
-    _WITNESS_DEPTH; on failure returns None (unknown) rather than guessing.
+    _WITNESS_DEPTH; unless every one is certified, the result is None
+    rather than a guess.
     """
     state = auto.states[sid]
     path_r, cycle_r = _periodic_continuation(auto, sid)
@@ -343,19 +342,12 @@ def witness(auto: Automaton, sid: int):
     # limit point of P C^inf = P(fix(C)) in the state's local frame
     x_local = (path_r.apply(cycle_r.fixed_point()) if path_r is not None
                else cycle_r.fixed_point())
-    certified = True
-    for j, psi in enumerate(state.umaps):
-        if j in state.vpos:
-            continue
-        if not _point_separated(auto.ifs, auto.decider, x_local, psi,
-                                state.utags[j], _WITNESS_DEPTH):
-            certified = False
-            break
-    if not certified:
+    if not all(_point_separated(auto.ifs, auto.decider, x_local, psi,
+                                state.utags[j], _WITNESS_DEPTH)
+               for j, psi in enumerate(state.umaps) if j not in state.vpos):
         return None
     abs_frame = _frame(auto, _bfs_tree(auto, 0)[sid])
-    x_abs = abs_frame.apply(x_local) if abs_frame is not None else x_local
-    return Witness(point=x_abs, separation_certified=True)
+    return Witness(abs_frame.apply(x_local) if abs_frame is not None else x_local)
 
 
 def _periodic_continuation(auto: Automaton, sid: int):

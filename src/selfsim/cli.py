@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from .config import ConfigError, IfsConfig, check_budget, load_bundled
-from .field import FieldError, check_pisot, format_rational, RootBox
-from .intervals import RatInterval
+from .field import FieldError, check_pisot, format_rational
 from .maps import MapError
 from .measure import MeasureError
 from .neighbors import BudgetExceeded
@@ -79,11 +79,8 @@ def cmd_check_ftc(args) -> int:
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
     pipe.field  # refuses a malformed polynomial or root box before the advisory reads them
-    box = cfg.root_box
     try:
-        report = check_pisot(cfg.min_poly,
-                             RootBox(RatInterval(*box["real"]),
-                                     RatInterval(*box["imag"]) if "imag" in box else None))
+        report = check_pisot(cfg.min_poly, cfg.root_box)
     except FieldError as exc:
         raise ConfigError(f"field: {exc}") from exc
     print(f"pisot advisory: 1/rho is {report.kind} "
@@ -112,8 +109,9 @@ def cmd_build(args) -> int:
     model = pipe.measure
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    h = cfg.config_hash()
     data = auto.to_json_dict()
-    data["config_hash"] = cfg.config_hash()
+    data["config_hash"] = h
     data["mass_positive_states"] = list(model.kept)
     data["mass_vectors"] = {
         str(sid): [format_rational(x) for x in model.v[sid]]
@@ -121,7 +119,7 @@ def cmd_build(args) -> int:
     (out / f"{cfg.name}-automaton.json").write_text(
         json.dumps(data, indent=2) + "\n")
     mdata = pipe.global_system.to_json_dict()
-    mdata["config_hash"] = cfg.config_hash()
+    mdata["config_hash"] = h
     (out / f"{cfg.name}-measure.json").write_text(json.dumps(mdata, indent=2) + "\n")
     (out / f"{cfg.name}-automaton.dot").write_text(auto.to_dot() + "\n")
     (out / f"{cfg.name}-neighbors.dot").write_text(pipe.decider.graph.to_dot() + "\n")
@@ -156,8 +154,7 @@ def cmd_spectrum(args) -> int:
     pipe = Pipeline(cfg)
     engine = pipe.engine
     r, _delta = engine.irreducibility()
-    curve = engine.lq_curve([float(q) for q in grid],
-                            n=cfg.budgets["pressure_n"])
+    curve = engine.lq_curve([float(q) for q in grid])  # n: the engine's pressure_n
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"{cfg.name}-spectrum.csv"
@@ -209,12 +206,29 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    cmd = args.oracle_cmd
+    if cmd == "estimate-mass":
+        try:
+            lo, hi = Fraction(args.lo), Fraction(args.hi)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad --lo/--hi {args.lo!r}, {args.hi!r}") from exc
+        if lo >= hi:
+            raise ConfigError(f"--lo must be below --hi, got {args.lo!r}, {args.hi!r}")
+        if args.samples < 1:
+            raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    else:
+        if not 0 < args.q < math.inf:
+            raise ConfigError(f"--q must be a finite number > 0, got {args.q!r}")
+        need = 2 if cmd == "tau" else 1  # a slope needs two levels n
+        if args.n_min < 0 or args.n_max - args.n_min + 1 < need:
+            raise ConfigError(f"--n-min {args.n_min} .. --n-max {args.n_max} must list "
+                              f"{'two' if need == 2 else 'one'} or more levels n >= 0")
     cfg = _load_config(args)
     ifs = cfg.build_ifs()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    h = cfg.config_hash()
-    if args.oracle_cmd == "dyadic":
+    if cmd == "dyadic":
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        h = cfg.config_hash()
         path = out / f"{cfg.name}-dyadic.csv"
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -224,21 +238,16 @@ def cmd_oracle(args) -> int:
                 w.writerow([repr(args.q), n, repr(s), h, args.rng_seed])
         print(f"dyadic sums written to {path}")
         return EXIT_OK
-    if args.oracle_cmd == "tau":
+    if cmd == "tau":
         td = tau_dyadic(ifs, args.q, range(args.n_min, args.n_max + 1))
         print(f"tau_dyadic({args.q}) = {td.estimate:.6f} "
               f"(fit residual {td.residual:.3g}, n = {td.n_range[0]}..{td.n_range[1]})")
         return EXIT_OK
-    if args.oracle_cmd == "estimate-mass":
-        try:
-            region = IntervalUnion([(Fraction(args.lo), Fraction(args.hi))])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad --lo/--hi {args.lo!r}, {args.hi!r}") from exc
-        est = estimate_mass(ifs, region, samples=args.samples, seed=args.rng_seed)
-        print(f"mu({args.lo},{args.hi}) in [{est.lower:.6f}, {est.upper:.6f}] "
-              f"+- {est.stderr:.2g} ({est.mode}, seed {args.rng_seed})")
-        return EXIT_OK
-    raise ConfigError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    est = estimate_mass(ifs, IntervalUnion([(lo, hi)]), samples=args.samples,
+                        seed=args.rng_seed)
+    print(f"mu({args.lo},{args.hi}) in [{est.lower:.6f}, {est.upper:.6f}] "
+          f"+- {est.stderr:.2g} ({est.mode}, seed {args.rng_seed})")
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

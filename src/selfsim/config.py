@@ -73,13 +73,13 @@ def _rat(s, where: str) -> Fraction:
         raise ConfigError(f"{where}: bad rational {s!r}: {exc}") from exc
 
 
-def _interval(pair, where: str) -> tuple:
+def _interval(pair, where: str) -> RatInterval:
     if not isinstance(pair, list) or len(pair) != 2:
         raise ConfigError(f"{where} must be a list of two rationals, got {pair!r}")
     lo, hi = (_rat(x, where) for x in pair)
     if lo > hi:
         raise ConfigError(f"{where}: empty interval [{lo}, {hi}]")
-    return lo, hi
+    return RatInterval(lo, hi)
 
 
 def _positive_int(value) -> bool:
@@ -99,7 +99,7 @@ class IfsConfig:
     dimension: int
     mode: str                      # "equicontractive" | "commensurable"
     min_poly: list
-    root_box: dict                 # {"real": (lo,hi), "imag": (lo,hi)?} as Fractions
+    root_box: RootBox              # the root's region; imag None for a real root
     base_ratio: list               # element coeffs; complex: |r|^2 coeffs
     maps: list                     # [{"linear": ..., "translation": ..., "scale_exponent": k}]
     probabilities: list
@@ -126,10 +126,9 @@ class IfsConfig:
         minpoly = [_rat(c, "minimal_polynomial")
                    for c in _get(fdesc, "minimal_polynomial", list, "field")]
         boxd = _get(fdesc, "root_box", where="field")
-        box = {"real": _interval(_get(boxd, "real", where="field.root_box"), "root_box.real")}
-        if "imag" in boxd:
-            box["imag"] = _interval(boxd["imag"], "root_box.imag")
-        if backend == "complex" and "imag" not in box:
+        box = RootBox(_interval(_get(boxd, "real", where="field.root_box"), "root_box.real"),
+                      _interval(boxd["imag"], "root_box.imag") if "imag" in boxd else None)
+        if backend == "complex" and box.imag is None:
             raise ConfigError("complex backend needs an 'imag' part in root_box")
         base = _element_literal(_get(data, "base_ratio"), "base_ratio")
         maps_in = _get(data, "maps", list)
@@ -176,12 +175,8 @@ class IfsConfig:
 
     # -- construction -----------------------------------------------------------
     def build_field(self) -> NumberField:
-        re_lo, re_hi = self.root_box["real"]
-        imag = self.root_box.get("imag")
-        box = RootBox(RatInterval(re_lo, re_hi),
-                      RatInterval(*imag) if imag else None)
         try:
-            return NumberField(self.min_poly, box,
+            return NumberField(self.min_poly, self.root_box,
                                complex_embedding=(self.backend == "complex"))
         except FieldError as exc:
             raise ConfigError(f"field: {exc}") from exc
@@ -213,6 +208,9 @@ class IfsConfig:
         def elem(e):
             return [format_rational(c) for c in e]
 
+        def interval(iv):
+            return [format_rational(iv.lo), format_rational(iv.hi)]
+
         out = {
             "name": self.name,
             "backend": self.backend,
@@ -220,16 +218,15 @@ class IfsConfig:
             "mode": self.mode,
             "field": {
                 "minimal_polynomial": [format_rational(c) for c in self.min_poly],
-                "root_box": {"real": [format_rational(x) for x in self.root_box["real"]]},
+                "root_box": {"real": interval(self.root_box.real)},
             },
             "base_ratio": elem(self.base_ratio),
             "maps": [],
             "probabilities": [format_rational(p) for p in self.probabilities],
             "budgets": {k: self.budgets[k] for k in sorted(self.budgets)},
         }
-        if "imag" in self.root_box:
-            out["field"]["root_box"]["imag"] = [format_rational(x)
-                                                for x in self.root_box["imag"]]
+        if self.root_box.imag is not None:
+            out["field"]["root_box"]["imag"] = interval(self.root_box.imag)
         for m in self.maps:
             if self.backend == "complex":
                 out["maps"].append({"linear": elem(m["linear"]),

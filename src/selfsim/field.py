@@ -33,11 +33,6 @@ _ROOT_BITS = 80  # _isolate_roots' boxes have width 2^-_ROOT_BITS
 _GUARD_BITS = 16  # _refine rounds to a grid this many bits finer than its target
 
 
-def parse_rational(s) -> Fraction:
-    """Parse a 'num/den' string (or int) into an exact Fraction."""
-    return _as_fraction(s)
-
-
 def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
@@ -414,12 +409,6 @@ class NumberField:
         c1 = self.min_poly[1]
         return self.element([a - b * c1, -b])
 
-    def __eq__(self, other):
-        return self is other
-
-    def __hash__(self):
-        return id(self)
-
     def __repr__(self):
         kind = "complex" if self.complex_embedding else "real"
         return f"NumberField(deg={self.degree}, {kind}, minpoly={[str(c) for c in self.min_poly]})"
@@ -686,6 +675,8 @@ def check_pisot(min_poly: Sequence, root_box: RootBox) -> PisotReport:
     reported are those of the reciprocals.
     """
     coeffs = [_as_fraction(c) for c in min_poly]
+    if len(coeffs) < 2 or coeffs[-1] == 0:
+        raise FieldError("the polynomial must have degree >= 1 and a nonzero leading coefficient")
     if coeffs[0] == 0:
         raise FieldError("zero is a root; reciprocal undefined")
     is_alg_int = all((c / coeffs[0]).denominator == 1 for c in coeffs)

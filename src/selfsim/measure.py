@@ -211,13 +211,12 @@ def _nullspace_dim1(rows, n):
 class MeasureModel:
     """Mass vectors and the pruned, mass-positive automaton."""
 
-    def __init__(self, auto: Automaton, v, star, kept, edges, diagnostics):
+    def __init__(self, auto: Automaton, v, star, kept, edges):
         self.automaton = auto
         self.v = v                    # per state: tuple of Fractions over V positions
         self.star = star              # per state: tuple of V-indices with positive mass
         self.kept = kept              # sorted state ids with nonzero mass
         self.edges = edges            # per state id: list[Edge] over star entries (kept only)
-        self.diagnostics = diagnostics
         view = functools.cache(lambda t: tuple(tuple(Fraction(a, auto.ifs.den) for a in row)
                                                for row in t))
         self._table = [{e.child: view(e.tnum) for e in es} for es in edges]  # child -> T
@@ -332,8 +331,7 @@ def compute_mass_vectors(auto: Automaton) -> MeasureModel:
         if sum(a * iv[j] for j, a in row) != den * iv[i]:
             raise MeasureError(f"mass self-consistency violated at component {comps[i]}")
 
-    return _assemble(auto, base, v, diagnostics={
-        "null_components": sum(1 for y in v if y == 0)})
+    return _assemble(auto, base, v)
 
 
 def _solve_components(comps, rows, den):
@@ -409,7 +407,10 @@ def _solve_components(comps, rows, den):
     return v
 
 
-def _assemble(auto: Automaton, base, v, diagnostics) -> MeasureModel:
+def _assemble(auto: Automaton, base, v) -> MeasureModel:
+    """The model of solved component values v: each state's vector, its star
+    (the positive entries), the states with a nonempty star, and the edges
+    between them restricted to the star entries."""
     nstates = len(auto.states)
     vvecs = []
     star = []
@@ -435,9 +436,7 @@ def _assemble(auto: Automaton, base, v, diagnostics) -> MeasureModel:
             edges[sid].append(Edge(e.child, tm))
     if 0 not in kept_set:
         raise MeasureError("root state pruned")
-    diagnostics["kept_states"] = len(kept)
-    diagnostics["total_states"] = nstates
-    return MeasureModel(auto, vvecs, star, kept, edges, diagnostics)
+    return MeasureModel(auto, vvecs, star, kept, edges)
 
 
 # ----------------------------------------------------------------------

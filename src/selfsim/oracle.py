@@ -60,8 +60,6 @@ class DiscreteMeasure:
 
     def __init__(self, ifs: IFS, level: int):
         self.ifs = ifs
-        self.level = level
-        field = ifs.field
         affines = [_coeff_affine(ifs, s) for s in ifs.maps]
         denoms = [c.denominator for a, b in affines for row in a for c in row]
         denoms += [c.denominator for _a, b in affines for c in b]
@@ -159,18 +157,20 @@ class MassEstimate:
         return (self.lower + self.upper) / 2
 
 
+_BOUNDARY_TOL = 1e-12  # a float point this close to an endpoint is undecided
+
+
 class IntervalUnion:
     """Union of disjoint open 1-D intervals with rational endpoints."""
 
-    def __init__(self, pieces, boundary_tol: float = 1e-12):
+    def __init__(self, pieces):
         self.pieces = [(Fraction(a), Fraction(b)) for a, b in pieces if Fraction(b) > Fraction(a)]
-        self.boundary_tol = boundary_tol
 
     def classify_floats(self, xs):
         xs = np.asarray(xs)
         inside = np.zeros(len(xs), dtype=bool)
         maybe = np.zeros(len(xs), dtype=bool)
-        tol = self.boundary_tol
+        tol = _BOUNDARY_TOL
         for a, b in self.pieces:
             fa, fb = float(a), float(b)
             inside |= (xs > fa + tol) & (xs < fb - tol)
@@ -232,10 +232,8 @@ def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
     return MassEstimate(p_lo, p_hi, stderr, samples, "monte-carlo")
 
 
-def _classify_enclosure(ifs, pt, scale, region, bits: int = 128):
-    field = ifs.field
-    el = field.element([Fraction(c, scale) for c in pt])
-    enc = el.enclosure(bits)
+def _classify_enclosure(ifs, pt, scale, region):
+    enc = ifs.field.element([Fraction(c, scale) for c in pt]).enclosure(128)
     outside_all = True
     for a, b in region.pieces:
         pa, pb = RatInterval.point(a), RatInterval.point(b)
@@ -304,13 +302,13 @@ def matched_level(ifs: IFS, n: int) -> int:
         k += 1
 
 
-def dyadic_lq_sum(ifs: IFS, q: float, n: int, level: int | None = None,
+def dyadic_lq_sum(ifs: IFS, q: float, n: int,
                   measure: DiscreteMeasure | None = None) -> float:
     """Sum over dyadic cells of side 2^-n of (discrete measure mass)^q."""
     if q <= 0:
         raise OracleError("dyadic sums are defined for q > 0 here")
     if measure is None:
-        measure = DiscreteMeasure(ifs, matched_level(ifs, n) if level is None else level)
+        measure = DiscreteMeasure(ifs, matched_level(ifs, n))
     pos = measure.positions()
     w = measure.weight_array()
     if np.iscomplexobj(pos):
@@ -333,17 +331,14 @@ class DyadicTau:
     log_sums: list
 
 
-def tau_dyadic(ifs: IFS, q: float, n_range, level_cap: int | None = None) -> DyadicTau:
+def tau_dyadic(ifs: IFS, q: float, n_range) -> DyadicTau:
     """Slope fit of log moment sums against -n log 2 over a range of n.
 
     One discrete measure at the level matched to the finest n serves all
     coarser n (it is at least as fine as each requires).
     """
     ns = list(n_range)
-    lvl = matched_level(ifs, max(ns))
-    if level_cap is not None:
-        lvl = min(lvl, level_cap)
-    dm = DiscreteMeasure(ifs, lvl)
+    dm = DiscreteMeasure(ifs, matched_level(ifs, max(ns)))
     ys = [math.log(dyadic_lq_sum(ifs, q, n, measure=dm)) for n in ns]
     xs = np.array([-n * math.log(2) for n in ns])
     ya = np.array(ys)
@@ -397,7 +392,6 @@ class NetCensus:
         if not attractor_is_full_interval(ifs):
             raise OracleError("net census requires a connected attractor")
         self.ifs = ifs
-        self.level = level
         lo, hi = interval_hull(ifs)
         cyl = level_map_weights(ifs, level)
         self.cylinders = []
@@ -533,7 +527,10 @@ def _cycle_certificate(ifs: IFS, u: Similitude, a_letters, b_letters) -> bool:
 # word enumeration
 # ----------------------------------------------------------------------
 
-def _stopping_walk(ifs: IFS, level: int, budget: int) -> dict:
+_WORD_BUDGET = 2_000_000  # frontier plus finished entries that one walk may hold
+
+
+def _stopping_walk(ifs: IFS, level: int) -> dict:
     """Map key -> (map, sum of p_I, least I) over the stopping words I at the level."""
     threshold = level * ifs.k_max
     ident = ifs.identity_map()
@@ -553,15 +550,15 @@ def _stopping_walk(ifs: IFS, level: int, budget: int) -> dict:
                 if prev is not None:
                     w2, word = prev[1] + w2, min(prev[2], word)
                 table[k2] = (child, w2, word, e2)
-            if len(nxt) + len(done) > budget:
+            if len(nxt) + len(done) > _WORD_BUDGET:
                 raise OracleError("word enumeration budget exceeded")
         frontier = nxt
     return done
 
 
-def level_map_weights(ifs: IFS, level: int, budget: int = 2_000_000) -> dict:
+def level_map_weights(ifs: IFS, level: int) -> dict:
     """Map key -> (map, sum of p_I) over stopping words at the level."""
-    return {k: v[:2] for k, v in _stopping_walk(ifs, level, budget).items()}
+    return {k: v[:2] for k, v in _stopping_walk(ifs, level).items()}
 
 
 def word_sum_entry(ifs: IFS, target: Similitude, level: int) -> Fraction:
@@ -570,6 +567,6 @@ def word_sum_entry(ifs: IFS, target: Similitude, level: int) -> Fraction:
     return hit[1] if hit is not None else Fraction(0)
 
 
-def canonical_words(ifs: IFS, level: int, budget: int = 2_000_000) -> dict:
+def canonical_words(ifs: IFS, level: int) -> dict:
     """Map key -> lexicographically minimal stopping word realizing the map."""
-    return {k: v[2] for k, v in _stopping_walk(ifs, level, budget).items()}
+    return {k: v[2] for k, v in _stopping_walk(ifs, level).items()}

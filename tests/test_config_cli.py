@@ -226,12 +226,18 @@ def test_cli_mass(tmp_path, capsys):
     ["spectrum", "--q-grid", "0:1/0:1"],
     ["spectrum", "--q-grid=-1:0:0.5"],
     ["oracle", "estimate-mass", "--lo", "x"],
+    ["oracle", "dyadic", "--q", "0"],
+    ["oracle", "tau", "--q", "-1"],
+    ["oracle", "tau", "--n-min", "5", "--n-max", "3"],
+    ["oracle", "estimate-mass", "--samples", "0"],
+    ["oracle", "estimate-mass", "--lo", "1", "--hi", "0"],  # an empty region
 ])
 def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
-    rc = cli.main(argv + ["--config", "bundled:cantor-1-3", "--out", str(tmp_path)])
+    rc = cli.main(argv + ["--config", "bundled:cantor-1-3", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())  # nothing written
 
 
 @pytest.mark.parametrize("command", ["build", "check-ftc"])
