@@ -22,10 +22,11 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .config import BUDGETS
 from .field import format_rational
 from .intervals import RatInterval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
-from .neighbors import NeighborDecider
+from .neighbors import BudgetExceeded, NeighborDecider
 
 _WITNESS_DEPTH = 10  # ball-subdivision depth of the witness separation test
 
@@ -282,8 +283,9 @@ class Automaton:
         return {"states": states, "edges": edges}
 
 
-def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automaton:
-    """Construct the full candidate automaton from the root."""
+def build(ifs: IFS, decider: NeighborDecider,
+          max_states: int = BUDGETS["max_states"].default) -> Automaton:
+    """Construct the full candidate automaton from the root, or raise BudgetExceeded."""
     auto = Automaton(ifs, decider)
     root = root_state(ifs)
     auto.states.append(root)
@@ -302,8 +304,9 @@ def build(ifs: IFS, decider: NeighborDecider, max_states: int = 20000) -> Automa
             cid = auto.index.get(child)
             if cid is None:
                 if len(auto.states) >= max_states:
-                    raise MapError(f"automaton exceeded {max_states} states; "
-                                   "check the finite type verification")
+                    raise BudgetExceeded(f"automaton exceeded {max_states} states",
+                                         frontier_size=len(auto.states) - sid,
+                                         node_count=len(auto.states))
                 cid = len(auto.states)
                 auto.states.append(child)
                 auto.edges.append([])

@@ -1,9 +1,10 @@
 """Command-line surface: check-ftc, build, mass, spectrum, oracle.
 
-Exit codes: 0 success, 1 invalid config or usage, 2 finite type not
-verified within budget, 3 internal invariant violation.  Every output
-artifact embeds the config hash; runs are deterministic given config
-and seed.
+Exit codes: 0 success, 1 invalid config or usage, 2 a budget ran out
+(the neighbour closure, a tuple search or the automaton), 3 internal
+invariant violation.  Each subcommand accepts only the flags it reads.
+Every output artifact embeds the config hash, and runs are
+deterministic given the config; `--rng-seed` applies to `oracle` only.
 """
 
 from __future__ import annotations
@@ -39,13 +40,19 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _common(sub):
-    sub.add_argument("--config", required=True,
-                     help="path to a config JSON, or bundled:<name>")
-    sub.add_argument("--out", default=".", help="output directory")
-    sub.add_argument("--max-states", type=int, default=None)
-    sub.add_argument("--pressure-n", type=int, default=None)
-    sub.add_argument("--rng-seed", type=int, default=0)
+_FLAGS = {"--out": dict(default=".", help="output directory"),
+          "--max-states": dict(type=int), "--pressure-n": dict(type=int),
+          "--rng-seed": dict(type=int, default=0)}
+
+
+def _subcommand(subs, name, handler, help, *flags):
+    """A subcommand parser run by handler, with --config and the given flags of _FLAGS."""
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
+    sub.add_argument("--config", required=True, help="path to a config JSON, or bundled:<name>")
+    for flag in flags:
+        sub.add_argument(flag, **_FLAGS[flag])
+    return sub
 
 
 def _load_config(args) -> IfsConfig:
@@ -53,10 +60,10 @@ def _load_config(args) -> IfsConfig:
         cfg = load_bundled(args.config.split(":", 1)[1])
     else:
         cfg = IfsConfig.load(args.config)
-    if args.max_states is not None:
-        cfg.budgets["max_states"] = check_budget("max_states", args.max_states)
-    if getattr(args, "pressure_n", None) is not None:
-        cfg.budgets["pressure_n"] = check_budget("pressure_n", args.pressure_n)
+    for key in ("max_states", "pressure_n"):  # set only where the subcommand has the flag
+        value = getattr(args, key, None)
+        if value is not None:
+            cfg.budgets[key] = check_budget(key, value)
     return cfg
 
 
@@ -67,12 +74,7 @@ def _parse_grid(spec: str):
         raise ConfigError(f"bad q-grid {spec!r}; expected a:b:step") from exc
     if step <= 0 or b < a or a < 0:
         raise ConfigError(f"bad q-grid {spec!r}; tau(q) needs 0 <= a <= b and step > 0")
-    out = []
-    q = a
-    while q <= b:
-        out.append(q)
-        q += step
-    return out
+    return [a + i * step for i in range(int((b - a) / step) + 1)]  # exact: a, a + step, ..., <= b
 
 
 def cmd_check_ftc(args) -> int:
@@ -224,6 +226,9 @@ def cmd_oracle(args) -> int:
             raise ConfigError(f"--n-min {args.n_min} .. --n-max {args.n_max} must list "
                               f"{'two' if need == 2 else 'one'} or more levels n >= 0")
     cfg = _load_config(args)
+    if cmd == "estimate-mass" and (cfg.dimension != 1 or cfg.backend != "real"):
+        raise ConfigError(f"estimate-mass measures an interval of the real line; "
+                          f"{cfg.name} is a {cfg.dimension}-D {cfg.backend} system")
     ifs = cfg.build_ifs()
     if cmd == "dyadic":
         out = Path(args.out)
@@ -257,26 +262,22 @@ def main(argv=None) -> int:
                     "for finite-type self-similar measures")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    s = subs.add_parser("check-ftc", help="verify the finite type condition")
-    _common(s)
-
-    s = subs.add_parser("build", help="build the atom automaton and mass vectors")
-    _common(s)
-
-    s = subs.add_parser("mass", help="exact mass of one atom")
-    _common(s)
+    _subcommand(subs, "check-ftc", cmd_check_ftc, "verify the finite type condition", "--out")
+    _subcommand(subs, "build", cmd_build, "build the atom automaton and mass vectors",
+                "--out", "--max-states")
+    s = _subcommand(subs, "mass", cmd_mass, "exact mass of one atom", "--max-states")
     s.add_argument("--address", required=True,
                    help="comma-separated state ids starting at the root, e.g. 0,2,5")
 
-    s = subs.add_parser("spectrum", help="sample tau(q) on a grid")
-    _common(s)
+    s = _subcommand(subs, "spectrum", cmd_spectrum, "sample tau(q) on a grid",
+                    "--out", "--max-states", "--pressure-n")
     s.add_argument("--q-grid", default="0.3:4.0:0.1")
     s.add_argument("--integer-q-exact", action="store_true",
                    help="append rows for positive integer q via the certified "
                         "spectral-radius route")
 
-    s = subs.add_parser("oracle", help="brute-force reference computations")
-    _common(s)
+    s = _subcommand(subs, "oracle", cmd_oracle, "brute-force reference computations",
+                    "--out", "--rng-seed")
     s.add_argument("oracle_cmd", choices=["dyadic", "tau", "estimate-mass"])
     s.add_argument("--q", type=float, default=2.0)
     s.add_argument("--n-min", type=int, default=6)
@@ -285,11 +286,9 @@ def main(argv=None) -> int:
     s.add_argument("--hi", default="1/2")
     s.add_argument("--samples", type=int, default=100000)
 
-    handlers = {"check-ftc": cmd_check_ftc, "build": cmd_build, "mass": cmd_mass,
-                "spectrum": cmd_spectrum, "oracle": cmd_oracle}
     try:
         args = parser.parse_args(argv)
-        return handlers[args.command](args)
+        return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

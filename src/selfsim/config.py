@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from importlib import resources
@@ -25,26 +26,26 @@ class ConfigError(ValueError):
     pass
 
 
-DEFAULT_BUDGETS = {
-    "max_neighbor_nodes": 20000,
-    "max_states": 20000,
-    "tuple_budget": 200000,
-    "pressure_n": 14,
-    "kron_dim_budget": 200000,
-    # the four keys below are accepted and hashed into config_hash but read by nothing
-    "null_eps": 1e-12,
-    "iteration_tol": 1e-10,
-    "max_iterations": 10000,
-    "subdivision_depth": 12,
+# Each budget's default, read by the loader and the library's signatures, and
+# its floor, the smallest value read (2 is the finite-n route's).  The four keys
+# with floor None are accepted and hashed into config_hash but read by nothing.
+Budget = namedtuple("Budget", "default floor")
+BUDGETS = {
+    "max_neighbor_nodes": Budget(20000, 1),
+    "max_states": Budget(20000, 1),
+    "tuple_budget": Budget(200000, 1),
+    "pressure_n": Budget(14, 2),
+    "kron_dim_budget": Budget(200000, 1),
+    "null_eps": Budget(1e-12, None),
+    "iteration_tol": Budget(1e-10, None),
+    "max_iterations": Budget(10000, None),
+    "subdivision_depth": Budget(12, None),
 }
-# the smallest value of each budget that is read; 2 is the finite-n route's floor
-_BUDGET_FLOORS = {"max_neighbor_nodes": 1, "max_states": 1, "tuple_budget": 1,
-                  "pressure_n": 2, "kron_dim_budget": 1}
 
 
 def check_budget(key: str, value):
     """value itself if it is an int (not a bool) at least the budget's floor."""
-    floor = _BUDGET_FLOORS[key]
+    floor = BUDGETS[key].floor
     if isinstance(value, bool) or not isinstance(value, int) or value < floor:
         raise ConfigError(f"budget {key!r} must be an integer >= {floor}, got {value!r}")
     return value
@@ -156,11 +157,11 @@ class IfsConfig:
             maps.append({"linear": lin, "translation": tr, "scale_exponent": k})
         probs = [_rat(p, "probabilities") for p in _get(data, "probabilities", list)]
         given = _get(data, "budgets", dict) if "budgets" in data else {}
-        budgets = dict(DEFAULT_BUDGETS)
+        budgets = {k: b.default for k, b in BUDGETS.items()}
         for k, v in given.items():
-            if k not in DEFAULT_BUDGETS:
+            if k not in BUDGETS:
                 raise ConfigError(f"unknown budget key {k!r}")
-            budgets[k] = check_budget(k, v) if k in _BUDGET_FLOORS else v
+            budgets[k] = v if BUDGETS[k].floor is None else check_budget(k, v)
         return IfsConfig(name, backend, dim, mode, minpoly, box, base,
                          maps, probs, budgets)
 
@@ -187,18 +188,15 @@ class IfsConfig:
         try:
             if self.backend == "complex":
                 base = ScaleBase(field, ratio_sq=field.element(self.base_ratio))
-                # z -> c z + t is the 1x1 case of x -> L x + t
-                maps = [Similitude(field, ((field.element(m["linear"]),),),
-                                   (field.element(m["translation"]),),
-                                   m["scale_exponent"]) for m in self.maps]
             else:
                 base = ScaleBase(field, ratio=field.element(self.base_ratio))
-                maps = []
-                for m in self.maps:
-                    lin = tuple(tuple(field.element(e) for e in row)
-                                for row in m["linear"])
-                    tr = tuple(field.element(e) for e in m["translation"])
-                    maps.append(Similitude(field, lin, tr, m["scale_exponent"]))
+            maps = []
+            for m in self.maps:
+                lin, tr = m["linear"], m["translation"]
+                if self.backend == "complex":  # z -> c z + t is the 1x1 case of x -> L x + t
+                    lin, tr = [[lin]], [tr]
+                maps.append(Similitude(field, tuple(tuple(map(field.element, row)) for row in lin),
+                                       tuple(map(field.element, tr)), m["scale_exponent"]))
             return IFS(field, maps, self.probabilities, base, mode=self.mode)
         except (FieldError, MapError) as exc:
             raise ConfigError(f"maps: {exc}") from exc
@@ -229,15 +227,12 @@ class IfsConfig:
             out["field"]["root_box"]["imag"] = interval(self.root_box.imag)
         for m in self.maps:
             if self.backend == "complex":
-                out["maps"].append({"linear": elem(m["linear"]),
-                                    "translation": elem(m["translation"]),
-                                    "scale_exponent": m["scale_exponent"]})
+                lin, tr = elem(m["linear"]), elem(m["translation"])
             else:
-                out["maps"].append({
-                    "linear": [[elem(e) for e in row] for row in m["linear"]],
-                    "translation": [elem(e) for e in m["translation"]],
-                    "scale_exponent": m["scale_exponent"],
-                })
+                lin = [[elem(e) for e in row] for row in m["linear"]]
+                tr = [elem(e) for e in m["translation"]]
+            out["maps"].append({"linear": lin, "translation": tr,
+                                "scale_exponent": m["scale_exponent"]})
         return out
 
     def canonical_json(self) -> str:

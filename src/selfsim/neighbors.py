@@ -25,6 +25,7 @@ import itertools
 from collections import defaultdict
 from fractions import Fraction
 
+from .config import BUDGETS
 from .intervals import RatInterval, sqrt_interval
 from .maps import IFS, Similitude, MapError, dist_sq_interval
 
@@ -32,7 +33,7 @@ _BALL_BITS = 96  # bits of the certified enclosures behind the ball tests
 
 
 class BudgetExceeded(RuntimeError):
-    """Closure past max_nodes (finite type not verified), or tuple query past tuple_budget."""
+    """A search past its budget: closure max_nodes, tuple_budget or automaton max_states."""
 
     def __init__(self, message, frontier_size=0, node_count=0):
         super().__init__(message)
@@ -131,7 +132,8 @@ def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude) -> bool:
     return not lhs.strictly_greater(rhs)
 
 
-def candidate_closure(ifs: IFS, max_nodes: int = 20000) -> NeighborGraph:
+def candidate_closure(ifs: IFS,
+                      max_nodes: int = BUDGETS["max_neighbor_nodes"].default) -> NeighborGraph:
     """BFS closure of same-level relative maps under refinement.
 
     Seeds are all pairs of first-level stopping cylinders; each node
@@ -279,7 +281,8 @@ class NeighborDecider:
     adds those maps and its queries, no more.
     """
 
-    def __init__(self, ifs: IFS, max_nodes: int = 20000, tuple_budget: int = 200000):
+    def __init__(self, ifs: IFS, max_nodes: int = BUDGETS["max_neighbor_nodes"].default,
+                 tuple_budget: int = BUDGETS["tuple_budget"].default):
         self.ifs = ifs
         self.max_nodes = max_nodes
         self.tuple_budget = tuple_budget

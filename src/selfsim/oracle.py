@@ -198,28 +198,23 @@ def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
     """
     if (depth is None) == (samples is None):
         raise OracleError("choose exactly one of depth= or samples=")
+    if ifs.dim != 1 or ifs.field.complex_embedding:
+        raise OracleError("estimate_mass is for 1-D real systems: a region is a set of reals")
     if depth is not None:
         dm = DiscreteMeasure(ifs, depth)
-        if (hasattr(region, "classify_exact") and ifs.dim == 1
-                and not ifs.field.complex_embedding):
-            lo = Fraction(0)
-            und = Fraction(0)
-            for pt, w in zip(dm.points, dm.weights):
-                if all(c == 0 for c in pt[1:]):
-                    r = region.classify_exact(Fraction(pt[0], dm.scale))
-                else:
-                    r = _classify_enclosure(ifs, pt, dm.scale, region)
-                if r is True:
-                    lo += w
-                elif r is None:
-                    und += w
-            return MassEstimate(float(lo), float(lo + und), 0.0,
-                                len(dm.points), "discrete-exact")
-        inside, maybe = region.classify_floats(dm.positions())
-        w = dm.weight_array()
-        lo = float(w[inside].sum())
-        return MassEstimate(lo, lo + float(w[maybe].sum()), 0.0,
-                            len(dm.points), "discrete-float")
+        lo = Fraction(0)
+        und = Fraction(0)
+        for pt, w in zip(dm.points, dm.weights):
+            if all(c == 0 for c in pt[1:]):
+                r = region.classify_exact(Fraction(pt[0], dm.scale))
+            else:
+                r = _classify_enclosure(ifs, pt, dm.scale, region)
+            if r is True:
+                lo += w
+            elif r is None:
+                und += w
+        return MassEstimate(float(lo), float(lo + und), 0.0,
+                            len(dm.points), "discrete-exact")
 
     pts = sample_points(ifs, samples, seed=seed)
     inside, maybe = region.classify_floats(pts)

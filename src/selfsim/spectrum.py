@@ -35,6 +35,7 @@ from functools import reduce
 
 import numpy as np
 
+from .config import BUDGETS
 from .measure import MeasureModel, GlobalSystem, _tarjan_scc
 
 
@@ -268,8 +269,9 @@ class SpectrumCurve:
 class PressureEngine:
     """Pressure and tau for one measure model's essential class."""
 
-    def __init__(self, model: MeasureModel, kron_dim_budget: int = 200000,
-                 default_n: int = 14):
+    def __init__(self, model: MeasureModel,
+                 kron_dim_budget: int = BUDGETS["kron_dim_budget"].default,
+                 default_n: int = BUDGETS["pressure_n"].default):
         self.model = model
         self.ess = essential_class(model)
         self.kron_dim_budget = kron_dim_budget

@@ -256,10 +256,9 @@ def test_criterion_10_determinism(tmp_path):
     for run in ("a", "b"):
         d = tmp_path / run
         assert cli.main(["build", "--config", "bundled:golden-bernoulli",
-                         "--out", str(d), "--rng-seed", "5"]) == 0
+                         "--out", str(d)]) == 0
         assert cli.main(["spectrum", "--config", "bundled:golden-bernoulli",
-                         "--q-grid", "0.3:3.9:0.1", "--out", str(d),
-                         "--rng-seed", "5"]) == 0
+                         "--q-grid", "0.3:3.9:0.1", "--out", str(d)]) == 0
         blob = b""
         for f in sorted(d.iterdir()):
             blob += f.name.encode() + b"\0" + f.read_bytes() + b"\0"

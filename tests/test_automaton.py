@@ -15,7 +15,7 @@ from selfsim.config import IfsConfig
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
-from selfsim.neighbors import NeighborDecider
+from selfsim.neighbors import BudgetExceeded, NeighborDecider
 from selfsim.oracle import canonical_words
 from selfsim.pipeline import Pipeline
 from selfsim.spectrum import word_norm_levels
@@ -62,6 +62,13 @@ def test_golden_fixture(golden):
     auto = golden.automaton
     assert len(auto.states) == 22
     assert len(auto.addresses(4)) == 39
+
+
+def test_build_past_max_states_is_budget_exceeded(gasket):
+    # the automaton runs out as the closure does: counts of found and unexpanded states
+    with pytest.raises(BudgetExceeded, match="exceeded 5 states") as exc:
+        am.build(gasket.ifs, gasket.decider, max_states=5)
+    assert exc.value.node_count == 5 and exc.value.frontier_size > 0
 
 
 def test_build_deterministic(golden):

@@ -1,6 +1,8 @@
 import copy
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -9,8 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import cli, spectrum
-from selfsim.config import (ConfigError, IfsConfig, bundled_names, load_bundled)
+from selfsim import automaton, cli, neighbors, spectrum
+from selfsim.config import (BUDGETS, ConfigError, IfsConfig, bundled_names, load_bundled)
 
 ALL = ["cantor-1-3", "commensurable-osc", "complex-pisot-demo",
        "golden-bernoulli", "golden-gasket-conjugated", "lebesgue-1-2"]
@@ -87,6 +89,24 @@ def test_budget_values_are_validated(key, value):
         IfsConfig.from_dict(bad)
 
 
+@pytest.mark.parametrize("func, param, key", [
+    (neighbors.candidate_closure, "max_nodes", "max_neighbor_nodes"),
+    (neighbors.NeighborDecider, "max_nodes", "max_neighbor_nodes"),
+    (neighbors.NeighborDecider, "tuple_budget", "tuple_budget"),
+    (automaton.build, "max_states", "max_states"),
+    (spectrum.PressureEngine, "kron_dim_budget", "kron_dim_budget"),
+    (spectrum.PressureEngine, "default_n", "pressure_n"),
+])
+def test_library_budget_defaults_are_the_table_defaults(func, param, key):
+    assert inspect.signature(func).parameters[param].default == BUDGETS[key].default
+
+
+def test_config_budgets_default_to_the_table():
+    cfg = _golden_dict()
+    del cfg["budgets"]
+    assert IfsConfig.from_dict(cfg).budgets == {k: b.default for k, b in BUDGETS.items()}
+
+
 @pytest.mark.parametrize("argv", [[], ["--max-states", "0"], ["--pressure-n", "1"]])
 def test_cli_bad_budget_is_a_config_error(tmp_path, capsys, argv):
     cfg = _golden_dict()
@@ -94,7 +114,8 @@ def test_cli_bad_budget_is_a_config_error(tmp_path, capsys, argv):
         cfg["budgets"]["max_states"] = "abc"
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    rc = cli.main(["build", "--config", str(path), "--out", str(tmp_path)] + argv)
+    command = "spectrum" if "--pressure-n" in argv else "build"  # the commands that read them
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path)] + argv)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error: budget ") and err.count("\n") == 1
@@ -212,12 +233,10 @@ def test_cli_invalid_config(tmp_path, capsys):
 
 
 def test_cli_mass(tmp_path, capsys):
-    rc = cli.main(["mass", "--config", "bundled:cantor-1-3",
-                   "--address", "0,1,1,2", "--out", str(tmp_path)])
+    rc = cli.main(["mass", "--config", "bundled:cantor-1-3", "--address", "0,1,1,2"])
     out = capsys.readouterr().out
     assert rc == 0 and "1/8" in out
-    rc = cli.main(["mass", "--config", "bundled:cantor-1-3",
-                   "--address", "0,0", "--out", str(tmp_path)])
+    rc = cli.main(["mass", "--config", "bundled:cantor-1-3", "--address", "0,0"])
     assert rc == 3
 
 
@@ -233,7 +252,8 @@ def test_cli_mass(tmp_path, capsys):
     ["oracle", "estimate-mass", "--lo", "1", "--hi", "0"],  # an empty region
 ])
 def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
-    rc = cli.main(argv + ["--config", "bundled:cantor-1-3", "--out", str(tmp_path / "out")])
+    out = [] if argv[0] == "mass" else ["--out", str(tmp_path / "out")]  # mass writes nothing
+    rc = cli.main(argv + ["--config", "bundled:cantor-1-3"] + out)
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
@@ -301,6 +321,81 @@ def test_cli_usage_error_is_one_config_error_line(capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+# the flags each subcommand reads; oracle also takes its subcommand, so the
+# command line has 24 settable values
+KEPT_FLAGS = {
+    "check-ftc": {"--config", "--out"},
+    "build": {"--config", "--out", "--max-states"},
+    "mass": {"--config", "--max-states", "--address"},
+    "spectrum": {"--config", "--out", "--max-states", "--pressure-n", "--q-grid",
+                 "--integer-q-exact"},
+    "oracle": {"--config", "--out", "--rng-seed", "--q", "--n-min", "--n-max", "--lo",
+               "--hi", "--samples"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+def test_cli_subcommand_accepts_the_flags_it_reads(capsys, command):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--[a-z-]+", usage)) == KEPT_FLAGS[command]
+    assert sum(map(len, KEPT_FLAGS.values())) + 1 == 24
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("check-ftc", "--max-states"), ("check-ftc", "--pressure-n"), ("check-ftc", "--rng-seed"),
+    ("build", "--pressure-n"), ("build", "--rng-seed"),
+    ("mass", "--out"), ("mass", "--pressure-n"), ("mass", "--rng-seed"),
+    ("spectrum", "--rng-seed"),
+    ("oracle", "--max-states"), ("oracle", "--pressure-n"),
+])
+def test_cli_flag_without_a_reader_is_a_usage_error(tmp_path, capsys, monkeypatch,
+                                                    command, flag):
+    monkeypatch.chdir(tmp_path)
+    argv = {"mass": ["mass", "--address", "0"], "oracle": ["oracle", "tau"]}.get(
+        command, [command])
+    rc = cli.main(argv + ["--config", "bundled:cantor-1-3", flag, "5"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"config error: unrecognized arguments: {flag} 5\n"
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("argv, budgets", [
+    pytest.param(["build", "--max-states", "10", "--out", "out"], {}, id="build-max-states"),
+    pytest.param(["mass", "--max-states", "10", "--address", "0"], {}, id="mass-max-states"),
+    pytest.param(["spectrum", "--max-states", "10", "--out", "out"], {},
+                 id="spectrum-max-states"),
+    pytest.param(["build", "--out", "out"], {"tuple_budget": 1}, id="build-tuple-budget"),
+])
+def test_cli_budget_run_out_is_inconclusive(tmp_path, capsys, monkeypatch, argv, budgets):
+    # every budget that runs out takes one path: an inconclusive line and exit 2
+    cfg = json.loads(resources.files("selfsim.configs")
+                     .joinpath("golden-gasket-conjugated.json").read_text())
+    cfg["budgets"].update(budgets)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    run.mkdir()
+    monkeypatch.chdir(run)
+    rc = cli.main(argv + ["--config", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.startswith("inconclusive: ") and captured.err.count("\n") == 1
+    assert not any(run.iterdir())  # nothing written
+
+
+@pytest.mark.parametrize("name", ["golden-gasket-conjugated", "complex-pisot-demo"])
+def test_cli_estimate_mass_refuses_a_system_off_the_real_line(tmp_path, capsys, name):
+    rc = cli.main(["oracle", "estimate-mass", "--config", f"bundled:{name}",
+                   "--samples", "100", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error: estimate-mass ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())  # nothing written
+
+
 def test_cli_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["build", "--help"])
@@ -312,12 +407,10 @@ def test_cli_build_and_spectrum_deterministic(tmp_path, capsys):
     outs = []
     for run in ("a", "b"):
         d = tmp_path / run
-        rc = cli.main(["build", "--config", "bundled:commensurable-osc",
-                       "--out", str(d), "--rng-seed", "11"])
+        rc = cli.main(["build", "--config", "bundled:commensurable-osc", "--out", str(d)])
         assert rc == 0
         rc = cli.main(["spectrum", "--config", "bundled:commensurable-osc",
-                       "--q-grid", "0.5:3.0:0.25", "--out", str(d),
-                       "--rng-seed", "11"])
+                       "--q-grid", "0.5:3.0:0.25", "--out", str(d)])
         assert rc == 0
         blobs = b""
         for f in sorted(d.iterdir()):

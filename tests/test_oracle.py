@@ -77,6 +77,14 @@ def test_estimate_mass_argument_check(cantor):
         orc.estimate_mass(cantor.ifs, IntervalUnion([(0, 1)]))
 
 
+@pytest.mark.parametrize("mode", [{"depth": 3}, {"samples": 100}], ids=["depth", "samples"])
+@pytest.mark.parametrize("name", ["golden-gasket-conjugated", "complex-pisot-demo"])
+def test_estimate_mass_refuses_a_system_off_the_real_line(pipelines, name, mode):
+    # a region is a set of real numbers; a planar or complex system has no mass on it
+    with pytest.raises(OracleError, match="1-D real"):
+        orc.estimate_mass(pipelines(name).ifs, IntervalUnion([(F(0), F(1, 2))]), **mode)
+
+
 def test_dyadic_lebesgue_exact_slope(lebesgue):
     for q in (0.5, 2.0, 3.0):
         td = orc.tau_dyadic(lebesgue.ifs, q, range(6, 13))

@@ -17,9 +17,9 @@ from hypothesis import event, given, settings, strategies as st
 from selfsim import automaton as am
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
-from selfsim.maps import IFS, MapError, ScaleBase, Similitude
+from selfsim.maps import IFS, ScaleBase, Similitude
 from selfsim.measure import GlobalSystem, MeasureError, compute_mass_vectors
-from selfsim.neighbors import NeighborDecider
+from selfsim.neighbors import BudgetExceeded, NeighborDecider
 from selfsim.oracle import word_sum_entry
 from selfsim.spectrum import PressureEngine
 
@@ -99,7 +99,7 @@ def test_random_planar_pipeline(sys_spec):
         # about one system in fifteen, most with three distinct sign
         # matrices, needs more states; the budget refuses it
         auto = am.build(ifs, NeighborDecider(ifs), max_states=1500)
-    except MapError as exc:
+    except BudgetExceeded as exc:
         assert "exceeded 1500 states" in str(exc)
         event("refused: over max_states")
         return
