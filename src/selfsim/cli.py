@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 invalid config or usage, 2 a budget ran out
 (the neighbour closure, a tuple search or the automaton), 3 internal
-invariant violation.  Each subcommand accepts only the flags it reads.
-Every output artifact embeds the config hash, and runs are
-deterministic given the config; `--rng-seed` applies to `oracle` only.
+invariant violation, 141 (128 + SIGPIPE) when the reader of stdout
+closes it early, as `| head -1` does; that one prints nothing.  Each
+subcommand accepts only the flags it reads.  Every output artifact
+embeds the config hash, and runs are deterministic given the config;
+`--rng-seed` applies to `oracle` only.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -31,6 +34,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INVARIANT = 3
+EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process ended by SIGPIPE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -288,7 +292,13 @@ def main(argv=None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader has gone: quiet the last flush, and leave stderr empty
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

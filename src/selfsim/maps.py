@@ -26,9 +26,13 @@ class MapError(ValueError):
 # ----------------------------------------------------------------------
 
 def _dot(u, v):
-    # started from the first term, not from zero: a 1x1 product is one multiply
-    terms = [x * y for x, y in zip(u, v)]
-    return sum(terms[1:], start=terms[0])
+    # a term with a zero factor is skipped, not multiplied: linear parts such
+    # as r^k * I are mostly zeros; a 1x1 product is one multiply
+    out = None
+    for x, y in zip(u, v):
+        if any(x.num) and any(y.num):
+            out = x * y if out is None else out + x * y
+    return u[0].field.zero if out is None else out
 
 
 def mat_mul(a, b):

@@ -124,11 +124,18 @@ class NeighborGraph:
         return "\n".join(lines)
 
 
-def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude) -> bool:
-    """Necessary condition for smap(K) to meet K; False only when certified."""
+def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude, bounds: dict) -> bool:
+    """Necessary condition for smap(K) to meet K; False only when certified.
+
+    The right side, (1 + r^k)^2 R^2, depends only on the exponent k:
+    `bounds` keeps it per k for the caller's closure.
+    """
+    k = smap.exponent
+    rhs = bounds.get(k)
+    if rhs is None:
+        ratio = ifs.base.ratio_interval(k, _BALL_BITS)
+        rhs = bounds[k] = (RatInterval.point(1) + ratio).square() * RatInterval.point(ball.radius_sq)
     lhs = dist_sq_interval(smap.apply(ball.center), ball.center, _BALL_BITS)
-    ratio = ifs.base.ratio_interval(smap.exponent, _BALL_BITS)
-    rhs = (RatInterval.point(1) + ratio).square() * RatInterval.point(ball.radius_sq)
     return not lhs.strictly_greater(rhs)
 
 
@@ -146,13 +153,14 @@ def candidate_closure(ifs: IFS,
     ball = bounding_ball(ifs)
     graph = NeighborGraph(ifs, ball)
     level1 = [(br.map, br.new_tag) for br in ifs.bridges(0)]
+    bounds: dict = {}  # exponent -> right side of the ball test
     head = 0
 
     def add(smap, tags):
         key = (smap.key(), tags)
         n = graph.nodes.get(key)
         if n is None:
-            if not _ball_feasible(ball, ifs, smap):
+            if not _ball_feasible(ball, ifs, smap, bounds):
                 return None
             n = len(graph.maps)
             if n >= max_nodes:

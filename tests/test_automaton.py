@@ -195,6 +195,16 @@ def gasket_3d():
     return Pipeline(IfsConfig.load(Path(__file__).parent / "data" / "golden-gasket-3d.json"))
 
 
+def test_golden_gasket_3d_closure(gasket_3d):
+    # the ball test's right side is computed once per exponent: which children
+    # it drops, and so the whole closure, must not move
+    graph = gasket_3d.decider.graph
+    assert len(graph.nodes) == 319 and sum(graph.alive) == 85
+    assert len(graph.gamma_maps()) == 85
+    digest = hashlib.sha256(graph.to_dot().encode()).hexdigest()
+    assert digest == "f79d4324699a2715ec7ca177551a8012e483eafec41f9aed713b0903309b9e66"
+
+
 def test_golden_gasket_3d_automaton(gasket_3d):
     auto = gasket_3d.automaton
     assert len(auto.states) == 7559

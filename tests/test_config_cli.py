@@ -169,6 +169,15 @@ def test_cli_check_ftc_budget_below_the_seed_pairs(tmp_path, capsys):
     assert _inconclusive_counts(captured.out) == (2, 2)
 
 
+def _cli_env(**extra):
+    # the environment of a `selfsim` run in a fresh interpreter, on this checkout
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
+    return env
+
+
 # Runs in a fresh interpreter: prints, as JSON, which of sympy and scipy are
 # loaded after each step of the start-up, build and spectrum path, after a
 # degree-3 field and its Pisot check, then after the check-ftc report.
@@ -201,12 +210,8 @@ print(json.dumps({"steps": steps, "ftc_rc": rc, "ftc": report.getvalue(),
 
 
 def test_pipeline_path_loads_no_sympy(tmp_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(root / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, ",".join(ALL), str(tmp_path)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_cli_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
     assert len(result["steps"]) == len(ALL) + 3 and "tribonacci pisot" in result["steps"]
@@ -223,6 +228,40 @@ def test_pipeline_path_loads_no_sympy(tmp_path):
         "  z->(1)*z+(2*r)\n"
         "  z->(1)*z+(2-2*r)\n"
         "  z->(1)*z+(2)\n")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+@pytest.mark.parametrize("name", ["golden-gasket-conjugated", "complex-pisot-demo"])
+def test_cli_stdout_closed_early_exits_quietly(tmp_path, name, unbuffered):
+    # the reader closes the pipe before the first line: the write fails inside
+    # a print (unbuffered) or in main's last flush (block-buffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfsim.cli", "check-ftc", "--config", f"bundled:{name}",
+             "--out", str(tmp_path)],
+            stdout=write, stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED=unbuffered),
+            timeout=300)
+    finally:
+        os.close(write)
+    assert proc.stderr == b""
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+
+
+def test_cli_stdout_read_one_line(tmp_path):
+    # `selfsim check-ftc ... | head -1`: whether the rest of the report was
+    # written before the pipe closed is a race, but stderr stays empty either way
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "selfsim.cli", "check-ftc", "--config",
+         "bundled:golden-gasket-conjugated", "--out", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env(PYTHONUNBUFFERED="1"))
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) in (cli.EXIT_OK, cli.EXIT_BROKEN_PIPE)
+    assert first.startswith(b"pisot advisory: 1/rho is pisot") and err == b""
 
 
 def test_cli_invalid_config(tmp_path, capsys):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from conftest import BUNDLED
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval, RectInterval
-from selfsim.maps import IFS, MapError, ScaleBase, Similitude, dist_sq_interval
+from selfsim.maps import (IFS, MapError, ScaleBase, Similitude, dist_sq_interval, mat_mul,
+                          mat_vec)
 
 K = NumberField([-1, 1, 1], RootBox(RatInterval(0, 1)))
 RHO = K.gen
@@ -266,6 +267,83 @@ def test_intervals_compare_by_value():
     assert hash(box) == hash(RectInterval(fresh, RatInterval(0, 1)))
     assert box != RectInterval(d2, RatInterval(0, 2)) and box != RectInterval(fresh, fresh)
     assert d2 != box and d2 != d2.lo
+
+
+# -- mat_mul and mat_vec skip zero factors; the sums must not change -----------
+
+golden_el = st.tuples(small_q, small_q).map(K.element)
+
+
+def _dense_dot(u, v):
+    # the plain sum of all d products, zero factors included
+    terms = [x * y for x, y in zip(u, v)]
+    return sum(terms[1:], start=terms[0])
+
+
+def _dense_mul(a, b):
+    return tuple(tuple(_dense_dot(row, col) for col in zip(*b)) for row in a)
+
+
+def _dense_vec(a, v):
+    return tuple(_dense_dot(row, v) for row in a)
+
+
+@st.composite
+def sparse_system(draw):
+    """(field, a, b, v, w, zero row of a, zero column of b): d x d matrices and
+    d-vectors over the golden or the dragon field, entries zero about half of
+    the time."""
+    field, el = draw(st.sampled_from([(K, golden_el), (KC, dragon_el)]))
+    d = draw(st.integers(1, 3))
+    entry = st.one_of(st.just(field.zero), el)
+
+    def matrix():
+        return [[draw(entry) for _ in range(d)] for _ in range(d)]
+
+    a, b = matrix(), matrix()
+    v, w = (tuple(draw(entry) for _ in range(d)) for _ in range(2))
+    i, j = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1))
+    a[i] = [field.element([0, 0]) for _ in range(d)]  # a zero built afresh, not field.zero
+    for row in b:
+        row[j] = field.zero
+    return field, tuple(map(tuple, a)), tuple(map(tuple, b)), v, w, i, j
+
+
+def _is_zero_of(x, field):
+    return x == field.zero and hash(x) == hash(field.zero)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_system())
+def test_zero_skipping_products_equal_the_dense_sums(system):
+    field, a, b, v, _w, i, j = system
+    prod = mat_mul(a, b)
+    assert prod == _dense_mul(a, b)
+    assert mat_vec(a, v) == _dense_vec(a, v)
+    assert all(_is_zero_of(x, field) for x in prod[i])            # a's zero row
+    assert all(_is_zero_of(row[j], field) for row in prod)        # b's zero column
+    assert _is_zero_of(mat_vec(a, v)[i], field)
+    assert all(_is_zero_of(x, field) for x in mat_vec(a, tuple(field.zero for _ in v)))
+
+
+@pytest.mark.parametrize("field", [K, KC])
+def test_zero_skipping_one_by_one(field):
+    x = field.element([F(2, 3), F(-1, 2)])
+    for a, b in ((field.zero, x), (x, field.zero), (field.zero, field.zero)):
+        out, = mat_vec(((a,),), (b,))
+        assert _is_zero_of(out, field) and mat_mul(((a,),), ((b,),)) == ((out,),)
+    assert mat_mul(((x,),), ((x,),)) == ((x * x,),) and mat_vec(((x,),), (x,)) == (x * x,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_system(), st.integers(-2, 3), st.integers(-2, 3))
+def test_compose_key_matches_the_dense_reference(system, ks, kt):
+    field, a, b, v, w, _i, _j = system
+    s, t = Similitude(field, a, v, ks), Similitude(field, b, w, kt)
+    s_of_w = tuple(x + y for x, y in zip(_dense_vec(a, w), v))
+    dense = Similitude(field, _dense_mul(a, b), s_of_w, ks + kt)
+    assert s.compose(t).key() == dense.key()
+    assert s.apply(w) == s_of_w
 
 
 def test_dragon_maps_are_one_by_one(dragon):
