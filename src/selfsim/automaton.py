@@ -208,13 +208,21 @@ def _signatures(allowed, covers, decider: NeighborDecider):
     return out
 
 
-def walk_addresses(edges, depth: int, start: int = 0):
-    """All paths of depth steps from start over per-state edge lists.
+def _rooted(address):
+    """The address as a list; NotAdmissible unless it starts at the root state 0."""
+    address = list(address)
+    if not address or address[0] != 0:
+        raise NotAdmissible("address must start at the root state 0")
+    return address
+
+
+def walk_addresses(edges, depth: int):
+    """All paths of depth steps from the root state 0 over per-state edge lists.
 
     Paths are state-id tuples in depth-first order: prefixes in order,
     each extended by its edges in list order.
     """
-    paths = [(start,)]
+    paths = [(0,)]
     for _ in range(depth):
         paths = [p + (e.child,) for p in paths for e in edges[p[-1]]]
     return paths
@@ -233,9 +241,7 @@ class Automaton:
 
     def resolve(self, address):
         """Follow a state-id address from the root; raise NotAdmissible."""
-        address = list(address)
-        if not address or address[0] != 0:
-            raise NotAdmissible("address must start at the root state 0")
+        address = _rooted(address)
         cur = 0
         for nxt in address[1:]:
             for e in self.edges[cur]:
@@ -246,9 +252,9 @@ class Automaton:
                 raise NotAdmissible(f"no edge {cur} -> {nxt}")
         return self.states[cur]
 
-    def addresses(self, depth: int, start: int = 0):
-        """All admissible addresses of the given depth from start."""
-        return walk_addresses(self.edges, depth, start)
+    def addresses(self, depth: int):
+        """All admissible addresses of the given depth from the root."""
+        return walk_addresses(self.edges, depth)
 
     # -- exports ------------------------------------------------------------
     def to_dot(self) -> str:

@@ -6,7 +6,7 @@ invariant violation, 141 (128 + SIGPIPE) when the reader of stdout
 closes it early, as `| head -1` does; that one prints nothing.  Each
 subcommand accepts only the flags it reads.  Every output artifact
 embeds the config hash, and runs are deterministic given the config;
-`--rng-seed` applies to `oracle` only.
+`--rng-seed` applies to `oracle estimate-mass` only.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .maps import MapError
 from .measure import MeasureError
 from .neighbors import BudgetExceeded
 from .automaton import NotAdmissible
-from .oracle import IntervalUnion, estimate_mass, dyadic_lq_sum, tau_dyadic
+from .oracle import IntervalUnion, estimate_mass, dyadic_lq_sums, tau_dyadic
 from .pipeline import Pipeline
 from .spectrum import SpectrumError
 
@@ -46,7 +46,10 @@ class _Parser(argparse.ArgumentParser):
 
 _FLAGS = {"--out": dict(default=".", help="output directory"),
           "--max-states": dict(type=int), "--pressure-n": dict(type=int),
-          "--rng-seed": dict(type=int, default=0)}
+          "--rng-seed": dict(type=int, default=0), "--samples": dict(type=int, default=100000),
+          "--q": dict(type=float, default=2.0), "--n-min": dict(type=int, default=6),
+          "--n-max": dict(type=int, default=12), "--lo": dict(default="0"),
+          "--hi": dict(default="1/2")}
 
 
 def _subcommand(subs, name, handler, help, *flags):
@@ -147,8 +150,7 @@ def cmd_mass(args) -> int:
     try:
         val = model.mass(address)
     except NotAdmissible as exc:
-        print(f"address not admissible: {exc}")
-        return EXIT_INVARIANT
+        raise ConfigError(f"address not admissible: {exc.args[0]}") from exc
     print(f"mu(atom {args.address}) = {format_rational(val)} "
           f"= {float(val):.12g}")
     return EXIT_OK
@@ -211,48 +213,53 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def cmd_oracle(args) -> int:
-    cmd = args.oracle_cmd
-    if cmd == "estimate-mass":
-        try:
-            lo, hi = Fraction(args.lo), Fraction(args.hi)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad --lo/--hi {args.lo!r}, {args.hi!r}") from exc
-        if lo >= hi:
-            raise ConfigError(f"--lo must be below --hi, got {args.lo!r}, {args.hi!r}")
-        if args.samples < 1:
-            raise ConfigError(f"--samples must be >= 1, got {args.samples}")
-    else:
-        if not 0 < args.q < math.inf:
-            raise ConfigError(f"--q must be a finite number > 0, got {args.q!r}")
-        need = 2 if cmd == "tau" else 1  # a slope needs two levels n
-        if args.n_min < 0 or args.n_max - args.n_min + 1 < need:
-            raise ConfigError(f"--n-min {args.n_min} .. --n-max {args.n_max} must list "
-                              f"{'two' if need == 2 else 'one'} or more levels n >= 0")
+def _levels(args, need: int) -> range:
+    """The levels n of --n-min .. --n-max, after checking them and --q."""
+    if not 0 < args.q < math.inf:
+        raise ConfigError(f"--q must be a finite number > 0, got {args.q!r}")
+    if args.n_min < 0 or args.n_max - args.n_min + 1 < need:
+        raise ConfigError(f"--n-min {args.n_min} .. --n-max {args.n_max} must list "
+                          f"{'two' if need == 2 else 'one'} or more levels n >= 0")
+    return range(args.n_min, args.n_max + 1)
+
+
+def cmd_dyadic(args) -> int:
+    ns = _levels(args, 1)
     cfg = _load_config(args)
-    if cmd == "estimate-mass" and (cfg.dimension != 1 or cfg.backend != "real"):
+    sums = dyadic_lq_sums(cfg.build_ifs(), args.q, ns)
+    path = Path(args.out) / f"{cfg.name}-dyadic.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    h = cfg.config_hash()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["q", "n", "lq_sum", "config_hash"])
+        w.writerows([repr(args.q), n, repr(s), h] for n, s in zip(ns, sums))
+    print(f"dyadic sums written to {path}")
+    return EXIT_OK
+
+
+def cmd_tau(args) -> int:
+    ns = _levels(args, 2)  # a slope needs two levels n
+    td = tau_dyadic(_load_config(args).build_ifs(), args.q, ns)
+    print(f"tau_dyadic({args.q}) = {td.estimate:.6f} "
+          f"(fit residual {td.residual:.3g}, n = {td.n_range[0]}..{td.n_range[1]})")
+    return EXIT_OK
+
+
+def cmd_estimate_mass(args) -> int:
+    try:
+        lo, hi = Fraction(args.lo), Fraction(args.hi)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ConfigError(f"bad --lo/--hi {args.lo!r}, {args.hi!r}") from exc
+    if lo >= hi:
+        raise ConfigError(f"--lo must be below --hi, got {args.lo!r}, {args.hi!r}")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be >= 1, got {args.samples}")
+    cfg = _load_config(args)
+    if cfg.dimension != 1 or cfg.backend != "real":
         raise ConfigError(f"estimate-mass measures an interval of the real line; "
                           f"{cfg.name} is a {cfg.dimension}-D {cfg.backend} system")
-    ifs = cfg.build_ifs()
-    if cmd == "dyadic":
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        h = cfg.config_hash()
-        path = out / f"{cfg.name}-dyadic.csv"
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["q", "n", "lq_sum", "config_hash", "rng_seed"])
-            for n in range(args.n_min, args.n_max + 1):
-                s = dyadic_lq_sum(ifs, args.q, n)
-                w.writerow([repr(args.q), n, repr(s), h, args.rng_seed])
-        print(f"dyadic sums written to {path}")
-        return EXIT_OK
-    if cmd == "tau":
-        td = tau_dyadic(ifs, args.q, range(args.n_min, args.n_max + 1))
-        print(f"tau_dyadic({args.q}) = {td.estimate:.6f} "
-              f"(fit residual {td.residual:.3g}, n = {td.n_range[0]}..{td.n_range[1]})")
-        return EXIT_OK
-    est = estimate_mass(ifs, IntervalUnion([(lo, hi)]), samples=args.samples,
+    est = estimate_mass(cfg.build_ifs(), IntervalUnion([(lo, hi)]), samples=args.samples,
                         seed=args.rng_seed)
     print(f"mu({args.lo},{args.hi}) in [{est.lower:.6f}, {est.upper:.6f}] "
           f"+- {est.stderr:.2g} ({est.mode}, seed {args.rng_seed})")
@@ -280,15 +287,15 @@ def main(argv=None) -> int:
                    help="append rows for positive integer q via the certified "
                         "spectral-radius route")
 
-    s = _subcommand(subs, "oracle", cmd_oracle, "brute-force reference computations",
-                    "--out", "--rng-seed")
-    s.add_argument("oracle_cmd", choices=["dyadic", "tau", "estimate-mass"])
-    s.add_argument("--q", type=float, default=2.0)
-    s.add_argument("--n-min", type=int, default=6)
-    s.add_argument("--n-max", type=int, default=12)
-    s.add_argument("--lo", default="0")
-    s.add_argument("--hi", default="1/2")
-    s.add_argument("--samples", type=int, default=100000)
+    oracle = subs.add_parser("oracle", help="brute-force reference computations")
+    osubs = oracle.add_subparsers(dest="oracle_command", required=True)
+    _subcommand(osubs, "dyadic", cmd_dyadic, "write the dyadic moment sums",
+                "--out", "--q", "--n-min", "--n-max")
+    _subcommand(osubs, "tau", cmd_tau, "fit tau(q) to the dyadic moment sums",
+                "--q", "--n-min", "--n-max")
+    _subcommand(osubs, "estimate-mass", cmd_estimate_mass,
+                "Monte-Carlo mass of an interval of the real line",
+                "--lo", "--hi", "--samples", "--rng-seed")
 
     try:
         args = parser.parse_args(argv)

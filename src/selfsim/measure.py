@@ -28,7 +28,7 @@ import heapq
 from fractions import Fraction
 from math import gcd, lcm
 
-from .automaton import Automaton, Edge, NotAdmissible, _frame, walk_addresses
+from .automaton import Automaton, Edge, NotAdmissible, _frame, _rooted, walk_addresses
 from .field import format_rational
 
 
@@ -61,7 +61,7 @@ def _component_edges(auto: Automaton):
 
 
 def _tarjan_scc(n, succ):
-    """Strongly connected components, iterative Tarjan; returns (comp_of, order).
+    """Strongly connected components, iterative Tarjan; returns (comp_of, the component count).
 
     Components are numbered in reverse topological order (a component's
     successors have smaller numbers).
@@ -71,8 +71,8 @@ def _tarjan_scc(n, succ):
     on_stack = [False] * n
     stack = []
     comp_of = [None] * n
-    counter = [0]
-    comps = [0]
+    counter = 0
+    ncomp = 0
     for root in range(n):
         if index[root] is not None:
             continue
@@ -80,8 +80,8 @@ def _tarjan_scc(n, succ):
         while work:
             v, pi = work[-1]
             if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
+                index[v] = low[v] = counter
+                counter += 1
                 stack.append(v)
                 on_stack[v] = True
             recurse = False
@@ -102,15 +102,14 @@ def _tarjan_scc(n, succ):
                 u = work[-1][0]
                 low[u] = min(low[u], low[v])
             if low[v] == index[v]:
-                cid = comps[0]
-                comps[0] += 1
                 while True:
                     w = stack.pop()
                     on_stack[w] = False
-                    comp_of[w] = cid
+                    comp_of[w] = ncomp
                     if w == v:
                         break
-    return comp_of, comps[0]
+                ncomp += 1
+    return comp_of, ncomp
 
 
 def _nullspace_dim1(rows, n):
@@ -245,9 +244,7 @@ class MeasureModel:
 
     def u_vector(self, address):
         """The exact row vector of word-weight sums along an address."""
-        address = list(address)
-        if not address or address[0] != 0:
-            raise NotAdmissible("address must start at the root state 0")
+        address = _rooted(address)
         vec = [Fraction(1)] * self.star_dim(0)
         for cur, nxt in zip(address, address[1:]):
             vec = _row_times(vec, self.transition_matrix(cur, nxt))
@@ -286,6 +283,9 @@ class MeasureModel:
 
     def star_maps_absolute(self, address):
         """Absolute covering maps (star entries) at the end of an address."""
+        address = _rooted(address)
+        for cur, nxt in zip(address, address[1:]):
+            self.transition_matrix(cur, nxt)  # NotAdmissible off the pruned model, as u_vector
         frame = _frame(self.automaton, address)
         st = self.automaton.states[address[-1]]
         out = []

@@ -149,7 +149,6 @@ class MassEstimate:
     lower: float
     upper: float
     stderr: float
-    count: int
     mode: str
 
     @property
@@ -213,8 +212,7 @@ def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
                 lo += w
             elif r is None:
                 und += w
-        return MassEstimate(float(lo), float(lo + und), 0.0,
-                            len(dm.points), "discrete-exact")
+        return MassEstimate(float(lo), float(lo + und), 0.0, "discrete-exact")
 
     pts = sample_points(ifs, samples, seed=seed)
     inside, maybe = region.classify_floats(pts)
@@ -224,7 +222,7 @@ def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
     p_hi = (n_in + n_maybe) / samples
     phat = (p_lo + p_hi) / 2
     stderr = math.sqrt(max(phat * (1 - phat), 1.0 / samples) / samples)
-    return MassEstimate(p_lo, p_hi, stderr, samples, "monte-carlo")
+    return MassEstimate(p_lo, p_hi, stderr, "monte-carlo")
 
 
 def _classify_enclosure(ifs, pt, scale, region):
@@ -297,25 +295,26 @@ def matched_level(ifs: IFS, n: int) -> int:
         k += 1
 
 
-def dyadic_lq_sum(ifs: IFS, q: float, n: int,
-                  measure: DiscreteMeasure | None = None) -> float:
-    """Sum over dyadic cells of side 2^-n of (discrete measure mass)^q."""
+def dyadic_lq_sums(ifs: IFS, q: float, ns) -> list:
+    """Per n, the sum over dyadic cells of side 2^-n of (discrete measure mass)^q.
+
+    One discrete measure at the level matched to the finest n serves all
+    coarser n (it is at least as fine as each requires).
+    """
     if q <= 0:
         raise OracleError("dyadic sums are defined for q > 0 here")
-    if measure is None:
-        measure = DiscreteMeasure(ifs, matched_level(ifs, n))
+    measure = DiscreteMeasure(ifs, matched_level(ifs, max(ns)))
     pos = measure.positions()
     w = measure.weight_array()
     if np.iscomplexobj(pos):
-        coords = np.column_stack([pos.real, pos.imag])
-    elif pos.ndim == 1:
-        coords = pos[:, None]
-    else:
-        coords = pos
-    cells = np.floor(coords * (2**n)).astype(np.int64)
-    _, inv = np.unique(cells, axis=0, return_inverse=True)
-    sums = np.bincount(inv, weights=w)
-    return float(np.sum(sums**q))
+        pos = np.column_stack([pos.real, pos.imag])
+    coords = pos.reshape(len(pos), -1)
+    sums = []
+    for n in ns:
+        cells = np.floor(coords * (2**n)).astype(np.int64)
+        _, inv = np.unique(cells, axis=0, return_inverse=True)
+        sums.append(float(np.sum(np.bincount(inv, weights=w)**q)))
+    return sums
 
 
 @dataclass
@@ -327,14 +326,9 @@ class DyadicTau:
 
 
 def tau_dyadic(ifs: IFS, q: float, n_range) -> DyadicTau:
-    """Slope fit of log moment sums against -n log 2 over a range of n.
-
-    One discrete measure at the level matched to the finest n serves all
-    coarser n (it is at least as fine as each requires).
-    """
+    """Slope fit of the logs of `dyadic_lq_sums` against -n log 2 over a range of n."""
     ns = list(n_range)
-    dm = DiscreteMeasure(ifs, matched_level(ifs, max(ns)))
-    ys = [math.log(dyadic_lq_sum(ifs, q, n, measure=dm)) for n in ns]
+    ys = [math.log(s) for s in dyadic_lq_sums(ifs, q, ns)]
     xs = np.array([-n * math.log(2) for n in ns])
     ya = np.array(ys)
     coef = np.polyfit(xs, ya, 1)
@@ -386,7 +380,6 @@ class NetCensus:
     def __init__(self, ifs: IFS, level: int):
         if not attractor_is_full_interval(ifs):
             raise OracleError("net census requires a connected attractor")
-        self.ifs = ifs
         lo, hi = interval_hull(ifs)
         cyl = level_map_weights(ifs, level)
         self.cylinders = []

@@ -1,6 +1,8 @@
 import copy
+import csv
 import inspect
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import automaton, cli, neighbors, spectrum
+from selfsim import automaton, cli, neighbors, oracle, spectrum
 from selfsim.config import (BUDGETS, ConfigError, IfsConfig, bundled_names, load_bundled)
 
 ALL = ["cantor-1-3", "commensurable-osc", "complex-pisot-demo",
@@ -275,8 +277,11 @@ def test_cli_mass(tmp_path, capsys):
     rc = cli.main(["mass", "--config", "bundled:cantor-1-3", "--address", "0,1,1,2"])
     out = capsys.readouterr().out
     assert rc == 0 and "1/8" in out
+    # an address that walks no edge is an input error: one config error line, exit 1
     rc = cli.main(["mass", "--config", "bundled:cantor-1-3", "--address", "0,0"])
-    assert rc == 3
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == "config error: address not admissible: no mass-positive edge 0 -> 0\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -290,9 +295,9 @@ def test_cli_mass(tmp_path, capsys):
     ["oracle", "estimate-mass", "--samples", "0"],
     ["oracle", "estimate-mass", "--lo", "1", "--hi", "0"],  # an empty region
 ])
-def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, argv):
-    out = [] if argv[0] == "mass" else ["--out", str(tmp_path / "out")]  # mass writes nothing
-    rc = cli.main(argv + ["--config", "bundled:cantor-1-3"] + out)
+def test_cli_malformed_input_is_a_config_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # where spectrum and oracle dyadic write by default
+    rc = cli.main(argv + ["--config", "bundled:cantor-1-3"])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error: ") and err.count("\n") == 1
@@ -360,26 +365,28 @@ def test_cli_usage_error_is_one_config_error_line(capsys, argv):
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
-# the flags each subcommand reads; oracle also takes its subcommand, so the
-# command line has 24 settable values
+# the flags each command reads: 28 (command, flag) pairs; oracle only
+# chooses one of its three commands
 KEPT_FLAGS = {
     "check-ftc": {"--config", "--out"},
     "build": {"--config", "--out", "--max-states"},
     "mass": {"--config", "--max-states", "--address"},
     "spectrum": {"--config", "--out", "--max-states", "--pressure-n", "--q-grid",
                  "--integer-q-exact"},
-    "oracle": {"--config", "--out", "--rng-seed", "--q", "--n-min", "--n-max", "--lo",
-               "--hi", "--samples"},
+    "oracle": set(),
+    "oracle dyadic": {"--config", "--out", "--q", "--n-min", "--n-max"},
+    "oracle tau": {"--config", "--q", "--n-min", "--n-max"},
+    "oracle estimate-mass": {"--config", "--lo", "--hi", "--samples", "--rng-seed"},
 }
 
 
 @pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
 def test_cli_subcommand_accepts_the_flags_it_reads(capsys, command):
     with pytest.raises(SystemExit):
-        cli.main([command, "--help"])
+        cli.main(command.split() + ["--help"])
     usage = capsys.readouterr().out.split("\n\n")[0]
     assert set(re.findall(r"--[a-z-]+", usage)) == KEPT_FLAGS[command]
-    assert sum(map(len, KEPT_FLAGS.values())) + 1 == 24
+    assert sum(map(len, KEPT_FLAGS.values())) == 28
 
 
 @pytest.mark.parametrize("command, flag", [
@@ -387,13 +394,18 @@ def test_cli_subcommand_accepts_the_flags_it_reads(capsys, command):
     ("build", "--pressure-n"), ("build", "--rng-seed"),
     ("mass", "--out"), ("mass", "--pressure-n"), ("mass", "--rng-seed"),
     ("spectrum", "--rng-seed"),
-    ("oracle", "--max-states"), ("oracle", "--pressure-n"),
+    ("oracle tau", "--max-states"), ("oracle tau", "--pressure-n"),
+    ("oracle dyadic", "--rng-seed"), ("oracle dyadic", "--lo"), ("oracle dyadic", "--hi"),
+    ("oracle dyadic", "--samples"),
+    ("oracle tau", "--out"), ("oracle tau", "--rng-seed"), ("oracle tau", "--lo"),
+    ("oracle tau", "--hi"), ("oracle tau", "--samples"),
+    ("oracle estimate-mass", "--out"), ("oracle estimate-mass", "--q"),
+    ("oracle estimate-mass", "--n-min"), ("oracle estimate-mass", "--n-max"),
 ])
 def test_cli_flag_without_a_reader_is_a_usage_error(tmp_path, capsys, monkeypatch,
                                                     command, flag):
     monkeypatch.chdir(tmp_path)
-    argv = {"mass": ["mass", "--address", "0"], "oracle": ["oracle", "tau"]}.get(
-        command, [command])
+    argv = ["mass", "--address", "0"] if command == "mass" else command.split()
     rc = cli.main(argv + ["--config", "bundled:cantor-1-3", flag, "5"])
     err = capsys.readouterr().err
     assert rc == 1
@@ -426,9 +438,10 @@ def test_cli_budget_run_out_is_inconclusive(tmp_path, capsys, monkeypatch, argv,
 
 
 @pytest.mark.parametrize("name", ["golden-gasket-conjugated", "complex-pisot-demo"])
-def test_cli_estimate_mass_refuses_a_system_off_the_real_line(tmp_path, capsys, name):
-    rc = cli.main(["oracle", "estimate-mass", "--config", f"bundled:{name}",
-                   "--samples", "100", "--out", str(tmp_path / "out")])
+def test_cli_estimate_mass_refuses_a_system_off_the_real_line(tmp_path, capsys, monkeypatch,
+                                                              name):
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["oracle", "estimate-mass", "--config", f"bundled:{name}", "--samples", "100"])
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("config error: estimate-mass ") and err.count("\n") == 1
@@ -538,8 +551,7 @@ def test_cli_spectrum_reports_extra_terminal_components(tmp_path, capsys, monkey
 
 def test_cli_oracle(tmp_path, capsys):
     rc = cli.main(["oracle", "tau", "--config", "bundled:lebesgue-1-2",
-                   "--q", "2.0", "--n-min", "6", "--n-max", "12",
-                   "--out", str(tmp_path)])
+                   "--q", "2.0", "--n-min", "6", "--n-max", "12"])
     out = capsys.readouterr().out
     assert rc == 0 and "tau_dyadic(2.0) = 1.000000" in out
     rc = cli.main(["oracle", "dyadic", "--config", "bundled:cantor-1-3",
@@ -547,13 +559,26 @@ def test_cli_oracle(tmp_path, capsys):
                    "--out", str(tmp_path)])
     assert rc == 0
     lines = (tmp_path / "cantor-1-3-dyadic.csv").read_text().splitlines()
-    assert lines[0] == "q,n,lq_sum,config_hash,rng_seed"
+    assert lines[0] == "q,n,lq_sum,config_hash"
     assert len(lines) == 6
     rc = cli.main(["oracle", "estimate-mass", "--config", "bundled:cantor-1-3",
                    "--lo", "0", "--hi", "1/2", "--samples", "20000",
-                   "--rng-seed", "3", "--out", str(tmp_path)])
+                   "--rng-seed", "3"])
     out = capsys.readouterr().out
     assert rc == 0 and "monte-carlo" in out
+
+
+@pytest.mark.parametrize("name", ["cantor-1-3", "golden-bernoulli"])
+def test_cli_dyadic_writes_the_sums_tau_fits(tmp_path, capsys, name):
+    # one definition of the dyadic sums: the CSV holds exactly the sums whose logs tau fits
+    rc = cli.main(["oracle", "dyadic", "--config", f"bundled:{name}", "--q", "2",
+                   "--n-min", "6", "--n-max", "12", "--out", str(tmp_path)])
+    assert rc == 0
+    with open(tmp_path / f"{name}-dyadic.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    td = oracle.tau_dyadic(load_bundled(name).build_ifs(), 2.0, range(6, 13))
+    assert [int(r["n"]) for r in rows] == list(range(6, 13))
+    assert [math.log(float(r["lq_sum"])) for r in rows] == td.log_sums
 
 
 def test_cli_automaton_artifacts(tmp_path):

@@ -88,6 +88,16 @@ def test_transition_matrix_errors(cantor):
         model.mass([0, 99])
 
 
+@pytest.mark.parametrize("address", [[0, 0, 0], [0, 99], [1], []])
+def test_star_maps_absolute_checks_its_address(cantor, address):
+    # the same addresses as mass and u_vector: from the root, over pruned edges
+    model = cantor.measure
+    with pytest.raises(NotAdmissible):
+        model.star_maps_absolute(address)
+    with pytest.raises(NotAdmissible):
+        model.mass(address)
+
+
 def test_restricted_columns_positive(pipelines):
     for name in ("golden-bernoulli", "complex-pisot-demo", "commensurable-osc"):
         model = pipelines(name).measure
