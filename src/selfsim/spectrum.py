@@ -23,14 +23,16 @@ sum, not the lifted dimension: the integer route is taken at the same q
 as with the L^q operator, so every value recorded beyond the budget
 keeps its route: scalar for one-dimensional blocks, finite-n otherwise.
 The lifted operator is numpy COO arrays, and the certificate's matvec is
-one `np.bincount` over them.
+one `np.bincount` over them.  It is built with one batched Kronecker power
+per block shape, whose floats are those of `np.kron` block by block (see
+`lifted_operator`).  The exact check of P(1) = 0 runs in Python ints.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import reduce
 
 import numpy as np
@@ -120,24 +122,43 @@ def lifted_operator(system, q):
     entries are raised to the q-th power, for any real q > 0; otherwise q
     must be a positive integer.  Reads only `dims`, `blocks_into` and
     `den`: each block's floats are n / den, rounded once.
+
+    The edges are grouped by block shape (d_k, d_i), in `blocks_into`
+    order, and each group is one (E, d_k, d_i) array.  Its q-th Kronecker
+    power is q - 1 broadcast products (`_kron_batch`), or one `** q` when
+    all blocks are 1x1.  Each entry is the same left-to-right product of
+    q floats that `np.kron` forms block by block, so the floats do not
+    depend on the grouping.  Positions repeat only for parallel edges of
+    one pair (k, i), which share a group and keep their order in it, so
+    `np.bincount` sums them in `blocks_into` order, as edge by edge.
     """
     scalar = all(d == 1 for d in system.dims)
     if not scalar and q != int(q):
         raise SpectrumError("lifted operator needs integer q unless all blocks are 1x1")
     q = q if scalar else int(q)
     offsets = np.cumsum([0] + [int(d ** q) for d in system.dims])
-    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    groups = {}
     for i, into in enumerate(system.blocks_into):
         for k, t in into:
-            m = np.array(t, dtype=float) / system.den
-            block = m ** q if scalar else reduce(np.kron, [m] * q)
-            r, c = np.nonzero(block)
-            rows.append(r + offsets[k])
-            cols.append(c + offsets[i])
-            vals.append(block[r, c])
+            groups.setdefault((len(t), len(t[0])), []).append((k, i, t))
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for edges in groups.values():
+        m = np.array([t for _k, _i, t in edges], dtype=float) / system.den
+        block = m ** q if scalar else reduce(_kron_batch, [m] * q)
+        e, r, c = np.nonzero(block)
+        rows.append(r + offsets[[k for k, _i, _t in edges]][e])
+        cols.append(c + offsets[[i for _k, i, _t in edges]][e])
+        vals.append(block[e, r, c])
     dim = int(offsets[-1])
     keys, at = np.unique(np.concatenate(rows) * dim + np.concatenate(cols), return_inverse=True)
     return dim, keys // dim, keys % dim, np.bincount(at, np.concatenate(vals), minlength=len(keys))
+
+
+def _kron_batch(x, y):
+    """np.kron of each x[e] with y[e], for stacks of E matrices."""
+    e, a, b = x.shape
+    _e, c, d = y.shape
+    return (x[:, :, None, :, None] * y[:, None, :, None, :]).reshape(e, a * c, b * d)
 
 
 def irreducibility_check(ess: EssentialClass):
@@ -322,13 +343,16 @@ class PressureEngine:
 
     def _pressure_one(self) -> PressureEstimate:
         # H w = w exactly for the concatenated mass vector, so P(1) = 0:
-        # N w = D w for the int blocks N of H over D
+        # N W = D W in ints, for the int blocks N of H over D and the mass
+        # vectors W = s w, s the lcm of all their denominators
         w = [self.model.v_star(sid) for sid in self.ess.ids]
-        nw = [[Fraction(0)] * len(v) for v in w]
+        s = math.lcm(*(x.denominator for v in w for x in v))
+        w = [[x.numerator * (s // x.denominator) for x in v] for v in w]
+        nw = [[0] * len(v) for v in w]
         for i, into in enumerate(self.ess.system.blocks_into):
             for k, t in into:
                 for a, row in enumerate(t):
-                    nw[k][a] += sum((n * y for n, y in zip(row, w[i])), Fraction(0))
+                    nw[k][a] += sum(map(operator.mul, row, w[i]))
         if any(h != [self.ess.system.den * x for x in v] for h, v in zip(nw, w)):
             raise SpectrumError("mass vector is not an exact eigenvector of H")
         return PressureEstimate(1.0, 0.0, 0.0, 0.0, "eigenvector-exact", 0)

@@ -1,6 +1,8 @@
+from pathlib import Path
+
 import pytest
 
-from selfsim.config import load_bundled
+from selfsim.config import IfsConfig, load_bundled
 from selfsim.pipeline import Pipeline
 
 BUNDLED = ["cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
@@ -49,3 +51,11 @@ def dragon():
 @pytest.fixture
 def commensurable():
     return get_pipeline("commensurable-osc")
+
+
+@pytest.fixture(scope="session")
+def gasket_3d():
+    # x -> lambda x + v with v in {0, e1, e2, e3}, lambda = (sqrt 5 - 1)/2:
+    # the paper's R^d setting, one pipeline for its automaton, its measure
+    # and its spectrum
+    return Pipeline(IfsConfig.load(Path(__file__).parent / "data" / "golden-gasket-3d.json"))

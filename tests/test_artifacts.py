@@ -10,6 +10,7 @@ results, so the spectrum goldens assume the same numpy and BLAS rounding.
 """
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -63,6 +64,10 @@ SPECTRUM_GOLDEN = {
     "commensurable-osc": "23fb4488fd08c36a2581d8a9eaad7fcacae2d84edd66662f69705649570ac772",
 }
 
+# `selfsim spectrum --integer-q-exact` on tests/data/golden-gasket-3d.json:
+# the d = 3 essential class has L = 2043, so every q > 1 takes finite-n
+SPECTRUM_GOLDEN_3D = "11bb7a161493a276b9b4fddbe95c7dfba1b4bbaa8cf83c6d7324370bde2563ff"
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_build_artifacts_match_golden(name, tmp_path, capsys):
@@ -78,3 +83,11 @@ def test_spectrum_csv_matches_golden(name, tmp_path, capsys):
                      "--integer-q-exact"]) == 0
     got = hashlib.sha256((tmp_path / f"{name}-spectrum.csv").read_bytes()).hexdigest()
     assert got == SPECTRUM_GOLDEN[name]
+
+
+def test_spectrum_csv_matches_golden_in_3d(tmp_path, capsys):
+    config = Path(__file__).parent / "data" / "golden-gasket-3d.json"
+    assert cli.main(["spectrum", "--config", str(config), "--out", str(tmp_path),
+                     "--integer-q-exact"]) == 0
+    got = hashlib.sha256((tmp_path / "golden-gasket-3d-spectrum.csv").read_bytes()).hexdigest()
+    assert got == SPECTRUM_GOLDEN_3D

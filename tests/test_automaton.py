@@ -4,20 +4,17 @@ import itertools
 import json
 import operator
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 
 from conftest import BUNDLED
 from selfsim import automaton as am
 from selfsim.automaton import NotAdmissible
-from selfsim.config import IfsConfig
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
 from selfsim.neighbors import BudgetExceeded, NeighborDecider
 from selfsim.oracle import canonical_words
-from selfsim.pipeline import Pipeline
 from selfsim.spectrum import word_norm_levels
 
 
@@ -186,13 +183,6 @@ def test_exports(golden):
     data = auto.to_json_dict()
     assert len(data["states"]) == len(auto.states)
     assert all("T" in e for e in data["edges"])
-
-
-@pytest.fixture(scope="module")
-def gasket_3d():
-    # x -> lambda x + v with v in {0, e1, e2, e3}, lambda = (sqrt 5 - 1)/2:
-    # the paper's R^d setting, one pipeline for its automaton and its measure
-    return Pipeline(IfsConfig.load(Path(__file__).parent / "data" / "golden-gasket-3d.json"))
 
 
 def test_golden_gasket_3d_closure(gasket_3d):

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction as F
+from functools import reduce
 from math import lcm
 from types import SimpleNamespace
 
@@ -333,6 +334,33 @@ def test_certified_routes_converge_before_stall(pipelines, monkeypatch):
             assert hi - lo <= 1e-13 * max(1.0, hi)
 
 
+def _per_edge_lifted_operator(system, q):
+    """Reference: the lifted operator built edge by edge with np.kron."""
+    scalar = all(d == 1 for d in system.dims)
+    q = q if scalar else int(q)
+    offsets = np.cumsum([0] + [int(d ** q) for d in system.dims])
+    rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
+    for i, into in enumerate(system.blocks_into):
+        for k, t in into:
+            m = np.array(t, dtype=float) / system.den
+            block = m ** q if scalar else reduce(np.kron, [m] * q)
+            r, c = np.nonzero(block)
+            rows.append(r + offsets[k])
+            cols.append(c + offsets[i])
+            vals.append(block[r, c])
+    dim = int(offsets[-1])
+    keys, at = np.unique(np.concatenate(rows) * dim + np.concatenate(cols), return_inverse=True)
+    return dim, keys // dim, keys % dim, np.bincount(at, np.concatenate(vals), minlength=len(keys))
+
+
+def _assert_same_operator(system, q):
+    dim, rows, cols, vals = lifted_operator(system, q)
+    want_dim, want_rows, want_cols, want_vals = _per_edge_lifted_operator(system, q)
+    assert dim == want_dim
+    assert rows.tolist() == want_rows.tolist() and cols.tolist() == want_cols.tolist()
+    assert vals.dtype == want_vals.dtype and vals.tobytes() == want_vals.tobytes()
+
+
 def test_lifted_operator_coo_sorted_with_repeated_edges_summed():
     # two edges 0 -> 1 put their blocks on the same positions; ints over 20
     system = SimpleNamespace(dims=[1, 2], den=20, blocks_into=[
@@ -343,6 +371,52 @@ def test_lifted_operator_coo_sorted_with_repeated_edges_summed():
     assert dim == 3
     assert (np.diff(rows * dim + cols) > 0).all()
     assert _dense((dim, rows, cols, vals)).tolist() == [[0, 0.5, 0.2], [0.5, 0, 1], [0.25, 1, 0]]
+
+    # three parallel edges 0 -> 0, split by an edge of another shape, whose
+    # float sum depends on the order; blocks 1x2, 2x1 and 3x3; ints over 10
+    t = ((1, 2, 3), (4, 5, 6), (7, 8, 9))
+    system = SimpleNamespace(dims=[1, 2, 3], den=10, blocks_into=[
+        [(0, ((3,),)), (1, ((1,), (2,))), (0, ((4,),)), (0, ((8,),))],
+        [(0, ((5, 6),))],
+        [(2, t)],
+    ])
+    for q in (1, 3):
+        dim, rows, cols, vals = lifted_operator(system, q)
+        assert dim == 1 + 2 ** q + 3 ** q
+        assert (np.diff(rows * dim + cols) > 0).all()
+        parallel = [x / 10 * (x / 10) * (x / 10) if q == 3 else x / 10 for x in (3, 4, 8)]
+        assert vals[0] == (parallel[0] + parallel[1]) + parallel[2]
+        assert vals[0] != (parallel[2] + parallel[1]) + parallel[0]
+        _assert_same_operator(system, q)
+    # entry (9a + 3b + c, 9a' + 3b' + c') of the 27x27 block is the left to
+    # right product t[a][a'] t[b][b'] t[c][c'] of the floats n / 10
+    m = _dense((dim, rows, cols, vals))
+    for r, c in np.ndindex(27, 27):
+        (a, b, e), (a2, b2, e2) = np.unravel_index(r, (3,) * 3), np.unravel_index(c, (3,) * 3)
+        assert m[9 + r, 9 + c] == t[a][a2] / 10 * (t[b][b2] / 10) * (t[e][e2] / 10)
+    # the 1x8 block on 0 -> 1 and the 8x1 block on 1 -> 0
+    assert m[0, 1:9].tolist() == [x * y * z for x in (0.5, 0.6) for y in (0.5, 0.6)
+                                  for z in (0.5, 0.6)]
+    assert m[1:9, 0].tolist() == [x * y * z for x in (0.1, 0.2) for y in (0.1, 0.2)
+                                  for z in (0.1, 0.2)]
+
+
+@pytest.mark.parametrize("name", ["cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
+                                  "golden-gasket-conjugated", "complex-pisot-demo",
+                                  "commensurable-osc"])
+def test_lifted_operator_bit_identical_to_per_edge_kron(pipelines, name):
+    system = pipelines(name).engine.ess.system
+    for q in (1, 2, 3, 4):
+        if sum(d ** q for d in system.dims) <= 5000:
+            _assert_same_operator(system, q)
+    if all(d == 1 for d in system.dims):
+        for q in (0.5, 2.5, 3.75):
+            _assert_same_operator(system, q)
+
+
+def test_lifted_operator_bit_identical_to_per_edge_kron_in_3d(gasket_3d):
+    for q in (1, 2):
+        _assert_same_operator(gasket_3d.engine.ess.system, q)
 
 
 def _kronecker_sum(system, q):
@@ -415,6 +489,7 @@ def _spectral_radius(matrix):
                                              (F(0), F(1), F(2)))}), 3))
 def test_lifted_operator_fuzz_against_eigvals(spec):
     system, q = spec
+    _assert_same_operator(system, q)
     rho = _spectral_radius(_kronecker_sum(system, q).toarray())
     lifted = _dense(lifted_operator(system, q))
     rho_lifted = _spectral_radius(lifted)
@@ -433,13 +508,30 @@ def test_cantor_closed_form(cantor):
         assert lo - 1e-12 <= cf(q) <= hi + 1e-12
 
 
-def test_pressure_one_exact(pipelines):
-    for name in ("cantor-1-3", "golden-bernoulli", "commensurable-osc",
-                 "complex-pisot-demo", "golden-gasket-conjugated"):
-        eng = pipelines(name).engine
+def test_pressure_one_exact(pipelines, gasket_3d):
+    assert gasket_3d.engine.ess.size == 2043
+    for eng in [pipelines(name).engine for name in (
+            "cantor-1-3", "golden-bernoulli", "commensurable-osc",
+            "complex-pisot-demo", "golden-gasket-conjugated")] + [gasket_3d.engine]:
         est = eng.pressure(1.0)
         assert est.method == "eigenvector-exact"
         assert est.lower == est.upper == est.point == 0.0
+
+
+@pytest.mark.parametrize("step", [1, -1])
+@pytest.mark.parametrize("name", ["golden-bernoulli", "golden-gasket-conjugated"])
+def test_pressure_one_refuses_a_block_off_by_one(pipelines, name, step):
+    # one int of the last block into the last state, in a column where that
+    # state's mass vector is positive
+    model = pipelines(name).measure
+    eng = PressureEngine(model)
+    into = eng.ess.system.blocks_into[-1]
+    v = model.v_star(eng.ess.ids[-1])
+    b = v.index(max(v))
+    k, t = into[-1]
+    into[-1] = (k, ((*t[0][:b], t[0][b] + step, *t[0][b + 1:]),) + t[1:])
+    with pytest.raises(SpectrumError, match="^mass vector is not an exact eigenvector of H$"):
+        eng.pressure(1.0)
 
 
 def test_finite_n_bounds_and_subadditivity(golden):
