@@ -75,13 +75,12 @@ def root_state(ifs: IFS) -> AtomState:
 
 
 class _ChildRec:
-    __slots__ = ("map", "tag", "item", "order_key", "vweight", "forbidden")
+    __slots__ = ("map", "tag", "item", "vweight", "forbidden")
 
-    def __init__(self, smap, tag, order_key):
+    def __init__(self, smap, tag):
         self.map = smap
         self.tag = tag
         self.item = None  # (map id, tag) for the decider's id-level queries
-        self.order_key = order_key
         self.vweight = {}  # V position of a parent -> summed bridge weight
         self.forbidden = False  # below a touching cylinder that is not in V
 
@@ -89,11 +88,14 @@ class _ChildRec:
 def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
     """All next-level cylinder maps below the state's U, with bookkeeping.
 
-    Order keys follow the concatenation rule: the canonical word of a
+    The order follows the concatenation rule: the canonical word of a
     child is the canonical word of its smallest U-parent extended by the
     smallest bridge word, so (parent position, bridge letters) sorts the
-    children in the global order.  Each record sums its bridge weights
-    per V parent, the entries of the transition matrix over `IFS.den`.
+    children in the global order.  U parents are visited in order and
+    each parent's bridges in letter order, so the first pair that makes
+    a child is its least, and the records are made in sorted order.
+    Each record sums its bridge weights per V parent, the entries of the
+    transition matrix over `IFS.den`.
     """
     recs: dict = {}
     vset = set(state.vpos)
@@ -103,18 +105,15 @@ def _child_records(state: AtomState, ifs: IFS, decider: NeighborDecider):
             h = decider.compose(psi, br.map)  # interned: equal maps are one object
             rec = recs.get(h)
             if rec is None:
-                rec = _ChildRec(h, br.new_tag, (j, br.letters))
+                rec = _ChildRec(h, br.new_tag)
                 recs[h] = rec
-            else:
-                if rec.tag != br.new_tag:
-                    raise MapError("inconsistent scale tag for a child map")
-                if (j, br.letters) < rec.order_key:
-                    rec.order_key = (j, br.letters)
+            elif rec.tag != br.new_tag:
+                raise MapError("inconsistent scale tag for a child map")
             if in_v:
                 rec.vweight[j] = rec.vweight.get(j, 0) + br.weight
             else:
                 rec.forbidden = True
-    out = sorted(recs.values(), key=lambda r: r.order_key)
+    out = list(recs.values())
     for rec, i in zip(out, decider.ids([r.map for r in out])):
         rec.item = (i, rec.tag)
     return out

@@ -398,12 +398,9 @@ class NumberField:
         return out
 
     # -- conjugation (complex quadratic fields) ------------------------------
-    def has_conjugation(self) -> bool:
-        return self.complex_embedding and self.degree == 2
-
     def conjugate(self, el: "FieldElement") -> "FieldElement":
         """Complex conjugation as the automorphism rho -> -c1 - rho (degree 2)."""
-        if not self.has_conjugation():
+        if not (self.complex_embedding and self.degree == 2):
             raise FieldError("conjugation automorphism only available for quadratic fields")
         a, b = el.coeffs
         c1 = self.min_poly[1]
@@ -600,13 +597,11 @@ class FieldElement:
     def conjugate(self) -> "FieldElement":
         return self.field.conjugate(self)
 
-    def modulus_sq(self):
-        """|x|^2: exact FieldElement when conjugation exists, else RatInterval."""
+    def modulus_sq(self) -> "FieldElement":
+        """|x|^2, exact: x*x, or x*conj(x) over a complex (quadratic) field."""
         if not self.field.complex_embedding:
             return self * self
-        if self.field.has_conjugation():
-            return self * self.conjugate()
-        return self.enclosure().modulus_sq()
+        return self * self.conjugate()
 
     def __float__(self):
         enc = self.enclosure(64)

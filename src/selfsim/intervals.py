@@ -90,10 +90,6 @@ class RatInterval:
         x = _as_fraction(x)
         return self.lo <= x <= self.hi
 
-    def overlaps(self, other) -> bool:
-        other = _coerce(other)
-        return not (self.hi < other.lo or other.hi < self.lo)
-
     def strictly_less(self, other) -> bool:
         """Certified self < other (every point of self below every point of other)."""
         return self.hi < _coerce(other).lo

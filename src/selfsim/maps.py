@@ -198,11 +198,7 @@ class Similitude:
 def dist_sq_interval(p, q, bits: int = 96) -> RatInterval:
     """Certified enclosure of the squared distance between two field points."""
     terms = [(a - b).modulus_sq() for a, b in zip(p, q)]
-    d2 = sum(terms[1:], start=terms[0])
-    if isinstance(d2, RatInterval):
-        # |z|^2 over a complex field without conjugation is enclosed directly
-        return d2
-    enc = d2.enclosure(bits)
+    enc = sum(terms[1:], start=terms[0]).enclosure(bits)
     # a real-valued element of a complex field lies in the real slice
     return enc.re if isinstance(enc, RectInterval) else enc
 
@@ -222,6 +218,14 @@ class ScaleBase:
                  ratio_sq: FieldElement | None = None):
         self.field = field
         if field.complex_embedding:
+            if field.degree != 2:
+                # the modulus check |c|^2 = r^(2k) is exact through
+                # conj(rho) = -c1 - rho, which holds in a quadratic field only;
+                # a planar system over another field takes the real form
+                raise MapError(f"a complex field must be quadratic, not of degree "
+                               f"{field.degree}: write the maps as 2x2 matrices over "
+                               f"a real field, with \"backend\": \"real\" and "
+                               f"\"dimension\": 2")
             if ratio_sq is None:
                 raise MapError("complex backend needs the squared base ratio")
             self.ratio = None
@@ -319,15 +323,8 @@ class IFS:
     def _check_orthogonal(self, s: Similitude):
         rk = self.base.ratio_sq ** s.exponent
         if self.field.complex_embedding:
-            m2 = s.linear[0][0].modulus_sq()
-            if isinstance(m2, FieldElement):
-                if m2 != rk:
-                    raise MapError(f"linear part of {s} has |c|^2 != r^(2k)")
-            else:
-                target = rk.enclosure(96)
-                tiv = target.re if hasattr(target, "re") else target
-                if not m2.overlaps(tiv):
-                    raise MapError(f"linear part of {s} fails the modulus check")
+            if s.linear[0][0].modulus_sq() != rk:
+                raise MapError(f"linear part of {s} has |c|^2 != r^(2k)")
             return
         d = s.dim
         lt = tuple(tuple(s.linear[j][i] for j in range(d)) for i in range(d))

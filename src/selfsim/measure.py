@@ -228,7 +228,7 @@ class MeasureModel:
         return len(self.star[sid])
 
     def transition_matrix(self, a: int, b: int):
-        t = self._table[a].get(b)
+        t = self._table[a].get(b) if 0 <= a < len(self._table) else None
         if t is None:
             raise NotAdmissible(f"no mass-positive edge {a} -> {b}")
         return t
@@ -272,8 +272,14 @@ class MeasureModel:
         return sum((_dot(vec, self.v_star(sid)) for sid, vec in level.items()), Fraction(0))
 
     def product_matrix(self, address):
-        """Product of the restricted edge matrices along an address."""
+        """Product of the restricted edge matrices along an address.
+
+        The address may start at any mass-positive state; NotAdmissible
+        off the pruned model, as for `u_vector`.
+        """
         address = list(address)
+        if not address or not 0 <= address[0] < len(self.star) or not self.star[address[0]]:
+            raise NotAdmissible("address must start at a mass-positive state")
         d = self.star_dim(address[0])
         rows = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
         for cur, nxt in zip(address, address[1:]):

@@ -186,6 +186,11 @@ class IntervalUnion:
         return False
 
 
+def _check_real_line(ifs: IFS):
+    if ifs.dim != 1 or ifs.field.complex_embedding:
+        raise OracleError("estimate_mass is for 1-D real systems: a region is a set of reals")
+
+
 def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
                   samples: int | None = None, seed: int = 0) -> MassEstimate:
     """Reference mass of a region: exact discrete sum or Monte-Carlo.
@@ -197,8 +202,7 @@ def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
     """
     if (depth is None) == (samples is None):
         raise OracleError("choose exactly one of depth= or samples=")
-    if ifs.dim != 1 or ifs.field.complex_embedding:
-        raise OracleError("estimate_mass is for 1-D real systems: a region is a set of reals")
+    _check_real_line(ifs)
     if depth is not None:
         dm = DiscreteMeasure(ifs, depth)
         lo = Fraction(0)
@@ -242,7 +246,9 @@ def sample_points(ifs: IFS, n: int, seed: int = 0, word_len: int | None = None):
 
     Letters are drawn one refinement step at a time (inverse-CDF on a
     uniform draw), so memory stays O(n) regardless of the word length.
+    Only 1-D real systems, the ones `estimate_mass` takes.
     """
+    _check_real_line(ifs)
     rng = np.random.default_rng(np.random.PCG64(seed))
     probs = np.array([float(p) for p in ifs.probabilities])
     cdf = np.cumsum(probs / probs.sum())[:-1]
@@ -253,30 +259,12 @@ def sample_points(ifs: IFS, n: int, seed: int = 0, word_len: int | None = None):
     def draw():
         return np.searchsorted(cdf, rng.random(n), side="right")
 
-    field = ifs.field
-    if field.complex_embedding:
-        lin = np.array([complex(s.linear[0][0]) for s in ifs.maps])
-        tr = np.array([complex(s.translation[0]) for s in ifs.maps])
-        x = np.zeros(n, dtype=complex)
-        for _ in range(word_len):
-            row = draw()
-            x = lin[row] * x + tr[row]
-        return x
-    d = ifs.dim
-    lin = np.array([[[float(c) for c in r] for r in s.linear] for s in ifs.maps])
-    tr = np.array([[float(c) for c in s.translation] for s in ifs.maps])
-    if d == 1:
-        a = lin[:, 0, 0]
-        b = tr[:, 0]
-        x = np.zeros(n)
-        for _ in range(word_len):
-            row = draw()
-            x = a[row] * x + b[row]
-        return x
-    x = np.zeros((n, d))
+    a = np.array([float(s.linear[0][0]) for s in ifs.maps])
+    b = np.array([float(s.translation[0]) for s in ifs.maps])
+    x = np.zeros(n)
     for _ in range(word_len):
         row = draw()
-        x = np.einsum("nij,nj->ni", lin[row], x) + tr[row]
+        x = a[row] * x + b[row]
     return x
 
 

@@ -14,7 +14,7 @@ from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, ScaleBase, Similitude
 from selfsim.neighbors import BudgetExceeded, NeighborDecider
-from selfsim.oracle import canonical_words
+from selfsim.oracle import attractor_is_full_interval, canonical_words, interval_hull
 from selfsim.spectrum import word_norm_levels
 
 
@@ -174,6 +174,50 @@ def test_witness_overlap_point(lebesgue):
             w = am.witness(auto, sid)
             assert w is not None
             assert w.point[0].as_rational() == F(1, 2)
+
+
+def test_witness_separated_from_touching_cylinders(golden):
+    # states with |U| > |V|: the witness must lie in the hull images of the
+    # covering cylinders and off those of the touching ones not in V, where
+    # the attractor is an interval, so the hull images are the cylinders
+    auto = golden.automaton
+    assert attractor_is_full_interval(golden.ifs)
+    lo, hi = interval_hull(golden.ifs)
+    found = []
+    for sid in golden.measure.kept:
+        st = auto.states[sid]
+        if st.u_size == st.v_size:
+            continue
+        w = am.witness(auto, sid)
+        if w is None:
+            continue
+        frame = am._frame(auto, am._bfs_tree(auto, 0)[sid])
+        x, = w.point
+        for j, psi in enumerate(st.umaps):
+            cyl = frame.compose(psi) if frame is not None else psi
+            a, b = sorted((cyl.apply((lo,))[0], cyl.apply((hi,))[0]))
+            if j in st.vpos:
+                assert a <= x <= b
+            else:
+                assert x < a or x > b
+        found.append(sid)
+    assert len(found) == 6
+
+
+@pytest.mark.parametrize("name", ["golden-bernoulli", "lebesgue-1-2", "commensurable-osc",
+                                  "complex-pisot-demo"])
+def test_child_records_made_in_order(pipelines, name):
+    # each child map's first (U position, bridge letters) pair is its least,
+    # so the records come out in the order of their least pairs
+    p = pipelines(name)
+    for st in p.automaton.states:
+        least = {}
+        for j, (psi, tag) in enumerate(zip(st.umaps, st.utags)):
+            for br in p.ifs.bridges(tag):
+                h = psi.compose(br.map)
+                least[h] = min(least.get(h, (j, br.letters)), (j, br.letters))
+        recs = am._child_records(st, p.ifs, p.decider)
+        assert [r.map for r in recs] == sorted(least, key=least.get)
 
 
 def test_exports(golden):

@@ -15,6 +15,7 @@ import pytest
 
 from selfsim import automaton, cli, neighbors, oracle, spectrum
 from selfsim.config import (BUDGETS, ConfigError, IfsConfig, bundled_names, load_bundled)
+from selfsim.pipeline import Pipeline
 
 ALL = ["cantor-1-3", "commensurable-osc", "complex-pisot-demo",
        "golden-bernoulli", "golden-gasket-conjugated", "lebesgue-1-2"]
@@ -169,6 +170,55 @@ def test_cli_check_ftc_budget_below_the_seed_pairs(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 2 and captured.err == ""
     assert _inconclusive_counts(captured.out) == (2, 2)
+
+
+# x^3 + x^2 - 1 with its root near -0.877 + 0.745i, and z -> z/2, z/2 + 1
+_COMPLEX_CUBIC = {
+    "name": "complex-cubic", "backend": "complex", "dimension": 1, "mode": "equicontractive",
+    "field": {"minimal_polynomial": ["-1", "0", "1", "1"],
+              "root_box": {"real": ["-1", "-3/4"], "imag": ["1/2", "1"]}},
+    "base_ratio": ["1/4", "0", "0"],
+    "maps": [{"linear": ["1/2", "0", "0"], "translation": [t, "0", "0"], "scale_exponent": 1}
+             for t in ("0", "1")],
+    "probabilities": ["1/2", "1/2"],
+}
+
+# z -> (zeta_8 / 2) z + t over Q(zeta_8), written in the real form with
+# d = 2 over Q(sqrt 2): (sqrt 2 / 4) [[1, -1], [1, 1]], t in {(0, 0), (1, 0)}
+_ROTATION = [[["0", "1/4"], ["0", "-1/4"]], [["0", "1/4"], ["0", "1/4"]]]
+_SQRT2_ROTATION = {
+    "name": "sqrt2-rotation", "backend": "real", "dimension": 2, "mode": "equicontractive",
+    "field": {"minimal_polynomial": ["-2", "0", "1"], "root_box": {"real": ["1", "2"]}},
+    "base_ratio": ["1/2", "0"],
+    "maps": [{"linear": _ROTATION, "translation": [[t, "0"], ["0", "0"]], "scale_exponent": 1}
+             for t in ("0", "1")],
+    "probabilities": ["1/2", "1/2"],
+}
+
+
+@pytest.mark.parametrize("command", ["check-ftc", "build", "spectrum"])
+def test_cli_complex_field_of_degree_3_is_one_config_error_line(tmp_path, capsys, command):
+    # |c|^2 is no element of a complex cubic field: no exact modulus check
+    path = tmp_path / "in" / "cfg.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(_COMPLEX_CUBIC))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert rc == 1 and "Gamma" not in captured.out  # check-ftc prints its Pisot advisory first
+    assert captured.err.startswith("config error: maps: a complex field must be quadratic")
+    assert '"dimension": 2' in captured.err and captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]  # nothing written
+
+
+def test_cli_planar_rotation_in_the_real_form_builds(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(_SQRT2_ROTATION))
+    assert cli.main(["check-ftc", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "|Gamma| = 1 maps" in capsys.readouterr().out
+    assert cli.main(["build", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("automaton: 3 states")
+    point, lo, hi, _est = Pipeline(IfsConfig.load(path)).engine.tau(2.0)
+    assert abs(point - 1) < 1e-12 and lo <= 1 <= hi
 
 
 def _cli_env(**extra):

@@ -338,6 +338,15 @@ def test_check_pisot_refuses_malformed_polynomials(coeffs):
         check_pisot(coeffs, RootBox(RatInterval(0, 1)))
 
 
+def test_compare_escalates_past_64_bits(golden_field):
+    # rho^100 is about 1.3e-21: its 64-bit enclosure straddles 0, so the
+    # sign needs a finer one
+    x = golden_field.gen ** 100
+    assert x.enclosure(64).sign() is None
+    assert x > 0 and -x < 0 and x.compare(0) == 1
+    assert x < golden_field.gen ** 99
+
+
 def test_complex_conjugation(dragon_field):
     K = dragon_field
     rho = K.gen
@@ -384,7 +393,7 @@ def test_enclosure_respects_arithmetic(ca, cb):
     # both enclose the exact value, so they overlap, and the direct
     # enclosure sits inside the interval product up to its own width
     prod = (a * b).enclosure(160)
-    assert prod.overlaps(box)
+    assert not (prod.strictly_less(box) or box.strictly_less(prod))
     eps = F(1, 2**150)
     assert prod.lo >= box.lo - eps and prod.hi <= box.hi + eps
 

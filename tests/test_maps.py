@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BUNDLED
-from selfsim.field import NumberField, RootBox
+from selfsim.field import FieldError, NumberField, RootBox
 from selfsim.intervals import RatInterval, RectInterval
 from selfsim.maps import (IFS, MapError, ScaleBase, Similitude, dist_sq_interval, mat_mul,
                           mat_vec)
@@ -254,6 +254,25 @@ def test_dist_sq_interval_encloses_the_exact_square(z, w, p, q):
     b = tuple(K.from_rational(x) for x in q)
     exact = sum(((x - y) * (x - y) for x, y in zip(a, b)), start=K.zero)
     assert dist_sq_interval(a, b) == exact.enclosure(96)
+
+
+def test_a_complex_field_must_be_quadratic():
+    # x^3 + x^2 - 1 and its root near -0.877 + 0.745i: conjugation is no
+    # automorphism of a cubic field, so |c|^2 is not an element of it
+    cubic = NumberField([-1, 0, 1, 1], RootBox(RatInterval(-1, F(-3, 4)), RatInterval(F(1, 2), 1)),
+                        complex_embedding=True)
+    with pytest.raises(MapError, match=r"quadratic.*\"dimension\": 2"):
+        ScaleBase(cubic, ratio_sq=cubic.from_rational(F(1, 4)))
+    with pytest.raises(FieldError, match="quadratic"):
+        cubic.gen.conjugate()
+    with pytest.raises(FieldError, match="quadratic"):
+        cubic.gen.modulus_sq()
+    # over a quadratic field the modulus check is exact equality
+    base = ScaleBase(KC, ratio_sq=KC.from_rational(F(1, 2)))
+    rho = KC.gen
+    IFS(KC, [complex_map(rho, KC.zero), complex_map(rho, KC.one)], [F(1, 2), F(1, 2)], base)
+    with pytest.raises(MapError, match=r"\|c\|\^2 != r\^\(2k\)"):
+        IFS(KC, [complex_map(rho * KC.from_rational(F(1, 2)), KC.zero)], [F(1)], base)
 
 
 def test_intervals_compare_by_value():

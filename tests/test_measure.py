@@ -80,6 +80,36 @@ def test_self_consistency_of_vectors(pipelines):
             assert tuple(acc) == model.v_star(sid)
 
 
+@pytest.mark.parametrize("address", [
+    pytest.param([], id="empty"),
+    pytest.param([-21], id="negative-id"),  # read state 1 from the end
+    pytest.param([4], id="null-state"),
+    pytest.param([22], id="past-the-states"),
+    pytest.param([0, -21], id="negative-step"),
+])
+def test_product_matrix_refuses_ids_off_the_pruned_model(golden, address):
+    model = golden.measure
+    assert len(model.automaton.states) == 22 and 4 not in model.kept and 1 in model.kept
+    with pytest.raises(NotAdmissible):
+        model.product_matrix(address)
+
+
+@pytest.mark.parametrize("a, b", [(10**6, 0), (-21, 0), (4, 0), (0, 10**6)])
+def test_transition_matrix_refuses_ids_off_the_pruned_model(golden, a, b):
+    with pytest.raises(NotAdmissible):
+        golden.measure.transition_matrix(a, b)
+
+
+def test_product_matrix_from_a_mass_positive_state(golden):
+    # a path need not start at the root: its product starts from the identity
+    model = golden.measure
+    d = model.star_dim(1)
+    assert model.product_matrix([1]) == tuple(tuple(F(int(i == j)) for j in range(d))
+                                              for i in range(d))
+    e = model.edges[1][0]
+    assert model.product_matrix([1, e.child]) == model.transition_matrix(1, e.child)
+
+
 def test_transition_matrix_errors(cantor):
     model = cantor.measure
     with pytest.raises(NotAdmissible):

@@ -83,6 +83,34 @@ def test_estimate_mass_refuses_a_system_off_the_real_line(pipelines, name, mode)
     # a region is a set of real numbers; a planar or complex system has no mass on it
     with pytest.raises(OracleError, match="1-D real"):
         orc.estimate_mass(pipelines(name).ifs, IntervalUnion([(F(0), F(1, 2))]), **mode)
+    # and so is the sampler, which only estimate_mass calls
+    with pytest.raises(OracleError, match="1-D real"):
+        orc.sample_points(pipelines(name).ifs, 100)
+
+
+@pytest.mark.parametrize("name, ns", [("complex-pisot-demo", range(4, 7)),
+                                      ("golden-gasket-conjugated", range(3, 6))])
+def test_dyadic_sums_at_q1_are_the_total_mass_off_the_real_line(pipelines, name, ns):
+    # the complex and the planar positions: at q = 1 each sum adds the
+    # weights of all cells, so it is 1 whatever the cells are
+    ifs = pipelines(name).ifs
+    sums = orc.dyadic_lq_sums(ifs, 1.0, list(ns))
+    assert len(sums) == len(ns)
+    assert all(abs(s - 1) < 1e-12 for s in sums)
+    # a coarser grid merges cells, so the sums of squares do not grow with n
+    squares = orc.dyadic_lq_sums(ifs, 2.0, list(ns))
+    assert all(a >= b for a, b in zip(squares, squares[1:])) and squares[-1] < 1
+    # each float position is its exact point's embedding
+    dm = DiscreteMeasure(ifs, 3)
+    pos = dm.positions()
+    deg = ifs.field.degree
+    for pt, got in zip(dm.points, pos):
+        coords = [ifs.field.element([F(c, dm.scale) for c in pt[i * deg:(i + 1) * deg]])
+                  for i in range(len(pt) // deg)]
+        if ifs.field.complex_embedding:
+            assert abs(got - complex(coords[0])) < 1e-12
+        else:
+            assert max(abs(g - float(c)) for g, c in zip(got, coords)) < 1e-12
 
 
 def test_dyadic_lebesgue_exact_slope(lebesgue):

@@ -571,6 +571,16 @@ def test_method_agreement_golden(golden):
         assert pf.lower - 1e-12 <= pk.point <= pf.upper + 1e-12
 
 
+def test_non_integer_q_on_blocks_takes_finite_n(golden):
+    # golden's essential class has blocks larger than 1x1, so no scalar
+    # route: tau at a non-integer q is the finite-n estimate at the default n
+    eng = golden.engine
+    assert not eng._scalar
+    est = eng.pressure(2.5)
+    assert est.method == "finite-n" and est.n == eng.default_n
+    assert est == eng.pressure_finite_n(2.5)
+
+
 def test_kronecker_budget_fallback(golden):
     eng = PressureEngine(golden.measure, kron_dim_budget=4, default_n=8)
     est = eng.pressure_integer_q(2)
