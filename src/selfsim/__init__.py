@@ -8,9 +8,8 @@ exact rational atom masses -> pressure and the L^q spectrum tau(q).
 from .config import IfsConfig, load_bundled, bundled_names, ConfigError
 from .field import NumberField, RootBox, FieldElement, check_pisot
 from .intervals import RatInterval, RectInterval
-from .maps import IFS, ScaleBase, Similitude, Word
-from .neighbors import (BoundingBall, BudgetExceeded, NeighborDecider,
-                        bounding_ball, candidate_closure, prune)
+from .maps import IFS, BoundingBall, ScaleBase, Similitude, Word
+from .neighbors import BudgetExceeded, NeighborDecider, candidate_closure, prune
 from .automaton import AtomState, Automaton, NotAdmissible, build, children, witness
 from .measure import GlobalSystem, MeasureError, MeasureModel, compute_mass_vectors
 from .pipeline import Pipeline
@@ -24,9 +23,8 @@ __all__ = [
     "IfsConfig", "load_bundled", "bundled_names", "ConfigError",
     "NumberField", "RootBox", "FieldElement", "check_pisot",
     "RatInterval", "RectInterval",
-    "IFS", "ScaleBase", "Similitude", "Word",
-    "BoundingBall", "BudgetExceeded", "NeighborDecider",
-    "bounding_ball", "candidate_closure", "prune",
+    "IFS", "BoundingBall", "ScaleBase", "Similitude", "Word",
+    "BudgetExceeded", "NeighborDecider", "candidate_closure", "prune",
     "AtomState", "Automaton", "NotAdmissible", "build", "children", "witness",
     "GlobalSystem", "MeasureError", "MeasureModel", "compute_mass_vectors",
     "Pipeline",

@@ -350,8 +350,7 @@ def witness(auto: Automaton, sid: int):
     # limit point of P C^inf = P(fix(C)) in the state's local frame
     x_local = (path_r.apply(cycle_r.fixed_point()) if path_r is not None
                else cycle_r.fixed_point())
-    if not all(_point_separated(auto.ifs, auto.decider, x_local, psi,
-                                state.utags[j], _WITNESS_DEPTH)
+    if not all(_point_separated(auto.ifs, x_local, psi, state.utags[j], _WITNESS_DEPTH)
                for j, psi in enumerate(state.umaps) if j not in state.vpos):
         return None
     abs_frame = _frame(auto, _bfs_tree(auto, 0)[sid])
@@ -398,9 +397,9 @@ def _cycle_at(auto, sid):
     return None
 
 
-def _point_separated(ifs: IFS, decider, x, smap: Similitude, tag: int, depth: int) -> bool:
+def _point_separated(ifs: IFS, x, smap: Similitude, tag: int, depth: int) -> bool:
     """Certified dist(x, smap(K)) > 0 by recursive ball subdivision."""
-    ball = decider.ball
+    ball = ifs.ball
     center = smap.apply(ball.center)
     d2 = dist_sq_interval(x, center)
     rad = ifs.base.ratio_interval(smap.exponent, 96) * RatInterval.point(ball.radius)
@@ -408,6 +407,5 @@ def _point_separated(ifs: IFS, decider, x, smap: Similitude, tag: int, depth: in
         return True
     if depth <= 0:
         return False
-    return all(_point_separated(ifs, decider, x, smap.compose(br.map),
-                                br.new_tag, depth - 1)
+    return all(_point_separated(ifs, x, smap.compose(br.map), br.new_tag, depth - 1)
                for br in ifs.bridges(tag))

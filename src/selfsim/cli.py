@@ -87,7 +87,7 @@ def _parse_grid(spec: str):
 def cmd_check_ftc(args) -> int:
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
-    pipe.field  # refuses a malformed polynomial or root box before the advisory reads them
+    pipe.ifs  # refuses a malformed config before the advisory is printed
     try:
         report = check_pisot(cfg.min_poly, cfg.root_box)
     except FieldError as exc:

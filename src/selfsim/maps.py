@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .field import FieldElement, NumberField
@@ -19,6 +20,9 @@ from .intervals import RatInterval, RectInterval, sqrt_interval
 
 class MapError(ValueError):
     pass
+
+
+_BALL_BITS = 96  # bits of the certified enclosures behind the invariant ball and its test
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +277,17 @@ class Word:
 
 
 @dataclass(frozen=True)
+class BoundingBall:
+    """Ball B(c, R) with S_i(B) inside B for every generator, so K inside B."""
+    center: tuple
+    radius: Fraction     # rational upper bound
+    radius_sq: Fraction  # radius**2 (kept exact to avoid resquaring)
+
+    def __repr__(self):
+        return f"BoundingBall(R<={self.radius})"
+
+
+@dataclass(frozen=True)
 class Bridge:
     """One refinement step from a cylinder at one stopping level to the next."""
     letters: tuple
@@ -297,6 +312,7 @@ class IFS:
         self.k_max = max(self.exponents)
         self.dim = self.maps[0].dim
         self._bridge_cache: dict[int, tuple] = {}
+        self._meet_bounds: dict = {}  # exponent k -> (1 + r^k)^2 R^2, for `may_meet`
         # the one denominator of every bridge weight, over all scale tags
         self.den = lcm(*(w.probability.denominator for budget in range(1, self.k_max + 1)
                          for w in self.stopping_words(budget)))
@@ -402,6 +418,41 @@ class IFS:
     # -- geometry ----------------------------------------------------------------
     def identity_map(self) -> Similitude:
         return Similitude.identity(self.field, self.dim)
+
+    @cached_property
+    def ball(self) -> BoundingBall:
+        """The invariant ball, centered at the mean of the generator fixed points."""
+        fps = [s.fixed_point() for s in self.maps]
+        minv = self.field.from_rational(Fraction(1, self.m))
+        center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * minv
+                       for i in range(self.dim))
+        # R = max_i |S_i(c) - c| / (1 - r_max), r_max the largest generator ratio
+        rmax = self.base.ratio_interval(min(self.exponents), _BALL_BITS)
+        num_sq = RatInterval.point(0)
+        for s in self.maps:
+            d2 = dist_sq_interval(s.apply(center), center, _BALL_BITS)
+            if d2.hi > num_sq.hi:
+                num_sq = d2
+        r_up = (sqrt_interval(RatInterval(max(Fraction(0), num_sq.lo), num_sq.hi), 80)
+                / (RatInterval.point(1) - rmax)).hi
+        return BoundingBall(center, r_up, r_up * r_up)
+
+    def may_meet(self, smap: Similitude) -> bool:
+        """Necessary condition for smap(K) to meet K; False only when certified.
+
+        K lies in the ball B(c, R), so smap(K) meets K only if
+        |smap(c) - c| <= (1 + r^k) R; the right side, squared, depends
+        only on the exponent k and is kept per k.
+        """
+        k = smap.exponent
+        ball = self.ball
+        rhs = self._meet_bounds.get(k)
+        if rhs is None:
+            ratio = self.base.ratio_interval(k, _BALL_BITS)
+            rhs = self._meet_bounds[k] = ((RatInterval.point(1) + ratio).square()
+                                          * RatInterval.point(ball.radius_sq))
+        lhs = dist_sq_interval(smap.apply(ball.center), ball.center, _BALL_BITS)
+        return not lhs.strictly_greater(rhs)
 
     def log_stopping_ratio(self) -> float:
         """log of the per-level contraction rho = r^k_max."""

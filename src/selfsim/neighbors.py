@@ -1,7 +1,8 @@
 """Certified decision procedures for cylinder intersections.
 
 The candidate closure enumerates relative maps h = S_I^{-1} S_J of
-same-level cylinder pairs, filtered by a certified ball test.  Pairs and
+same-level cylinder pairs, filtered by the certified ball test of
+`IFS.may_meet` (K lies in the IFS's invariant ball `IFS.ball`).  Pairs and
 tuples of cylinders share one rule, `reaches_cycle`: a state meets iff
 its refinement chain reaches a cycle (or a state known to meet), because
 an intersection point exists iff an infinite chain does and the graph is
@@ -23,13 +24,9 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from fractions import Fraction
 
 from .config import BUDGETS
-from .intervals import RatInterval, sqrt_interval
-from .maps import IFS, Similitude, MapError, dist_sq_interval
-
-_BALL_BITS = 96  # bits of the certified enclosures behind the ball tests
+from .maps import IFS, Similitude, MapError
 
 
 class BudgetExceeded(RuntimeError):
@@ -39,38 +36,6 @@ class BudgetExceeded(RuntimeError):
         super().__init__(message)
         self.frontier_size = frontier_size
         self.node_count = node_count
-
-
-class BoundingBall:
-    """Ball B(c, R) with S_i(B) inside B for every generator, so K inside B."""
-
-    def __init__(self, center, radius: Fraction, radius_sq: Fraction):
-        self.center = center
-        self.radius = radius        # rational upper bound
-        self.radius_sq = radius_sq  # radius**2 (kept exact to avoid resquaring)
-
-    def __repr__(self):
-        return f"BoundingBall(R<={self.radius})"
-
-
-def bounding_ball(ifs: IFS) -> BoundingBall:
-    """Invariant ball centered at the mean of the generator fixed points."""
-    fps = [s.fixed_point() for s in ifs.maps]
-    minv = ifs.field.from_rational(Fraction(1, ifs.m))
-    center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * minv
-                   for i in range(ifs.dim))
-    # R = max_i |S_i(c) - c| / (1 - r_max), r_max the largest generator ratio
-    k_min = min(ifs.exponents)
-    rmax = ifs.base.ratio_interval(k_min, _BALL_BITS)
-    num_sq = RatInterval.point(0)
-    for s in ifs.maps:
-        d2 = dist_sq_interval(s.apply(center), center, _BALL_BITS)
-        if d2.hi > num_sq.hi:
-            num_sq = d2
-    denom = (RatInterval.point(1) - rmax)
-    r_up = (sqrt_interval(RatInterval(max(Fraction(0), num_sq.lo), num_sq.hi), 80)
-            / denom).hi
-    return BoundingBall(center, r_up, r_up * r_up)
 
 
 class NeighborGraph:
@@ -84,9 +49,8 @@ class NeighborGraph:
     pivot bridge i; and `ident[a]`, the identity node with tags (a, a).
     """
 
-    def __init__(self, ifs: IFS, ball: BoundingBall):
+    def __init__(self, ifs: IFS):
         self.ifs = ifs
-        self.ball = ball
         self.nodes: dict = {}  # (map key, tags) -> node id
         self.maps: list = []   # node id -> relative map
         self.tags: list = []   # node id -> (tag, tag)
@@ -124,21 +88,6 @@ class NeighborGraph:
         return "\n".join(lines)
 
 
-def _ball_feasible(ball: BoundingBall, ifs: IFS, smap: Similitude, bounds: dict) -> bool:
-    """Necessary condition for smap(K) to meet K; False only when certified.
-
-    The right side, (1 + r^k)^2 R^2, depends only on the exponent k:
-    `bounds` keeps it per k for the caller's closure.
-    """
-    k = smap.exponent
-    rhs = bounds.get(k)
-    if rhs is None:
-        ratio = ifs.base.ratio_interval(k, _BALL_BITS)
-        rhs = bounds[k] = (RatInterval.point(1) + ratio).square() * RatInterval.point(ball.radius_sq)
-    lhs = dist_sq_interval(smap.apply(ball.center), ball.center, _BALL_BITS)
-    return not lhs.strictly_greater(rhs)
-
-
 def candidate_closure(ifs: IFS,
                       max_nodes: int = BUDGETS["max_neighbor_nodes"].default) -> NeighborGraph:
     """BFS closure of same-level relative maps under refinement.
@@ -150,17 +99,15 @@ def candidate_closure(ifs: IFS,
     maps as the witness set; exceeding the budget raises BudgetExceeded
     and decides nothing.
     """
-    ball = bounding_ball(ifs)
-    graph = NeighborGraph(ifs, ball)
+    graph = NeighborGraph(ifs)
     level1 = [(br.map, br.new_tag) for br in ifs.bridges(0)]
-    bounds: dict = {}  # exponent -> right side of the ball test
     head = 0
 
     def add(smap, tags):
         key = (smap.key(), tags)
         n = graph.nodes.get(key)
         if n is None:
-            if not _ball_feasible(ball, ifs, smap, bounds):
+            if not ifs.may_meet(smap):
                 return None
             n = len(graph.maps)
             if n >= max_nodes:
@@ -308,10 +255,6 @@ class NeighborDecider:
         if self._graph is None:
             self._graph = prune(candidate_closure(self.ifs, self.max_nodes))
         return self._graph
-
-    @property
-    def ball(self) -> BoundingBall:
-        return self.graph.ball
 
     def gamma_maps(self):
         return self.graph.gamma_maps()

@@ -3,7 +3,10 @@
 Everything here works by brute force: discrete approximations of the
 invariant measure, Monte-Carlo sampling, dyadic-cell moment sums, ball
 subdivision for intersection tests, and exhaustive word enumeration.
-None of it imports the neighbor/automaton/measure machinery, so
+It shares the IFS's geometry with the pipeline: the similitudes, the
+certified distances, and the invariant ball `IFS.ball` with its test
+`IFS.may_meet` (the ball is tested against its definition on its own).
+It shares none of the neighbour, automaton or measure machinery, so
 agreement between the two sides is evidence rather than tautology.
 """
 
@@ -15,8 +18,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .intervals import RatInterval, sqrt_interval
-from .maps import IFS, Similitude, dist_sq_interval
+from .intervals import RatInterval
+from .maps import IFS, Similitude
 
 
 class OracleError(RuntimeError):
@@ -186,9 +189,9 @@ class IntervalUnion:
         return False
 
 
-def _check_real_line(ifs: IFS):
+def _check_real_line(ifs: IFS, caller: str):
     if ifs.dim != 1 or ifs.field.complex_embedding:
-        raise OracleError("estimate_mass is for 1-D real systems: a region is a set of reals")
+        raise OracleError(f"{caller} is for 1-D real systems")
 
 
 def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
@@ -202,7 +205,7 @@ def estimate_mass(ifs: IFS, region, *, depth: int | None = None,
     """
     if (depth is None) == (samples is None):
         raise OracleError("choose exactly one of depth= or samples=")
-    _check_real_line(ifs)
+    _check_real_line(ifs, "estimate_mass")
     if depth is not None:
         dm = DiscreteMeasure(ifs, depth)
         lo = Fraction(0)
@@ -248,7 +251,7 @@ def sample_points(ifs: IFS, n: int, seed: int = 0, word_len: int | None = None):
     uniform draw), so memory stays O(n) regardless of the word length.
     Only 1-D real systems, the ones `estimate_mass` takes.
     """
-    _check_real_line(ifs)
+    _check_real_line(ifs, "sample_points")
     rng = np.random.default_rng(np.random.PCG64(seed))
     probs = np.array([float(p) for p in ifs.probabilities])
     cdf = np.cumsum(probs / probs.sum())[:-1]
@@ -331,8 +334,7 @@ def tau_dyadic(ifs: IFS, q: float, n_range) -> DyadicTau:
 
 def interval_hull(ifs: IFS):
     """Exact endpoints of the convex hull of the attractor (1-D real)."""
-    if ifs.dim != 1 or ifs.field.complex_embedding:
-        raise OracleError("interval hull is for 1-D real systems")
+    _check_real_line(ifs, "interval_hull")
     fps = [s.fixed_point()[0] for s in ifs.maps]
     return min(fps), max(fps)
 
@@ -406,23 +408,6 @@ class NetCensus:
 # subdivision intersection test
 # ----------------------------------------------------------------------
 
-def _local_ball(ifs: IFS):
-    fps = [s.fixed_point() for s in ifs.maps]
-    minv = ifs.field.from_rational(Fraction(1, ifs.m))
-    center = tuple(sum((fp[i] for fp in fps[1:]), start=fps[0][i]) * minv
-                   for i in range(ifs.dim))
-    k_min = min(ifs.exponents)
-    rmax = ifs.base.ratio_interval(k_min, 96)
-    worst = RatInterval.point(0)
-    for s in ifs.maps:
-        d2 = dist_sq_interval(s.apply(center), center)
-        if d2.hi > worst.hi:
-            worst = d2
-    r_up = (sqrt_interval(RatInterval(max(Fraction(0), worst.lo), worst.hi), 80)
-            / (RatInterval.point(1) - rmax)).hi
-    return center, r_up
-
-
 def subdivision_intersects(ifs: IFS, f: Similitude, g: Similitude,
                            depth: int = 12) -> str:
     """'yes' / 'no' / 'unknown' for f(K) meeting g(K), by ball subdivision.
@@ -433,17 +418,9 @@ def subdivision_intersects(ifs: IFS, f: Similitude, g: Similitude,
     holds in exact arithmetic, which exhibits a point shared by the two
     cylinder systems.  Anything else stays 'unknown'.
     """
-    center, radius = _local_ball(ifs)
-    r2 = RatInterval.point(radius * radius)
     kmax = ifs.k_max
     if f.exponent // kmax != g.exponent // kmax:
         raise OracleError("maps must come from a common stopping level")
-
-    def feasible(u: Similitude) -> bool:
-        lhs = dist_sq_interval(u.apply(center), center)
-        ratio = ifs.base.ratio_interval(u.exponent, 96)
-        rhs = (RatInterval.point(1) + ratio).square() * r2
-        return not lhs.strictly_greater(rhs)
 
     no_memo: set = set()
     unknown_memo: dict = {}
@@ -452,7 +429,7 @@ def subdivision_intersects(ifs: IFS, f: Similitude, g: Similitude,
         key = (u.key(), ta, tb)
         if key in no_memo:
             return "no"
-        if not feasible(u):
+        if not ifs.may_meet(u):
             no_memo.add(key)
             return "no"
         # the current node is path[-1]; a repeat among the proper ancestors

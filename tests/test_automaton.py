@@ -35,6 +35,31 @@ def test_single_map_recurs():
     assert auto.edges[1][0].child == 1
 
 
+def test_children_of_a_state_with_an_uncovered_v_entry():
+    # x -> x/2 + (0, 1/2) and x -> Dx/2 + (0, -1/2) over Q, D = diag(1, -1).
+    # With h the translation by (1, 0), h o D has exactly the children of h,
+    # so in U = (id, h, h o D), V = (id, h) each child below h is also below
+    # the touching cylinder h o D outside V: h's V entry is left uncovered
+    # and the state has no children
+    K = NumberField([F(-1, 2), 1], RootBox(RatInterval(0, 1)))
+    zero, one, half = K.zero, K.one, K.gen
+
+    def diag(a, b):
+        return ((a, zero), (zero, b))
+
+    ifs = IFS(K, [Similitude(K, diag(half, half), (zero, half), 1),
+                  Similitude(K, diag(half, -half), (zero, -half), 1)],
+              [F(1, 2), F(1, 2)], ScaleBase(K, ratio=K.gen))
+    ident = ifs.identity_map()
+    h = Similitude(K, diag(one, one), (one, zero), 0)
+    hd = h.compose(Similitude(K, diag(one, -one), (zero, zero), 0))
+    state = am.AtomState((ident, h, hd), (0, 0, 0), (0, 1), ident)
+    decider = NeighborDecider(ifs)
+    below_h = [r for r in am._child_records(state, ifs, decider) if 1 in r.vweight]
+    assert len(below_h) == 2 and all(r.forbidden for r in below_h)
+    assert am.children(state, ifs, decider) == []
+
+
 def test_cantor_structure(cantor):
     auto = cantor.automaton
     # root plus one state per step map; every state has two children with

@@ -1,9 +1,11 @@
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BUNDLED
+from selfsim.config import IfsConfig, load_bundled
 from selfsim.field import FieldError, NumberField, RootBox
 from selfsim.intervals import RatInterval, RectInterval
 from selfsim.maps import (IFS, MapError, ScaleBase, Similitude, dist_sq_interval, mat_mul,
@@ -389,3 +391,39 @@ def test_map_key_is_the_fraction_key(pipelines, name):
     assert len(maps) > len(pipe.automaton.states)
     for s in maps:
         assert s.key() == _fraction_key(s)
+
+
+_GASKET_3D = Path(__file__).parent / "data" / "golden-gasket-3d.json"
+
+
+def _fresh_ifs(name):
+    # a new field: the ball's enclosures are those a fresh build makes
+    cfg = IfsConfig.load(_GASKET_3D) if name == "golden-gasket-3d" else load_bundled(name)
+    return cfg.build_ifs()
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["golden-gasket-3d"])
+def test_ball_is_invariant_under_every_generator(name):
+    # the definition of the ball, checked apart from its construction:
+    # S_i(B) lies in B, i.e. |S_i(c) - c| + r^k_i R <= R, certified on
+    # enclosures finer than the 96 bits the ball is built with
+    ifs = _fresh_ifs(name)
+    ball = ifs.ball
+    assert ball.radius_sq == ball.radius ** 2 and ball.radius > 0
+    radius = RatInterval.point(ball.radius)
+    for s in ifs.maps:
+        d2 = dist_sq_interval(s.apply(ball.center), ball.center, 160)
+        room = radius - ifs.base.ratio_interval(s.exponent, 160) * radius  # (1 - r^k) R
+        assert room.lo >= 0 and d2.hi <= room.lo ** 2
+
+
+@pytest.mark.parametrize("name, radius", [
+    ("golden-gasket-conjugated",
+     F(4251829370743097047106441445376, 2178897495425902889443084854501)),
+    ("golden-gasket-3d",
+     F(525540175778231015357799464960, 242099721713989209938120539389)),
+])
+def test_ball_radius_is_pinned(name, radius):
+    # the radius the neighbour closure has always filtered with: a change
+    # here can move which candidates the ball test drops
+    assert _fresh_ifs(name).ball.radius == radius

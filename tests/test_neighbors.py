@@ -7,8 +7,8 @@ from selfsim import automaton as am
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
 from selfsim.maps import IFS, MapError, ScaleBase, Similitude
-from selfsim.neighbors import (BudgetExceeded, NeighborDecider, bounding_ball,
-                               candidate_closure, prune, reaches_cycle)
+from selfsim.neighbors import (BudgetExceeded, NeighborDecider, candidate_closure, prune,
+                               reaches_cycle)
 
 
 def ifs_1d(coeffs, box, specs, probs, mode="equicontractive"):
@@ -42,7 +42,7 @@ def golden_ifs():
 
 
 def test_bounding_ball_half(half_ifs):
-    ball = bounding_ball(half_ifs)
+    ball = half_ifs.ball
     assert ball.center[0].as_rational() == F(1, 2)
     assert ball.radius == F(1, 2)
 
@@ -51,13 +51,13 @@ def test_bounding_ball_single_map():
     K = NumberField([-1, 1, 1], RootBox(RatInterval(0, 1)))
     s = Similitude(K, ((K.gen,),), (K.zero,), 1)
     ifs = IFS(K, [s], [F(1)], ScaleBase(K, ratio=K.gen))
-    ball = bounding_ball(ifs)
+    ball = ifs.ball
     assert ball.center[0].is_zero()
     assert ball.radius == 0
 
 
 def test_bounding_ball_golden(golden_ifs):
-    ball = bounding_ball(golden_ifs)
+    ball = golden_ifs.ball
     assert ball.center[0] == golden_ifs.field.from_rational(F(1, 2))
     # certified upper bound on the true radius 1/2, rounded outward
     assert F(1, 2) <= ball.radius <= F(1, 2) + F(1, 2**70)

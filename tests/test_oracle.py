@@ -88,6 +88,20 @@ def test_estimate_mass_refuses_a_system_off_the_real_line(pipelines, name, mode)
         orc.sample_points(pipelines(name).ifs, 100)
 
 
+@pytest.mark.parametrize("name", ["golden-gasket-conjugated", "complex-pisot-demo"])
+def test_real_line_refusals_name_their_caller(pipelines, name):
+    # one check serves every 1-D entry point, and each names itself
+    ifs = pipelines(name).ifs
+    calls = [("estimate_mass", lambda: orc.estimate_mass(ifs, IntervalUnion([(0, 1)]), depth=2)),
+             ("sample_points", lambda: orc.sample_points(ifs, 10)),
+             ("interval_hull", lambda: orc.interval_hull(ifs)),
+             ("interval_hull", lambda: orc.attractor_is_full_interval(ifs)),
+             ("interval_hull", lambda: orc.NetCensus(ifs, 1))]
+    for caller, call in calls:
+        with pytest.raises(OracleError, match=f"^{caller} is for 1-D real systems$"):
+            call()
+
+
 @pytest.mark.parametrize("name, ns", [("complex-pisot-demo", range(4, 7)),
                                       ("golden-gasket-conjugated", range(3, 6))])
 def test_dyadic_sums_at_q1_are_the_total_mass_off_the_real_line(pipelines, name, ns):
