@@ -187,7 +187,10 @@ def cmd_spectrum(args) -> int:
                 if est.method == "finite-n":
                     fell_back.append(q)
     tau1, lo1, hi1, est1 = engine.tau(1.0)
+    lumped = engine.ess.quotient
+    blocks = len(lumped.dims)
     print(f"essential class: {len(engine.ess.ids)} states, L = {engine.ess.size}, "
+          f"lumped to {blocks} block{'s' * (blocks != 1)} (L = {lumped.size}), "
           f"irreducibility exponent r = {r}")
     print(f"tau(1) = {tau1:.3e} via {est1.method}")
     print(f"curve written to {path} "

@@ -18,10 +18,15 @@ products over admissible words of the essential class.  Three routes:
   entries in first-occurrence order.  It divides by D^n only when it
   reduces a vector to its float norm (see `word_norm_levels`).
 
-`kron_dim_budget` bounds L^q, the dimension of the unlifted Kronecker
-sum, not the lifted dimension: the integer route is taken at the same q
-as with the L^q operator, so every value recorded beyond the budget
-keeps its route: scalar for one-dimensional blocks, finite-n otherwise.
+The integer and scalar routes run on the bisimulation quotient of the
+class (`lump`), whose lifted operator has the same spectral radius (see
+`PressureEngine._certified`); everything else reads the full class: the
+route gate, the word DP, r, delta and the exact check of P(1) = 0.
+`kron_dim_budget` bounds L^q of the full class, the dimension of the
+unlifted Kronecker sum, not the lifted dimension: the integer route is
+taken at the same q as with the L^q operator, so every value recorded
+beyond the budget keeps its route: scalar for one-dimensional blocks,
+finite-n otherwise.
 The lifted operator is numpy COO arrays, and the certificate's matvec is
 one `np.bincount` over them.  It is built with one batched Kronecker power
 per block shape, whose floats are those of `np.kron` block by block (see
@@ -33,7 +38,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -57,6 +62,11 @@ class EssentialClass:
         self.diagnostics = diagnostics
         self.system = GlobalSystem(model, alphabet=self.ids)
         self.size = self.system.size  # L
+
+    @cached_property
+    def quotient(self) -> LumpedSystem:
+        """The bisimulation quotient of `system` (see `lump`)."""
+        return lump(self.system)
 
 
 def essential_class(model: MeasureModel) -> EssentialClass:
@@ -109,6 +119,68 @@ def _verify_communication(model, ids):
                     stack.append(nxt)
         if seen != set(ids):
             raise SpectrumError("essential class members do not all communicate")
+
+
+@dataclass(frozen=True)
+class LumpedSystem:
+    """A block system with one block per class of bisimilar blocks.
+
+    `dims`, `blocks_into` and `den` are read as those of `GlobalSystem`;
+    `classes[k]` is the class of block k of the system that was lumped,
+    and the classes are numbered in the order of their first blocks.
+    """
+    dims: list
+    blocks_into: list
+    den: int
+    classes: list
+
+    @property
+    def size(self) -> int:
+        return sum(self.dims)
+
+
+def lump(system) -> LumpedSystem:
+    """Counting forward bisimulation of the blocks, by partition refinement.
+
+    Blocks k and k' stay in one class when they have the same size and,
+    for every class C and int matrix T, the same number of out-edges
+    k -> i with block T and i in C.  The first partition is by size; each
+    round splits the classes by the multiset of (class of i, T) over the
+    out-edges, until no class splits.  Each T is interned to an int first,
+    so a round compares int pairs only.  The lumped system keeps the
+    out-edges of each class's first block, with their multiplicity, and
+    sends each to the class of its target.  Reads only `dims`,
+    `blocks_into` and `den`.
+    """
+    intern = {}
+    out = [[] for _ in system.dims]
+    for i, into in enumerate(system.blocks_into):
+        for k, t in into:
+            out[k].append((i, intern.setdefault(t, len(intern))))
+    mats = list(intern)
+    classes = _first_occurrence(system.dims)
+    while True:
+        split = _first_occurrence(
+            [(c, tuple(sorted((classes[i], tid) for i, tid in edges)))
+             for c, edges in zip(classes, out)])
+        if split == classes:  # a round that splits nothing renumbers nothing
+            break
+        classes = split
+    reps = {}
+    for k, c in enumerate(classes):
+        reps.setdefault(c, k)
+    blocks_into = [[] for _ in reps]
+    for c, k in reps.items():
+        for i, tid in out[k]:
+            blocks_into[classes[i]].append((c, mats[tid]))
+    return LumpedSystem([system.dims[k] for k in reps.values()], blocks_into,
+                        system.den, classes)
+
+
+def _first_occurrence(keys):
+    """Each key's index among the distinct keys, in order of first occurrence."""
+    index = {}
+    return [index.setdefault(key, len(index)) for key in keys]
 
 
 def lifted_operator(system, q):
@@ -313,7 +385,23 @@ class PressureEngine:
 
     # -- certified routes ------------------------------------------------------
     def _certified(self, q, method: str, n: int) -> PressureEstimate:
-        dim, rows, cols, vals = lifted_operator(self.ess.system, q)
+        """Collatz-Wielandt bounds on rho of the lifted operator, built on
+        the bisimulation quotient (`EssentialClass.quotient`).
+
+        The two lifted operators have one spectral radius.  Let A and B be
+        those of the full class and of the quotient, and J copy a vector
+        on the quotient's blocks to every member of each class, block by
+        block.  Block (k, C) of A J sums the lifted blocks of the edges
+        k -> i with i in C, each a function of T(k, i) alone; block k of
+        J B is the same sum over the edges of the first block of k's
+        class, and bisimilar blocks have the same multiset of such T, so
+        A J = J B at every q.  A nonnegative eigenvector v of B for rho(B)
+        (Perron-Frobenius) gives A (J v) = rho(B) J v with J v >= 0 and
+        nonzero, so rho(B) <= rho(A); a nonnegative left eigenvector u of
+        A for rho(A) gives (J^T u)^T B = rho(A) (J^T u)^T with J^T u >= 0
+        and nonzero, so rho(A) <= rho(B).
+        """
+        dim, rows, cols, vals = lifted_operator(self.ess.quotient, q)
         lo, hi = spectral_radius_bounds(
             lambda x: np.bincount(cols, vals * x[rows], minlength=dim), dim)
         if lo <= 0:

@@ -1,9 +1,12 @@
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from selfsim.config import IfsConfig, load_bundled
 from selfsim.pipeline import Pipeline
+from selfsim.spectrum import lifted_operator, spectral_radius_bounds
 
 BUNDLED = ["cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
            "golden-gasket-conjugated", "complex-pisot-demo", "commensurable-osc"]
@@ -16,6 +19,28 @@ def get_pipeline(name: str) -> Pipeline:
     if name not in _pipelines:
         _pipelines[name] = Pipeline(load_bundled(name))
     return _pipelines[name]
+
+
+def pressure_bracket(system, q):
+    """[log lo, log hi] for the Collatz-Wielandt bounds [lo, hi] on rho of
+    the lifted operator of `system` at q, formed as the engine forms its
+    scalar and Kronecker certificates."""
+    dim, rows, cols, vals = lifted_operator(system, q)
+    lo, hi = spectral_radius_bounds(
+        lambda x: np.bincount(cols, vals * x[rows], minlength=dim), dim)
+    return math.log(lo), math.log(hi)
+
+
+def assert_same_bracket(a, b, rel):
+    """Two [lo, hi] brackets overlap and agree within rel of their size, or
+    of 1 near 0, as `spectral_radius_bounds` stops within tol of max(1, hi).
+
+    The overlap is up to 8 ulps of that scale: the bounds are float ratios
+    and logs, so two brackets that have closed to a point (a 1x1 class)
+    can miss each other by the last bit."""
+    scale = max(1.0, *(abs(x) for x in (*a, *b)))
+    assert max(a[0], b[0]) <= min(a[1], b[1]) + 8 * math.ulp(scale)
+    assert abs(a[0] - b[0]) <= rel * scale and abs(a[1] - b[1]) <= rel * scale
 
 
 @pytest.fixture

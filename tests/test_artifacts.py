@@ -9,11 +9,13 @@ enters the finite-n lower bounds, to the last bit.  Those are float
 results, so the spectrum goldens assume the same numpy and BLAS rounding.
 """
 
+import csv
 import hashlib
 from pathlib import Path
 
 import pytest
 
+from conftest import assert_same_bracket, pressure_bracket
 from selfsim import cli
 
 GOLDEN = {
@@ -58,10 +60,10 @@ GOLDEN = {
 SPECTRUM_GOLDEN = {
     "cantor-1-3": "3882710a128b6eae19302adf9f2ed7e151f149e4dbe87795a79cfc69fac34ab5",
     "lebesgue-1-2": "96755daad8d7b38185c7a33a950ac21d89a2c4f67a990b42b7c022c5239f2fd9",
-    "golden-bernoulli": "0c3383b1713d311a27c8f7304f998ddca55da146f084aa73a8e24c4e053885da",
-    "complex-pisot-demo": "98f3a4c2eb29a0a5e011f998c271dce7f87fd5be5d38b5690a0986c8d2e4178d",
-    "golden-gasket-conjugated": "6372cdb2b948827a7d4c2084c50aaee57fd84caaf331f30af1252448e7e06021",
-    "commensurable-osc": "23fb4488fd08c36a2581d8a9eaad7fcacae2d84edd66662f69705649570ac772",
+    "golden-bernoulli": "cf8f1efc428471a14d7c4abd58219519a3dea18bb3f7d9dafe457257f1bb262f",
+    "complex-pisot-demo": "9dac2501fdf38081c60296658530a6a5e2898800500742913efc6314e4f87b78",
+    "golden-gasket-conjugated": "8e294c81dde2ab3df9813984303ae070b92f0e3d203d5fef4e428eba34c00583",
+    "commensurable-osc": "3c4dfed18798d5def621cc57de9b1980b24dcdd393d05ac7a2dab1927220febc",
 }
 
 # `selfsim spectrum --integer-q-exact` on tests/data/golden-gasket-3d.json:
@@ -83,6 +85,22 @@ def test_spectrum_csv_matches_golden(name, tmp_path, capsys):
                      "--integer-q-exact"]) == 0
     got = hashlib.sha256((tmp_path / f"{name}-spectrum.csv").read_bytes()).hexdigest()
     assert got == SPECTRUM_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(SPECTRUM_GOLDEN))
+def test_certified_csv_rows_match_full_class(name, pipelines, tmp_path, capsys):
+    # the scalar and Kronecker rows are certified on the lumped class; an
+    # independent reference recomputes each on the full essential class
+    assert cli.main(["spectrum", "--config", f"bundled:{name}", "--out", str(tmp_path),
+                     "--integer-q-exact"]) == 0
+    with open(tmp_path / f"{name}-spectrum.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["method"] in ("scalar", "kronecker")]
+    assert rows
+    eng = pipelines(name).engine
+    for row in rows:
+        lo, hi = pressure_bracket(eng.ess.system, float(row["q"]))
+        want = sorted((lo / eng.log_rho, hi / eng.log_rho))
+        assert_same_bracket((float(row["tau_lower"]), float(row["tau_upper"])), want, 1e-11)
 
 
 def test_spectrum_csv_matches_golden_in_3d(tmp_path, capsys):

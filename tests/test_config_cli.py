@@ -550,7 +550,8 @@ def test_cli_spectrum_checks_irreducibility_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
     path = tmp_path / "golden-bernoulli-spectrum.csv"
     assert capsys.readouterr().out == (
-        "essential class: 5 states, L = 9, irreducibility exponent r = 4\n"
+        "essential class: 5 states, L = 9, lumped to 3 blocks (L = 5), "
+        "irreducibility exponent r = 4\n"
         "tau(1) = -0.000e+00 via eigenvector-exact\n"
         f"curve written to {path} (max bound width 1.11, concavity defect 0; "
         "smoothness diagnostic is non-rigorous)\n"

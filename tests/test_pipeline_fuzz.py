@@ -14,6 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from conftest import assert_same_bracket, pressure_bracket
 from selfsim import automaton as am
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
@@ -44,6 +45,11 @@ def dyadic_systems(draw):
     return shifts, weights
 
 
+def _assert_quotient_exact(ess):
+    """The lumped class certifies the full class's pressure at q = 2."""
+    assert_same_bracket(pressure_bracket(ess.quotient, 2), pressure_bracket(ess.system, 2), 1e-12)
+
+
 @settings(max_examples=12, deadline=None)
 @given(dyadic_systems())
 def test_random_dyadic_pipeline(sys_spec):
@@ -66,6 +72,7 @@ def test_random_dyadic_pipeline(sys_spec):
         assert gs.mass_global(addr) == model.mass(addr)
     eng = PressureEngine(model, default_n=6)
     assert eng.tau(1.0)[0] == 0.0
+    _assert_quotient_exact(eng.ess)
     curve = eng.lq_curve([0.5, 1.0, 1.5, 2.0, 2.5], n=6)
     assert curve.diagnostics["smoothness_max_jump"] <= 1e-8
 
@@ -115,8 +122,10 @@ def test_random_planar_pipeline(sys_spec):
     gs = GlobalSystem(model)
     for addr in model.addresses(3):
         assert gs.mass_global(addr) == model.mass(addr)
-    tau1, _lo, _hi, est = PressureEngine(model, default_n=6).tau(1.0)
+    eng = PressureEngine(model, default_n=6)
+    tau1, _lo, _hi, est = eng.tau(1.0)
     assert tau1 == 0.0 and est.method == "eigenvector-exact"
+    _assert_quotient_exact(eng.ess)
     start = model.star_maps_absolute([0])
     for depth in (1, 2):
         for addr in model.addresses(depth):

@@ -10,10 +10,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
+from conftest import assert_same_bracket, pressure_bracket
 from selfsim.measure import GlobalSystem
 from selfsim import spectrum
 from selfsim.spectrum import (PressureEngine, SpectrumError, essential_class,
-                              irreducibility_check, lifted_operator,
+                              irreducibility_check, lifted_operator, lump,
                               min_positive_entry_sum_powers, spectral_radius_bounds)
 
 
@@ -497,6 +498,88 @@ def test_lifted_operator_fuzz_against_eigvals(spec):
     assert abs(rho_lifted - rho) <= tol
     lo, hi = _certified_rho(lifted, max_iter=2000)
     assert lo - tol <= rho <= hi + tol
+    assert abs(_spectral_radius(_dense(lifted_operator(lump(system), q))) - rho) <= tol
+
+
+# blocks -> classes and L -> L' of each bundled essential class under `lump`
+LUMPED = {
+    "cantor-1-3": ((2, 1), (2, 1)),
+    "lebesgue-1-2": ((2, 1), (2, 1)),
+    "golden-bernoulli": ((5, 3), (9, 5)),
+    "golden-gasket-conjugated": ((160, 9), (234, 17)),
+    "complex-pisot-demo": ((52, 1), (52, 1)),
+    "commensurable-osc": ((5, 2), (5, 2)),
+}
+
+
+def _lump_sizes(ess):
+    return (len(ess.system.dims), len(ess.quotient.dims)), (ess.size, ess.quotient.size)
+
+
+@pytest.mark.parametrize("name", sorted(LUMPED))
+def test_lump_sizes(pipelines, name):
+    assert _lump_sizes(pipelines(name).engine.ess) == LUMPED[name]
+
+
+def test_lump_sizes_in_3d(gasket_3d):
+    assert _lump_sizes(gasket_3d.engine.ess) == ((1395, 16), (2043, 36))
+
+
+@pytest.mark.parametrize("name", sorted(LUMPED))
+def test_quotient_bracket_matches_full_class(pipelines, name):
+    eng = pipelines(name).engine
+    for q in (2, 3) + ((0.5, 2.5) if eng._scalar else ()):
+        est = eng._certified(q, "scalar" if eng._scalar else "kronecker", 0)
+        lumped = pressure_bracket(eng.ess.quotient, q)
+        assert (est.lower, est.upper) == lumped
+        assert_same_bracket(lumped, pressure_bracket(eng.ess.system, q), 1e-12)
+
+
+def test_quotient_bracket_matches_full_class_in_3d(gasket_3d):
+    ess = gasket_3d.engine.ess
+    assert_same_bracket(pressure_bracket(ess.quotient, 2), pressure_bracket(ess.system, 2), 1e-12)
+
+
+def test_lump_splits_on_block_target_class_and_edge_count():
+    one, two = ((F(1, 2),),), ((F(1, 4),),)
+    # blocks 0 and 1 lead into block 0 by different T
+    assert lump(_block_system([1, 1], {(0, 0): one, (1, 0): two})).classes == [0, 1]
+    # 0 -> 2 and 1 -> 3 by one T, but the loops of 2 and 3 differ: 0 and 1
+    # stay apart, while 0 and 2 (one edge by T into the class {0, 2}) merge
+    system = _block_system([1] * 4, {(0, 2): one, (1, 3): one, (2, 2): one, (3, 3): two})
+    assert lump(system).classes == [0, 1, 0, 2]
+    # 0 has two edges by T into the class {1, 2, 3}, each of those has one
+    system = _block_system([1] * 4, {(0, 1): one, (0, 2): one, (3, 1): one,
+                                     (1, 1): one, (2, 2): one})
+    assert lump(system).classes == [0, 1, 1, 1]
+
+
+def test_lump_merges_bisimilar_blocks_and_keeps_parallel_edges():
+    # blocks 0 and 1 each have a loop by a and an edge to the other by b
+    a = ((F(1, 2), F(0)), (F(1, 4), F(1, 4)))
+    b = ((F(1, 4), F(1, 4)), (F(0), F(1, 2)))
+    system = _block_system([2, 2], {(0, 0): a, (1, 0): b, (1, 1): a, (0, 1): b})
+    lumped = lump(system)
+    assert lumped.classes == [0, 0] and lumped.dims == [2] and lumped.den == 4
+    assert lumped.blocks_into == [[(0, ((2, 0), (1, 1))), (0, ((1, 1), (0, 2)))]]
+    for q in (1, 2, 3):
+        assert math.isclose(_spectral_radius(_dense(lifted_operator(lumped, q))),
+                            _spectral_radius(_dense(lifted_operator(system, q))), rel_tol=1e-12)
+
+
+def test_kronecker_certificates_in_3d_on_the_quotient(gasket_3d):
+    # past the default budget on the full class (L^2 = 4.2M), but cheap
+    # on the quotient: lifted dimension 96 and 288 against 3549 and 7335
+    eng = PressureEngine(gasket_3d.measure, kron_dim_budget=10 ** 10)
+    for q, dim, full_dim in ((2, 96, 3549), (3, 288, 7335)):
+        assert sum(d ** q for d in eng.ess.quotient.dims) == dim
+        assert sum(d ** q for d in eng.ess.system.dims) == full_dim
+        tau, lo, hi, est = eng.tau(q)
+        assert est.method == "kronecker"
+        assert hi - lo <= 1e-12 * abs(tau)
+        _tau, finite_lo, finite_hi, finite = gasket_3d.engine.tau(q)
+        assert finite.method == "finite-n"
+        assert finite_lo <= lo and hi <= finite_hi
 
 
 def test_cantor_closed_form(cantor):
