@@ -161,7 +161,6 @@ def cmd_spectrum(args) -> int:
     cfg = _load_config(args)
     pipe = Pipeline(cfg)
     engine = pipe.engine
-    r, _delta = engine.irreducibility()
     curve = engine.lq_curve([float(q) for q in grid])  # n: the engine's pressure_n
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -191,7 +190,7 @@ def cmd_spectrum(args) -> int:
     blocks = len(lumped.dims)
     print(f"essential class: {len(engine.ess.ids)} states, L = {engine.ess.size}, "
           f"lumped to {blocks} block{'s' * (blocks != 1)} (L = {lumped.size}), "
-          f"irreducibility exponent r = {r}")
+          f"irreducibility exponent r = {engine.ess.r}")
     print(f"tau(1) = {tau1:.3e} via {est1.method}")
     print(f"curve written to {path} "
           f"(max bound width {curve.diagnostics['max_bound_width']:.3g}, "
@@ -209,10 +208,6 @@ def cmd_spectrum(args) -> int:
         print(f"note: --integer-q-exact fell back to finite-n at q = "
               f"{', '.join(str(q) for q in fell_back)} (L^q above kron_dim_budget), "
               "so those rows carry finite-n bounds")
-    ncomp = engine.ess.diagnostics["terminal_components"]
-    if ncomp > 1:
-        print(f"note: the pruned automaton has {ncomp} terminal components; "
-              "the essential class is the one with the smallest state id")
     return EXIT_OK
 
 

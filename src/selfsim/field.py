@@ -6,9 +6,10 @@ monic minimal polynomial and kept in lowest terms (the gcd of the
 denominator and all numerators is 1).  That form is canonical, so
 equality is a comparison of int tuples, and all ring/field operations
 are exact: a sum or a product makes int products and one gcd.  The
-selected root is pinned down by a rational isolating box which can be
-refined on demand; every element then gets a certified interval (real
-backend) or rectangle (complex backend) enclosure of its embedding.
+selected root is pinned down by a rational isolating box, refined to
+width 2^-k on demand; every element then gets a certified interval (real
+backend) or rectangle (complex backend) enclosure of its embedding, which
+depends on the element and the precision only.
 
 One root routine serves real and complex fields alike: `_isolate_roots`
 seeds every root with `numpy.roots` and certifies a box around it with
@@ -267,6 +268,7 @@ class NumberField:
             raise FieldError("complex backend requires a non-real root")
         # reduction table: rho^D .. rho^(2D-2) in the power basis, times _scale
         self._table, self._scale = self._build_table()
+        self._root_boxes: dict = {}  # k -> the root box refined to 2^-k
         self._enclosure_cache: dict = {}
 
         self.zero = self.element([0] * self.degree)
@@ -339,19 +341,19 @@ class NumberField:
         return tuple(inv[:self.degree])
 
     # -- embedding ---------------------------------------------------------
-    def refine_root(self, target_width: Fraction):
-        """Shrink the selected root's box to width <= target_width.
-
-        Interval Newton on an outward-rounded dyadic grid (`_refine`), the
-        same for a real and a complex field.
-        """
-        if self._root.width <= target_width:
-            return
-        self._enclosure_cache.clear()
-        self._root = _refine(self.min_poly, self._dpoly, self._root, target_width)
+    def root_box(self, k: int) -> RectInterval:
+        """The construction box of the root, refined to width <= 2^-k by
+        `_refine`; memoised per k."""
+        box = self._root_boxes.get(k)
+        if box is None:
+            box = self._root_boxes[k] = _refine(self.min_poly, self._dpoly, self._root,
+                                                Fraction(1, 1 << k))
+        return box
 
     def enclose(self, el: "FieldElement", bits: int = 64):
-        """Certified enclosure of el's embedding: RatInterval or RectInterval."""
+        """Certified enclosure of el's embedding, RatInterval or RectInterval,
+        a function of el and bits alone: el at `root_box(k)`, k growing by 4
+        from bits + bitlen(ceil(size * D * 4)) until it is 2^-bits wide."""
         key = (el.num, el.den, bits)
         hit = self._enclosure_cache.get(key)
         if hit is not None:
@@ -359,21 +361,22 @@ class NumberField:
         target = Fraction(1, 1 << bits)
         size = Fraction(sum(map(abs, el.num)), el.den) + 1
         # linear error propagation: output width <~ size * D * box width
-        self.refine_root(target / (size * self.degree * 4))
-        out = self._eval_at_root(el)
-        while out.width > target and self._root.width > 0:
-            self.refine_root(self._root.width / 16)
-            out = self._eval_at_root(el)
+        k = bits + ceil(size * self.degree * 4).bit_length()
+        out = self._eval_at_root(el, k)
+        while out.width > target and self.root_box(k).width > 0:
+            k += 4
+            out = self._eval_at_root(el, k)
         if len(self._enclosure_cache) > 100_000:
             self._enclosure_cache.clear()
         self._enclosure_cache[key] = out
         return out
 
-    def _eval_at_root(self, el: "FieldElement"):
+    def _eval_at_root(self, el: "FieldElement", k: int):
         # Horner on the int numerators, then one division by den: scaling by
         # a positive rational commutes with exact interval Horner, so this is
         # the enclosure that Horner on the rational coefficients gives
-        root = self._root if self.complex_embedding else self._root.re  # the root is real
+        box = self.root_box(k)
+        root = box if self.complex_embedding else box.re  # the root is real
         out = poly_eval(el.num, root)
         if not isinstance(out, (RatInterval, RectInterval)):  # degree 1: a real rational
             return RatInterval.point(Fraction(out, el.den))

@@ -18,6 +18,10 @@ products over admissible words of the essential class.  Three routes:
   entries in first-occurrence order.  It divides by D^n only when it
   reduces a vector to its float norm (see `word_norm_levels`).
 
+The essential class is the one terminal component of the pruned
+automaton: two would each hold a mass-carrying class without inflow,
+which the mass solve refuses (see `essential_class`).
+
 The integer and scalar routes run on the bisimulation quotient of the
 class (`lump`), whose lifted operator has the same spectral radius (see
 `PressureEngine._certified`); everything else reads the full class: the
@@ -55,7 +59,8 @@ class SpectrumError(RuntimeError):
 # ----------------------------------------------------------------------
 
 class EssentialClass:
-    """A terminal, internally communicating set of mass-positive states."""
+    """The one terminal component of the pruned automaton (`essential_class`),
+    with the block system, quotient, r and delta that the routes read."""
 
     def __init__(self, model: MeasureModel, ids, diagnostics):
         self.ids = list(ids)
@@ -68,57 +73,64 @@ class EssentialClass:
         """The bisimulation quotient of `system` (see `lump`)."""
         return lump(self.system)
 
+    @cached_property
+    def r(self) -> int:
+        """The irreducibility exponent (see `irreducibility_check`)."""
+        return irreducibility_check(self)
+
+    @cached_property
+    def delta(self) -> float:
+        """The smallest positive entry of sum_{i<=r} H^i (see
+        `min_positive_entry_sum_powers`)."""
+        return min_positive_entry_sum_powers(self, self.r)
+
 
 def essential_class(model: MeasureModel) -> EssentialClass:
-    """Terminal strongly connected component of the pruned automaton.
+    """The terminal strongly connected component of the pruned automaton.
 
-    Ties between several terminal components are broken by the smallest
-    member state id; extra terminal components are reported in the
-    diagnostics.  A terminal component is closed by definition;
-    communication is verified explicitly.
+    There is exactly one, and any other count raises.  The pruned model
+    keeps every automaton edge between two mass-positive states, so a
+    terminal component T sends no mass outside T, and a sink among the
+    mass-carrying classes of the mass solve inside T has no inflow.  Two
+    terminal components would give two such classes, which
+    `compute_mass_vectors`, the only builder of a MeasureModel, refuses
+    as underdetermined.  Communication by walks of length >= 1 is checked
+    on the class's block adjacency (`_reach`).
     """
     ids = list(model.kept)
     pos = {sid: k for k, sid in enumerate(ids)}
     succ = [[pos[e.child] for e in model.successors(sid)] for sid in ids]
     comp_of, ncomp = _tarjan_scc(len(ids), succ)
-    members = [[] for _ in range(ncomp)]
-    for k, c in enumerate(comp_of):
-        members[c].append(k)
-    terminal = []
-    for c in range(ncomp):
-        if all(comp_of[t] == c for k in members[c] for t in succ[k]):
-            terminal.append(c)
-    if not terminal:
-        raise SpectrumError("no terminal component (empty pruned automaton?)")
-    terminal.sort(key=lambda c: min(ids[k] for k in members[c]))
-    chosen = sorted(ids[k] for k in members[terminal[0]])
-    diagnostics = {"terminal_components": len(terminal)}
-    _verify_communication(model, chosen)
-    return EssentialClass(model, chosen, diagnostics)
+    left = {comp_of[k] for k, row in enumerate(succ) for t in row if comp_of[t] != comp_of[k]}
+    terminal = [c for c in range(ncomp) if c not in left]
+    if len(terminal) != 1:
+        raise SpectrumError(f"the pruned automaton has {len(terminal)} terminal "
+                            "components; the mass solve admits exactly one")
+    ess = EssentialClass(model, [sid for sid, c in zip(ids, comp_of) if c == terminal[0]],
+                         {"terminal_components": 1})
+    # the reversed graph, read off blocks_into, communicates iff the graph does
+    if _reach([[k for k, _t in into] for into in ess.system.blocks_into])[0] is None:
+        raise SpectrumError("essential class members do not all communicate")
+    return ess
 
 
-def _verify_communication(model, ids):
-    """Every member reaches every member by a walk of length >= 1.
-
-    One forward and one backward search from the first member: each
-    member is reached from it and reaches it, so any two members are
-    joined through it.
-    """
-    succ = {sid: [e.child for e in model.successors(sid)] for sid in ids}
-    pred = {sid: [] for sid in ids}
-    for sid, children in succ.items():
-        for child in children:
-            pred[child].append(sid)
-    for adj in (succ, pred):
-        seen = set(adj[ids[0]])
-        stack = list(seen)
-        while stack:
-            for nxt in adj[stack.pop()]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        if seen != set(ids):
-            raise SpectrumError("essential class members do not all communicate")
+def _reach(succ):
+    """(r, acc) for the n nodes of successor lists succ: the least r such
+    that every node reaches every node by a walk of length 1..r (None if
+    none is <= n), and acc[i], the int bitset of the j reached from i by
+    a walk of length 1..r (1..n for None).  One more step gives
+    acc'[i] = succ(i) | OR_{j in succ(i)} acc[j]."""
+    n = len(succ)
+    full = (1 << n) - 1
+    step = [reduce(int.__or__, (1 << j for j in row), 0) for row in succ]
+    acc = step
+    r = 1
+    while any(a != full for a in acc):
+        if r >= n:
+            return None, acc
+        acc = [reduce(int.__or__, (acc[j] for j in row), s) for s, row in zip(step, succ)]
+        r += 1
+    return r, acc
 
 
 @dataclass(frozen=True)
@@ -236,25 +248,16 @@ def _kron_batch(x, y):
 def irreducibility_check(ess: EssentialClass):
     """Minimal r with sum_{i<=r} H^i entrywise positive; raises on failure.
 
-    Row i of the sum is held as an int bitset acc[i], the set of j reached
-    from i by a walk of length 1..r; one more step gives
-    acc'[i] = succ(i) | OR_{j in succ(i)} acc[j].
+    `_reach` on the support of H.
     """
     n, rows, cols, _ = lifted_operator(ess.system, 1)
     ends = np.searchsorted(rows, np.arange(n + 1))
-    succ = [cols[a:b].tolist() for a, b in zip(ends[:-1], ends[1:])]
-    full = (1 << n) - 1
-    step = [sum(1 << j for j in row) for row in succ]
-    acc = step
-    r = 1
-    while any(a != full for a in acc):
-        if r >= n:
-            missing = [(i, j) for i in range(n) for j in range(n) if not acc[i] >> j & 1]
-            raise SpectrumError(
-                f"transfer matrix is reducible; zero pattern at {missing[:10]}"
-                f"{'...' if len(missing) > 10 else ''}")
-        acc = [reduce(int.__or__, (acc[j] for j in row), s) for s, row in zip(step, succ)]
-        r += 1
+    r, acc = _reach([cols[a:b].tolist() for a, b in zip(ends[:-1], ends[1:])])
+    if r is None:
+        missing = [(i, j) for i in range(n) for j in range(n) if not acc[i] >> j & 1]
+        raise SpectrumError(
+            f"transfer matrix is reducible; zero pattern at {missing[:10]}"
+            f"{'...' if len(missing) > 10 else ''}")
     return r
 
 
@@ -284,7 +287,12 @@ def min_positive_entry_sum_powers(ess: EssentialClass, r: int) -> float:
 # spectral radius with Collatz-Wielandt certificates
 # ----------------------------------------------------------------------
 
-def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
+_CW_TOL = 1e-13
+_CW_MAX_ITER = 100000
+_CW_STALL = 1000
+
+
+def spectral_radius_bounds(matvec, dim):
     """Certified [lo, hi] around the Perron root of a nonnegative operator.
 
     For x > 0, min_i (Ax)_i/x_i <= rho(A) <= max_i (Ax)_i/x_i; power
@@ -296,8 +304,8 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
     into S, and every coordinate on a cycle stays in S.  Demanding x > 0
     everywhere would give hi = inf on any lift with a dead coordinate.
 
-    A periodic operator never reaches tol: once neither bound has
-    improved for `stall` iterations the best bounds so far are returned.
+    A periodic operator never reaches _CW_TOL: once neither bound has
+    improved for _CW_STALL iterations the best bounds so far are returned.
     A weaker class that does not see the dominant one pins lo at its own
     ratio until its coordinates underflow to 0 and leave S, so an
     iteration in which min x reaches a new low counts as progress too:
@@ -306,11 +314,10 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
     coordinate settles on the smallest subnormal instead of 0, and lo
     stays at the weaker ratio: valid, but wide.
     """
-    stall = 1000
     x = np.ones(dim)
     lo_best, hi_best, x_low = 0.0, math.inf, math.inf
     since_gain = 0
-    for _ in range(max_iter):
+    for _ in range(_CW_MAX_ITER):
         y = matvec(x)
         ny = float(np.linalg.norm(y, 1))
         if ny == 0:
@@ -324,7 +331,7 @@ def spectral_radius_bounds(matvec, dim, tol=1e-13, max_iter=100000):
         lo_best = max(lo_best, lo)
         hi_best = min(hi_best, hi)
         x_low = min(x_low, low)
-        if hi_best - lo_best <= tol * max(1.0, hi_best) or since_gain >= stall:
+        if hi_best - lo_best <= _CW_TOL * max(1.0, hi_best) or since_gain >= _CW_STALL:
             break
         x = y / ny
     return lo_best, hi_best
@@ -371,17 +378,8 @@ class PressureEngine:
         self.default_n = default_n
         self.log_rho = model.automaton.ifs.log_stopping_ratio()
         self._scalar = all(d == 1 for d in self.ess.system.dims)
-        self._r = None
-        self._delta = None
         self._word_dp: dict[int, list] = {}
         self._dp_coarsened: set[int] = set()
-
-    # -- shared structure ----------------------------------------------------
-    def irreducibility(self):
-        if self._r is None:
-            self._r = irreducibility_check(self.ess)
-            self._delta = min_positive_entry_sum_powers(self.ess, self._r)
-        return self._r, self._delta
 
     # -- certified routes ------------------------------------------------------
     def _certified(self, q, method: str, n: int) -> PressureEstimate:
@@ -467,8 +465,7 @@ class PressureEngine:
         snaps = self._word_norms(n)
         a_n = _log_moment(snaps[n], q)
         a_prev2 = _log_moment(snaps[n - 2], q) if n >= 3 else _log_moment(snaps[1], q) * (n - 2)
-        r, delta = self.irreducibility()
-        c = q * abs(math.log(delta)) + math.log(len(self.ess.ids))
+        c = q * abs(math.log(self.ess.delta)) + math.log(len(self.ess.ids))
         upper = a_n / n
         lower = a_n / n - c / n
         # two-step difference quotient: sharp point estimate inside the bounds

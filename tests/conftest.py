@@ -3,10 +3,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse import csgraph
 
 from selfsim.config import IfsConfig, load_bundled
 from selfsim.pipeline import Pipeline
-from selfsim.spectrum import lifted_operator, spectral_radius_bounds
+from selfsim.spectrum import essential_class, lifted_operator, spectral_radius_bounds
 
 BUNDLED = ["cantor-1-3", "lebesgue-1-2", "golden-bernoulli",
            "golden-gasket-conjugated", "complex-pisot-demo", "commensurable-osc"]
@@ -41,6 +43,24 @@ def assert_same_bracket(a, b, rel):
     scale = max(1.0, *(abs(x) for x in (*a, *b)))
     assert max(a[0], b[0]) <= min(a[1], b[1]) + 8 * math.ulp(scale)
     assert abs(a[0] - b[0]) <= rel * scale and abs(a[1] - b[1]) <= rel * scale
+
+
+def assert_one_terminal_component(model):
+    """What `essential_class` rests on: every kept state has a kept
+    successor, and the pruned automaton has one terminal strongly connected
+    component, counted here by scipy, which is the essential class."""
+    ids = list(model.kept)
+    pos = {sid: k for k, sid in enumerate(ids)}
+    edges = [(pos[sid], pos[e.child]) for sid in ids for e in model.successors(sid)]
+    assert {a for a, _b in edges} == set(range(len(ids)))
+    rows, cols = zip(*edges)
+    graph = sparse.coo_matrix((np.ones(len(edges)), (rows, cols)), shape=(len(ids),) * 2)
+    ncomp, comp = csgraph.connected_components(graph, connection="strong")
+    left = {comp[a] for a, b in edges if comp[a] != comp[b]}
+    assert ncomp - len(left) == 1
+    ess = essential_class(model)
+    assert ess.diagnostics["terminal_components"] == 1
+    assert ess.ids == [sid for sid, c in zip(ids, comp) if c not in left]
 
 
 @pytest.fixture

@@ -581,25 +581,6 @@ def test_cli_spectrum_integer_q_exact_skips_q_zero(tmp_path, capsys):
     assert all(r[4] != "finite-n" for r in rows[5:])
 
 
-def test_cli_spectrum_reports_extra_terminal_components(tmp_path, capsys, monkeypatch):
-    args = ["spectrum", "--config", "bundled:commensurable-osc", "--q-grid", "1.5:2.5:0.5"]
-    assert cli.main(args + ["--out", str(tmp_path / "a")]) == 0
-    assert "terminal components" not in capsys.readouterr().out
-    original = spectrum.essential_class
-
-    def two_components(model):
-        ess = original(model)
-        ess.diagnostics["terminal_components"] = 2
-        return ess
-
-    monkeypatch.setattr(spectrum, "essential_class", two_components)
-    assert cli.main(args + ["--out", str(tmp_path / "b")]) == 0
-    out = capsys.readouterr().out
-    assert out.count("note: the pruned automaton has 2 terminal components") == 1
-    name = "commensurable-osc-spectrum.csv"
-    assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
-
-
 def test_cli_oracle(tmp_path, capsys):
     rc = cli.main(["oracle", "tau", "--config", "bundled:lebesgue-1-2",
                    "--q", "2.0", "--n-min", "6", "--n-max", "12"])

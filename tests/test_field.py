@@ -206,8 +206,7 @@ def test_complex_cubic_root_refines_on_a_bounded_grid():
     coeffs = [F(-1), F(0), F(1), F(1)]
     K = NumberField(coeffs, RootBox(RatInterval(-1, F(-3, 4)), RatInterval(F(1, 2), 1)),
                     complex_embedding=True)
-    K.refine_root(F(1, 2 ** 200))
-    box = K._root
+    box = K.root_box(200)
     assert box.width <= F(1, 2 ** 200)
     z, = [z for z in _sympy_poly(coeffs).nroots(n=60) if sympy.im(z) > 0]
     assert _in_box(z, box, slack=F(1, 10 ** 58))  # up to the error of a 60-digit root
@@ -485,5 +484,6 @@ def test_int_arithmetic_matches_fraction_arithmetic(name, data):
         assert _fraction_mul(K, A, inv.coeffs) == K.one.coeffs
         assert a * inv == K.one
     # Horner on the int numerators over den is Horner on the Fractions
-    root = K._root if K.complex_embedding else K._root.re
-    assert K._eval_at_root(prod) == poly_eval(prod.coeffs, root)
+    box = K.root_box(100)
+    assert K._eval_at_root(prod, 100) == poly_eval(prod.coeffs,
+                                                  box if K.complex_embedding else box.re)

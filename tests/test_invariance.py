@@ -5,7 +5,9 @@ fixed scale.  Reordering the maps (with their weights), conjugating every
 map by a translation x -> x + c and passing to the second iterate
 {S_i S_j} (weights p_i p_j, ratio r^2, exponent 1) all keep mu, so each
 must give the same certified tau(2) and the same masses; where the
-classes are small, also the same tau(3) and tau(4).  Every rewrite
+classes are small, also the same tau(3) and tau(4).  At q = 2.5 two
+scalar routes agree as closely, and any other pair of tau brackets
+overlaps, as for the finite-n route of golden and the gasket.  Every rewrite
 runs its own closure, automaton and mass solve, so agreement checks the
 whole pipeline, also in the plane, where the brute-force oracle does not go.
 """
@@ -53,29 +55,33 @@ def solve(ifs):
 
 
 def invariants(model, depth, qs):
-    """((tau(q), its bounds, its route) for each q, the sorted positive
-    masses at the depth)."""
-    engine = PressureEngine(model)
+    """((q, tau(q), its bounds, its route) for each q, the sorted positive
+    masses at the depth).  The finite-n route runs at n = 3 depth, so a
+    presentation and its second iterate reach one scale."""
+    engine = PressureEngine(model, default_n=3 * depth)
     taus = []
     for q in qs:
         tau, lo, hi, est = engine.tau(q)
-        taus.append((tau, lo, hi, est.method))
+        taus.append((q, tau, lo, hi, est.method))
     masses = sorted(m for m in map(model.mass, model.addresses(depth)) if m > 0)
     return taus, masses
 
 
 def assert_same(ref, got):
-    for (ref_tau, ref_lo, ref_hi, ref_method), (tau, lo, hi, method) in zip(ref[0], got[0],
-                                                                             strict=True):
-        assert ref_method == method == "kronecker"
-        assert abs(tau - ref_tau) < 1e-9
+    for (q, ref_tau, ref_lo, ref_hi, ref_method), (got_q, tau, lo, hi, method) in zip(
+            ref[0], got[0], strict=True):
+        assert got_q == q
+        if q.is_integer():
+            assert ref_method == method == "kronecker"
+        if ref_method == method != "finite-n":
+            assert abs(tau - ref_tau) < 1e-9
         assert lo <= ref_hi and ref_lo <= hi  # the two certified intervals overlap
     assert got[1] == ref[1]
 
 
 # the classes of golden and of the dyadic systems take the Kronecker route at
 # q = 2, 3 and 4; the gasket's (L = 234) only at q = 2
-_SMALL_QS = (2.0, 3.0, 4.0)
+_SMALL_QS = (2.0, 2.5, 3.0, 4.0)
 
 
 @pytest.mark.parametrize("name, rewrite, depth", [
@@ -94,7 +100,7 @@ _SMALL_QS = (2.0, 3.0, 4.0)
 ])
 def test_rewrite_keeps_tau_and_masses(pipelines, name, rewrite, depth):
     pipe = pipelines(name)
-    qs = _SMALL_QS if name == "golden-bernoulli" else (2.0,)
+    qs = _SMALL_QS if name == "golden-bernoulli" else (2.0, 2.5)
     assert_same(invariants(pipe.measure, 4, qs), invariants(solve(rewrite(pipe.ifs)), depth, qs))
 
 

@@ -427,3 +427,12 @@ def test_ball_radius_is_pinned(name, radius):
     # the radius the neighbour closure has always filtered with: a change
     # here can move which candidates the ball test drops
     assert _fresh_ifs(name).ball.radius == radius
+
+
+@pytest.mark.parametrize("name", ["golden-bernoulli", "golden-gasket-conjugated"])
+def test_ball_radius_does_not_depend_on_earlier_enclosures(name):
+    # an enclosure depends on its element and precision only, so a finer
+    # one made first leaves the ball as a fresh field builds it
+    ifs = _fresh_ifs(name)
+    ifs.field.enclose(ifs.field.gen, 200)
+    assert ifs.ball.radius == _fresh_ifs(name).ball.radius

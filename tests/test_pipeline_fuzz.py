@@ -14,7 +14,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
-from conftest import assert_same_bracket, pressure_bracket
+from conftest import assert_one_terminal_component, assert_same_bracket, pressure_bracket
 from selfsim import automaton as am
 from selfsim.field import NumberField, RootBox
 from selfsim.intervals import RatInterval
@@ -64,6 +64,7 @@ def test_random_dyadic_pipeline(sys_spec):
         # linear machinery; the solver must refuse rather than guess
         assert "underdetermined" in str(exc)
         return
+    assert_one_terminal_component(model)
     assert model.total_mass(5) == 1
     assert sum(model.mass(a) for a in model.addresses(3)) == 1
     assert all(model.mass(a) > 0 for a in model.addresses(3))
@@ -118,6 +119,7 @@ def test_random_planar_pipeline(sys_spec):
         event("refused: underdetermined")
         return
     event("solved")
+    assert_one_terminal_component(model)
     assert model.total_mass(4) == 1
     gs = GlobalSystem(model)
     for addr in model.addresses(3):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 from functools import reduce
 from math import lcm
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from conftest import assert_same_bracket, pressure_bracket
+from conftest import (BUNDLED, assert_one_terminal_component, assert_same_bracket,
+                      pressure_bracket)
 from selfsim.measure import GlobalSystem
 from selfsim import spectrum
 from selfsim.spectrum import (PressureEngine, SpectrumError, essential_class,
@@ -224,23 +226,42 @@ def test_irreducibility_and_delta_match_dense_references(pipelines, name):
 
 
 def _fake_model(edges):
-    return SimpleNamespace(successors=lambda sid: [SimpleNamespace(child=c) for c in edges[sid]])
+    """A stand-in for MeasureModel: the keys of edges are the kept states,
+    each with a 1x1 star, and every edge carries the block (1) over den 1."""
+    return SimpleNamespace(
+        kept=sorted(edges), star_dim=lambda sid: 1,
+        successors=lambda sid: [SimpleNamespace(child=c, tnum=((1,),)) for c in edges[sid]],
+        automaton=SimpleNamespace(ifs=SimpleNamespace(den=1)))
 
 
 @pytest.mark.parametrize("ids", [[1, 2, 3, 4], [3, 4, 1, 2]])
 def test_verify_communication_refuses_one_way_classes(ids):
-    # {1, 2} reaches {3, 4}, which never comes back; the search starts in
-    # the source class (backward search fails) or the sink (forward fails)
-    model = _fake_model({1: [2], 2: [1, 3], 3: [4], 4: [3]})
-    with pytest.raises(SpectrumError, match="^essential class members do not all communicate$"):
-        spectrum._verify_communication(model, ids)
-    spectrum._verify_communication(_fake_model({1: [2], 2: [1, 3], 3: [4], 4: [1]}), ids)
+    # {1, 2} reaches {3, 4}, which never comes back, in either node order
+    def reach(edges):
+        return spectrum._reach([[ids.index(c) for c in edges[sid]] for sid in ids])[0]
+
+    one_way = {1: [2], 2: [1, 3], 3: [4], 4: [3]}
+    assert reach(one_way) is None
+    assert reach({1: [2], 2: [1, 3], 3: [4], 4: [1]}) == 4
+    assert essential_class(_fake_model(one_way)).ids == [3, 4]  # the sink communicates
 
 
 def test_verify_communication_needs_a_cycle_through_a_lone_state():
-    spectrum._verify_communication(_fake_model({7: [7]}), [7])
-    with pytest.raises(SpectrumError, match="do not all communicate"):
-        spectrum._verify_communication(_fake_model({7: []}), [7])
+    assert essential_class(_fake_model({7: [7]})).ids == [7]
+    with pytest.raises(SpectrumError, match="^essential class members do not all communicate$"):
+        essential_class(_fake_model({7: []}))
+
+
+def test_essential_class_refuses_two_terminal_components():
+    # the mass solve never builds this model: {2} and {3} would each carry mass
+    with pytest.raises(SpectrumError, match="has 2 terminal components"):
+        essential_class(_fake_model({1: [2, 3], 2: [2], 3: [3]}))
+
+
+@pytest.mark.parametrize("name", BUNDLED + ["golden-gasket-3d"])
+def test_pruned_automaton_has_one_terminal_component(request, pipelines, name):
+    pipe = request.getfixturevalue("gasket_3d") if name == "golden-gasket-3d" else pipelines(name)
+    assert_one_terminal_component(pipe.measure)
 
 
 def test_spectral_radius_certificates():
@@ -432,8 +453,8 @@ def _kronecker_sum(system, q):
     return total
 
 
-def _certified_rho(op, **kwargs):
-    return spectral_radius_bounds(lambda x: op.T @ x, op.shape[0], **kwargs)
+def _certified_rho(op):
+    return spectral_radius_bounds(lambda x: op.T @ x, op.shape[0])
 
 
 @pytest.mark.parametrize("name, qs", [
@@ -496,7 +517,8 @@ def test_lifted_operator_fuzz_against_eigvals(spec):
     rho_lifted = _spectral_radius(lifted)
     tol = 1e-6 * max(1.0, rho)
     assert abs(rho_lifted - rho) <= tol
-    lo, hi = _certified_rho(lifted, max_iter=2000)
+    with mock.patch.object(spectrum, "_CW_MAX_ITER", 2000):  # bounds hold at any count
+        lo, hi = _certified_rho(lifted)
     assert lo - tol <= rho <= hi + tol
     assert abs(_spectral_radius(_dense(lifted_operator(lump(system), q))) - rho) <= tol
 
