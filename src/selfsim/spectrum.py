@@ -319,7 +319,7 @@ def spectral_radius_bounds(matvec, dim):
     since_gain = 0
     for _ in range(_CW_MAX_ITER):
         y = matvec(x)
-        ny = float(np.linalg.norm(y, 1))
+        ny = float(y.sum())  # the 1-norm, as y >= 0
         if ny == 0:
             return 0.0, 0.0
         mask = x > 0
@@ -622,17 +622,83 @@ def _true_div(a, scale):
 
 def _merge(keys, counts):
     """Rows with equal keys, in order of first occurrence: the index of
-    each group's first row and the group's summed count."""
-    order = np.lexsort(keys)
-    new = np.zeros(len(order), dtype=bool)
-    new[:1] = True
-    for key in keys:
-        k = key[order]
-        new[1:] |= k[1:] != k[:-1]
-    starts = np.flatnonzero(new)
-    first = order[starts]
-    perm = np.argsort(first)
-    return first[perm], np.add.reduceat(counts[order], starts)[perm]
+    each group's first row and the group's summed count.
+
+    `keys` are the columns of the rows (int64, Python ints or floats;
+    no NaN).  Any sort order of their `_row_key` is correct: equal rows
+    have equal keys, so each group is one run of the sorted keys,
+    whatever order the unstable sort leaves its rows in, and the least
+    index in the run is the group's first row.  Marking those rows lists
+    the groups in order of first occurrence, and a cumsum of the marks
+    gives each run its place in that list.  The counts are ints, so the
+    order in which a run adds them does not change the sum.
+    """
+    n = len(counts)
+    if n == 0:
+        return np.zeros(0, dtype=np.intp), counts[:0]
+    key = _row_key(keys)
+    order = key.argsort()
+    k = key[order]
+    new = np.empty(n, dtype=bool)
+    new[0] = True
+    np.not_equal(k[1:], k[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    first = np.minimum.reduceat(order, starts)
+    sums = np.add.reduceat(counts[order], starts)
+    mark = np.zeros(n, dtype=bool)
+    mark[first] = True
+    merged = np.empty_like(sums)
+    merged[mark.cumsum()[first] - 1] = sums
+    return mark.nonzero()[0], merged
+
+
+# keys and digits are int64 when every radix stays below this
+_RADIX_LIMIT = 2 ** 63
+
+
+def _row_key(columns):
+    """One int64 per row, equal for two rows exactly where every column is.
+
+    Each column gives one digit per row (`_digit`): an int64 column its
+    entry minus the column minimum, a float64 column the same of its
+    entries' bits, and a column of Python ints, or one spanning 2^63 or
+    more, the entry's dense rank among the column's values.  The radix is
+    the digit's maximum plus one, and the key is the mixed-radix number of
+    the digits.  Before a digit whose radix would take the key's to 2^63,
+    the key so far is replaced by its dense rank (and, if that is still
+    too wide, the digit by its own), so n rows never need a radix above
+    n^2.
+    """
+    key, radix = _digit(columns[0])
+    for col in columns[1:]:
+        digit, base = _digit(col)
+        if radix * base >= _RADIX_LIMIT:
+            key, radix = _dense_rank(key)
+            if radix * base >= _RADIX_LIMIT:
+                digit, base = _dense_rank(digit)
+        key = key * base + digit
+        radix *= base
+    return key
+
+
+def _digit(col):
+    """An int64 column minus its minimum, with radix max - min + 1, or else
+    the dense rank of the column.  A float64 column is read as the int64
+    bits of its values plus 0.0, which turns -0.0 into 0.0, so that the
+    bits are equal exactly where the values are."""
+    if col.dtype == np.float64:
+        col = (col + 0.0).view(np.int64)
+    if col.dtype == np.int64:
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo + 1 < _RADIX_LIMIT:
+            return col - lo, hi - lo + 1
+    return _dense_rank(col)
+
+
+def _dense_rank(col):
+    """Each entry's index among the column's distinct values, and their number."""
+    values, rank = np.unique(col, return_inverse=True)
+    return rank.astype(np.int64, copy=False), len(values)
 
 
 def _aggregate(vecs, counts, scale) -> dict:

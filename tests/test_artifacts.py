@@ -70,6 +70,11 @@ SPECTRUM_GOLDEN = {
 # the d = 3 essential class has L = 2043, so every q > 1 takes finite-n
 SPECTRUM_GOLDEN_3D = "11bb7a161493a276b9b4fddbe95c7dfba1b4bbaa8cf83c6d7324370bde2563ff"
 
+# `selfsim spectrum --config bundled:golden-bernoulli --pressure-n 22
+# --integer-q-exact`: n = 22 is the word length of the benchmark's
+# spectrum-small workload
+SPECTRUM_GOLDEN_N22 = "862b5623dd148588c80f9d1174a319ff4d1e62b322c47f7665ebd8f8f92ad037"
+
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_build_artifacts_match_golden(name, tmp_path, capsys):
@@ -109,3 +114,10 @@ def test_spectrum_csv_matches_golden_in_3d(tmp_path, capsys):
                      "--integer-q-exact"]) == 0
     got = hashlib.sha256((tmp_path / "golden-gasket-3d-spectrum.csv").read_bytes()).hexdigest()
     assert got == SPECTRUM_GOLDEN_3D
+
+
+def test_spectrum_csv_matches_golden_at_benchmark_length(tmp_path, capsys):
+    assert cli.main(["spectrum", "--config", "bundled:golden-bernoulli", "--out", str(tmp_path),
+                     "--pressure-n", "22", "--integer-q-exact"]) == 0
+    got = hashlib.sha256((tmp_path / "golden-bernoulli-spectrum.csv").read_bytes()).hexdigest()
+    assert got == SPECTRUM_GOLDEN_N22

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from fractions import Fraction as F
 from functools import reduce
@@ -873,6 +875,99 @@ def test_word_dp_coarsening(golden, monkeypatch):
         for q in qs:
             a, b = spectrum._log_moment(snaps[k], q), spectrum._log_moment(exact[k], q)
             assert abs(a - b) <= 1e-12 * abs(b)
+
+
+# sha256 of every level's (norm.hex(), count) list, in insertion order,
+# of the word DP coarsened past 50 vectors: the float levels bit for bit
+COARSENED_DP_GOLDEN = {
+    ("golden-bernoulli", 16):
+        "54beb9710c7fb0855a7dd5d4e395987463140b5206607782d642fbf8f88fead7",
+    ("golden-gasket-conjugated", 8):
+        "7b51d491afd9932e7dff853ad721ee9670fd43b1607029f0f0b0946edf9ce909",
+    ("commensurable-osc", 18):
+        "dfea604522b12d56dc7386b3442375983d33ef0f6fd980d375e3da9a82e96153",
+}
+
+
+@pytest.mark.parametrize("name, n", sorted(COARSENED_DP_GOLDEN))
+def test_word_dp_coarsened_levels_match_golden(pipelines, monkeypatch, name, n):
+    monkeypatch.setattr(spectrum, "_DP_MAX_EXACT_ENTRIES", 50)
+    snaps, coarsened = spectrum.word_norm_levels(pipelines(name).engine.ess.system, n)
+    assert coarsened
+    levels = [[(v.hex(), c) for v, c in level.items()] for level in snaps[1:]]
+    assert hashlib.sha256(json.dumps(levels).encode()).hexdigest() == COARSENED_DP_GOLDEN[name, n]
+
+
+def _merge_reference(columns, counts):
+    """`_merge` by a dict keyed by the row tuple: Python ints and floats,
+    with -0.0 == 0.0 as in the dict."""
+    groups = {}
+    for i, row in enumerate(zip(*(col.tolist() for col in columns))):
+        first, total = groups.get(row, (i, 0))
+        groups[row] = first, total + counts[i]
+    return [f for f, _c in groups.values()], [c for _f, c in groups.values()]
+
+
+_MERGE_COLUMNS = {
+    "int64": (np.int64, st.integers(-3, 3)),
+    # spans and radix products past 2^63, so that the rank folds run
+    "wide int64": (np.int64, st.sampled_from(
+        [-2 ** 63, -2 ** 40, 0, 7, 2 ** 40, 2 ** 62, 2 ** 63 - 1])),
+    "object": (object, st.sampled_from([-2 ** 70, 0, 5, 2 ** 53 + 1, 2 ** 60 + 3, 2 ** 64 + 7])),
+    "float": (np.float64, st.sampled_from(
+        [0.0, -0.0, 5e-324, 0.1, 1.5, -2.5, 1e300, math.inf, -math.inf])),
+}
+
+
+@st.composite
+def merge_inputs(draw):
+    """Key columns of the four kinds, each drawn from a few values so that
+    rows repeat, and int64 or object counts."""
+    n = draw(st.integers(0, 30))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(sorted(_MERGE_COLUMNS)), min_size=1, max_size=4)):
+        dtype, values = _MERGE_COLUMNS[kind]
+        pool = draw(st.lists(values, min_size=1, max_size=3))
+        columns.append(np.array(draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)),
+                                dtype=dtype))
+    wide = draw(st.booleans())
+    counts = draw(st.lists(st.integers(1, 2 ** 80 if wide else 2 ** 40), min_size=n, max_size=n))
+    return columns, np.array(counts, dtype=object if wide else np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(merge_inputs())
+# one float column, as `_aggregate` passes it
+@example(([np.array([1.5, 0.0, 1.5, -0.0, 0.25])], np.array([1, 2, 3, 4, 5])))
+# zero rows
+@example(([np.zeros(0, dtype=np.int64), np.zeros(0)], np.zeros(0, dtype=object)))
+def test_merge_matches_dict_reference(spec):
+    columns, counts = spec
+    first, merged = spectrum._merge(columns, counts)
+    assert first.dtype == np.intp and merged.dtype == counts.dtype
+    assert (first.tolist(), merged.tolist()) == _merge_reference(columns, counts.tolist())
+
+
+# below 2^63, with 3 * _SHIFT = 2^64 + 2
+_SHIFT = (2 ** 64 + 2) // 3
+
+
+@pytest.mark.parametrize("a, b, first, merged", [
+    # radix (_SHIFT + 1)(2^62 + 1) passes 2^63: the key so far is ranked
+    # (radix 2), and then b (radix 3); had the key not been ranked,
+    # (_SHIFT, 0) and (0, 2^62) would share the key 2 modulo 2^64
+    ([_SHIFT, 0, 0, _SHIFT], [0, 2 ** 62, 1, 0], [0, 1, 2], [1 + 4, 2, 3]),
+    # the ranked key still has radix 5, so b must be ranked too; had it
+    # not been, (4, 0) and (0, 4) would share the key 4 (2^62 + 1) = 4
+    # modulo 2^64
+    ([4, 0, 1, 2, 3], [0, 4, 2 ** 62, 0, 0], [0, 1, 2, 3, 4], [1, 2, 3, 4, 5]),
+])
+def test_merge_ranks_folds_past_int64(a, b, first, merged):
+    columns = [np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)]
+    counts = np.arange(1, len(a) + 1)
+    got = spectrum._merge(columns, counts)
+    assert (got[0].tolist(), got[1].tolist()) == (first, merged)
+    assert (first, merged) == _merge_reference(columns, counts.tolist())
 
 
 def test_curves_concave(pipelines):
